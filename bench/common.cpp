@@ -286,7 +286,7 @@ std::vector<InstanceResult> run_equidepth_series(
     const baselines::EquiDepthConfig& config, const sim::EngineConfig& engine,
     const std::vector<stats::Value>& values, std::size_t phases,
     const BenchEnv& env, host::AttributeSource churn) {
-  sim::Engine sim_engine(
+  sim::CycleEngine sim_engine(
       engine, values, core::make_overlay(core::OverlayKind::kCyclon, 20),
       [config](const host::AgentContext&) {
         return std::make_unique<baselines::EquiDepthAgent>(config);

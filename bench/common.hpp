@@ -32,7 +32,7 @@ struct BenchEnv {
   std::uint64_t seed = 42;
   /// Peers sampled per evaluation (0 = all); keeps wide sweeps tractable.
   std::size_t peer_sample = 400;
-  /// Cycle-engine worker threads (0/1 = serial Engine; >1 = ParallelEngine).
+  /// Cycle-engine worker threads (0/1 = one inline worker; >1 = sharded).
   std::size_t threads = 0;
   /// Deterministic fault schedule from ADAM2_BENCH_FAULT_* (same names as
   /// adam2_sim's --fault-* flags; default all-zero = off). Applied by

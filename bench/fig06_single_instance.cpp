@@ -53,7 +53,7 @@ void run_equidepth(const bench::BenchEnv& env,
   config.phase_ttl = kRounds + 2;
   sim::EngineConfig engine_config;
   engine_config.seed = env.seed;
-  sim::Engine engine(
+  sim::CycleEngine engine(
       engine_config, values, core::make_overlay(core::OverlayKind::kCyclon, 20),
       [config](const host::AgentContext&) {
         return std::make_unique<baselines::EquiDepthAgent>(config);

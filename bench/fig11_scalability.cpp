@@ -6,8 +6,8 @@
 // the same order of magnitude across sizes; Erra *decreases* with size
 // because larger populations have longer, easily-interpolated tails.
 //
-// With ADAM2_BENCH_THREADS=<t> (t > 1) each row runs on the sharded
-// ParallelEngine and is re-run serially for comparison: the row gains a
+// With ADAM2_BENCH_THREADS=<t> (t > 1) each row runs the sharded
+// CycleEngine and is re-run serially for comparison: the row gains a
 // speedup column plus a `match` flag checking that the parallel errors are
 // bit-identical to the serial ones (the engine's determinism contract).
 //

@@ -61,7 +61,7 @@ CostRow equidepth_cost(const bench::BenchEnv& env, std::size_t n,
   engine_config.seed = env.seed;
   // Run the phases through the shared driver, then read the traffic off a
   // fresh engine run (the driver owns its engine, so rebuild here).
-  sim::Engine engine(
+  sim::CycleEngine engine(
       engine_config, values, core::make_overlay(core::OverlayKind::kCyclon, 20),
       [config](const host::AgentContext&) {
         return std::make_unique<baselines::EquiDepthAgent>(config);

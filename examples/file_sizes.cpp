@@ -47,7 +47,7 @@ int main() {
       std::make_shared<std::vector<std::vector<stats::Value>>>(std::move(file_sets));
   sim::EngineConfig engine_config;
   engine_config.seed = 29;
-  sim::Engine engine(
+  sim::CycleEngine engine(
       engine_config, engine_attributes,
       core::make_overlay(core::OverlayKind::kCyclon, 20),
       [shared_sets, protocol](const host::AgentContext& ctx) {

@@ -5,8 +5,8 @@
 //
 //   * core/      — the Adam2 protocol, the Adam2System facade, multi-value
 //                  aggregation and estimate evaluation;
-//   * sim/       — the serial, sharded-parallel and event-driven simulation
-//                  substrates plus the overlay implementations;
+//   * sim/       — the cycle-driven (serial or sharded) and event-driven
+//                  simulation substrates plus the overlay implementations;
 //   * runtime/   — the wall-clock deployments (thread-per-node Cluster,
 //                  loopback-UDP peers);
 //   * obs/       — the observability layer: obs::Recorder with its metrics
@@ -28,9 +28,8 @@
 #include "core/system.hpp"
 
 #include "sim/async_engine.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 
 #include "runtime/cluster.hpp"
 #include "runtime/udp.hpp"

@@ -240,8 +240,8 @@ bool EquiDepthAgent::handle_bootstrap_response(
 
 namespace {
 
-std::vector<host::NodeId> sample_peers(sim::Engine& engine,
-                                      std::size_t peer_sample) {
+std::vector<host::NodeId> sample_peers(sim::CycleEngine& engine,
+                                       std::size_t peer_sample) {
   const auto live = engine.live_ids();
   std::vector<host::NodeId> peers(live.begin(), live.end());
   if (peer_sample > 0 && peers.size() > peer_sample) {
@@ -262,7 +262,7 @@ std::vector<host::NodeId> sample_peers(sim::Engine& engine,
 
 }  // namespace
 
-EquiDepthPopulationErrors evaluate_equidepth(sim::Engine& engine,
+EquiDepthPopulationErrors evaluate_equidepth(sim::CycleEngine& engine,
                                              const stats::EmpiricalCdf& truth,
                                              std::size_t peer_sample,
                                              bool include_inherited,
@@ -292,7 +292,7 @@ EquiDepthPopulationErrors evaluate_equidepth(sim::Engine& engine,
 }
 
 EquiDepthInstantErrors evaluate_equidepth_phase(
-    sim::Engine& engine, wire::InstanceId phase,
+    sim::CycleEngine& engine, wire::InstanceId phase,
     const stats::EmpiricalCdf& truth, std::size_t peer_sample,
     std::optional<host::Round> born_by) {
   EquiDepthInstantErrors out;

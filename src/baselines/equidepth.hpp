@@ -19,7 +19,7 @@
 #include <unordered_set>
 
 #include "host/agent.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "stats/cdf.hpp"
 #include "stats/error_metrics.hpp"
 #include "stats/histogram.hpp"
@@ -117,7 +117,7 @@ struct EquiDepthPopulationErrors {
 };
 
 [[nodiscard]] EquiDepthPopulationErrors evaluate_equidepth(
-    sim::Engine& engine, const stats::EmpiricalCdf& truth,
+    sim::CycleEngine& engine, const stats::EmpiricalCdf& truth,
     std::size_t peer_sample = 0, bool include_inherited = true,
     bool missing_counts_as_one = true);
 
@@ -132,7 +132,7 @@ struct EquiDepthInstantErrors {
 /// `born_by`: only evaluate peers born at or before this round (excludes
 /// nodes that joined the system during the phase, as in Fig. 12).
 [[nodiscard]] EquiDepthInstantErrors evaluate_equidepth_phase(
-    sim::Engine& engine, wire::InstanceId phase,
+    sim::CycleEngine& engine, wire::InstanceId phase,
     const stats::EmpiricalCdf& truth, std::size_t peer_sample = 0,
     std::optional<host::Round> born_by = {});
 

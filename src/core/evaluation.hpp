@@ -9,8 +9,8 @@
 // deviations below 1e-5, so sampling loses essentially nothing).
 //
 // The evaluators are templates over the hosting engine: both the
-// cycle-driven sim::Engine and the event-driven sim::AsyncEngine expose the
-// required surface (live_ids/node/agent/rng).
+// cycle-driven sim::CycleEngine and the event-driven sim::AsyncEngine expose
+// the required surface (live_ids/node/agent/rng).
 #pragma once
 
 #include <algorithm>
@@ -108,15 +108,10 @@ PopulationErrors aggregate(Host& engine, const EvaluationOptions& options,
   }
 
   std::vector<std::optional<stats::ErrorPair>> results(peers.size());
-  if (options.threads > 1 && peers.size() > 1) {
-    host::WorkerPool pool(std::min(options.threads, peers.size()));
-    pool.run_indexed(peers.size(),
-                     [&](std::size_t i) { results[i] = errors_of(peers[i]); });
-  } else {
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      results[i] = errors_of(peers[i]);
-    }
-  }
+  host::WorkerPool pool(std::min(options.threads, peers.size()));
+  pool.run_indexed(peers.size(), [&](std::size_t i, std::size_t) {
+    results[i] = errors_of(peers[i]);
+  });
 
   PopulationErrors out;
   stats::RunningStat max_stat;

@@ -32,16 +32,10 @@ Adam2System::Adam2System(SystemConfig config,
   auto factory = [protocol](const host::AgentContext&) {
     return std::make_unique<Adam2Agent>(protocol);
   };
-  auto overlay = make_overlay(config_.overlay, config_.overlay_degree);
-  if (config_.engine_threads > 1) {
-    engine_ = std::make_unique<sim::ParallelEngine>(
-        config_.engine, config_.engine_threads, std::move(attributes),
-        std::move(overlay), std::move(factory), std::move(churn_source));
-  } else {
-    engine_ = std::make_unique<sim::Engine>(
-        config_.engine, std::move(attributes), std::move(overlay),
-        std::move(factory), std::move(churn_source));
-  }
+  engine_ = std::make_unique<sim::CycleEngine>(
+      config_.engine, std::move(attributes),
+      make_overlay(config_.overlay, config_.overlay_degree),
+      std::move(factory), std::move(churn_source), config_.engine_threads);
 }
 
 void Adam2System::attach_recorder(obs::Recorder* recorder) {

@@ -1,6 +1,6 @@
 // Adam2System: the convenience facade tying the substrates together.
 //
-// Builds an Engine over the chosen overlay, one Adam2Agent per node, and
+// Builds a CycleEngine over the chosen overlay, one Adam2Agent per node, and
 // exposes instance control plus result access — the public API the examples
 // and most experiments use. Scripted experiments start instances explicitly;
 // setting Adam2Config::restart_every_r > 0 instead lets nodes self-select
@@ -19,9 +19,8 @@
 // the examples' and experiments' entry point stays `core::Adam2System`.
 // Documented layering exception (DESIGN.md §10): nothing else in core/ may
 // name a concrete engine.
-#include "sim/cyclon.hpp"           // adam2-lint: allow(layering)
-#include "sim/engine.hpp"           // adam2-lint: allow(layering)
-#include "sim/parallel_engine.hpp"  // adam2-lint: allow(layering)
+#include "sim/cyclon.hpp"        // adam2-lint: allow(layering)
+#include "sim/cycle_engine.hpp"  // adam2-lint: allow(layering)
 // Same documented exception: the facade wires the recorder into the engine
 // it assembled and echoes its config into the run manifest.
 #include "obs/recorder.hpp"  // adam2-lint: allow(layering)
@@ -39,9 +38,8 @@ struct SystemConfig {
   OverlayKind overlay = OverlayKind::kCyclon;
   /// Degree of the static graph / view size of Cyclon.
   std::size_t overlay_degree = 20;
-  /// Worker threads for the cycle engine. 0 and 1 select the serial Engine;
-  /// larger values select the sharded ParallelEngine, which produces
-  /// bit-identical results at any thread count.
+  /// Worker threads for the cycle engine's sharded phases (0 and 1: none).
+  /// Results are bit-identical at any thread count.
   std::size_t engine_threads = 0;
 };
 

@@ -5,7 +5,7 @@
 // request, delivers it to the chosen target's agent, and routes the response
 // back — all as encoded byte buffers, exactly as a deployment would put them
 // on the wire. Agents never touch each other directly, which is what lets the
-// same agent code run under the serial engine, the parallel engine, the
+// same agent code run under the cycle engine (on one thread or sharded), the
 // event-driven engine, and the threaded runtimes unchanged.
 #pragma once
 
@@ -42,10 +42,10 @@ struct AgentContext {
 /// Buffer ownership on the exchange hot path: make_request and
 /// handle_request return *views* into agent-owned scratch buffers, valid
 /// until the next callback on the same agent. Substrates either consume the
-/// bytes within the exchange (the cycle engines do — the two participants'
+/// bytes within the exchange (the cycle engine does — the two participants'
 /// scratches cannot be overwritten while their exchange is in flight, even
-/// under the parallel engine's scheduler, which never runs two units of one
-/// node concurrently) or copy them into an owned envelope (the event-driven
+/// under the sharded unit gate, which never runs two units of one node
+/// concurrently) or copy them into an owned envelope (the event-driven
 /// engine and the socket runtimes, whose messages outlive the callback).
 /// This keeps steady-state exchanges free of heap allocations.
 class NodeAgent {

@@ -96,7 +96,7 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
                       request.size());
   // All draws come from the initiator's streams (loss legs from its control
   // stream, faults from its fault stream), so the unit is self-contained and
-  // the sharded engine replays bit-identically to the serial one. The
+  // sharded runs replay bit-identically to one-thread runs. The
   // partition check applies to the request leg only: a blocked request means
   // no response ever exists.
   std::vector<std::byte> request_scratch;

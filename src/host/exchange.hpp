@@ -14,7 +14,7 @@
 //    receive back a `Delivery` — how many copies to hand over, pointing at
 //    which bytes, after how much extra delay — and do scheduling only.
 //  * `Conduit::run_cycle_exchange()` is the full in-round request→response
-//    state machine of the cycle engines (serial and sharded), including the
+//    state machine of the cycle engine (any thread count), including the
 //    "reply to the second copy wins" duplicate rule. Payload spans alias
 //    agent scratch end to end: the steady-state exchange allocates nothing
 //    (bench/micro_core pins this).
@@ -121,7 +121,7 @@ class Conduit {
     /// Stream for the fault-plan draws (fate, corruption bytes, delay).
     rng::Rng* fault_stream = nullptr;
     /// Whether this leg can be blocked by an overlay partition (stateless
-    /// check, consumes no draws). The cycle engines check the request leg
+    /// check, consumes no draws). The cycle engine checks the request leg
     /// only; the event-driven engine checks both.
     bool partition_check = false;
     /// Whether to draw injected extra delay (event-driven substrates only).
@@ -163,10 +163,10 @@ class Conduit {
                    std::vector<std::byte>& scratch,
                    TrafficStats& counters) const;
 
-  /// The cycle engines' whole exchange: make_request, failed-contact
+  /// The cycle engine's whole exchange: make_request, failed-contact
   /// accounting, both legs through `resolve`, duplicate-copy delivery with
   /// the "reply to the second copy wins" rule, and traffic recording through
-  /// `host` (so sharded engines can reroute totals per worker). Draws only
+  /// `host` (so sharded phases can reroute totals per worker). Draws only
   /// from the initiator's control/agent/fault streams and touches only the
   /// two participants plus `counters` — the unit stays parallel-safe.
   /// When `outcome` is non-null it is filled with how far the exchange got

@@ -8,9 +8,9 @@
 //  * replayable — the same plan against the same node ids produces the same
 //    fault schedule, on any substrate, in any process;
 //  * parallel-safe — a node's fault stream is consumed only inside that
-//    node's exchange unit (cycle engines) or on that node's thread
-//    (runtimes), never shared, so the sharded ParallelEngine stays
-//    bit-identical to the serial Engine with faults enabled;
+//    node's exchange unit (cycle engine) or on that node's thread
+//    (runtimes), never shared, so the sharded cycle engine stays
+//    bit-identical to its one-thread run with faults enabled;
 //  * invisible when disabled — the default (all-zero) plan consumes nothing
 //    from any stream and takes no branch with a side effect, so fault-aware
 //    engines replay bit-identically to the pre-fault engines.

@@ -55,10 +55,10 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Discriminates the engine family a snapshot belongs to. The serial and
-/// sharded cycle engines share one layout (their persistent state is
-/// identical — the shards are per-round scratch); the event-driven engine
-/// adds its queue. Restoring into the wrong family is rejected.
+/// Discriminates the engine family a snapshot belongs to. The cycle engine
+/// writes one layout at any thread count (the workers hold only per-round
+/// scratch); the event-driven engine adds its queue. Restoring into the
+/// wrong family is rejected.
 enum class EngineKind : std::uint32_t {
   kCycle = 1,
   kAsync = 2,

@@ -3,10 +3,9 @@
 // The trace is a stream of fixed-size, trivially-copyable events stamped by
 // *logical* time only — the round (or maintenance-cycle) counter plus a
 // monotonic sequence number assigned by the ring. No wall clock appears
-// anywhere, which is what lets the serial Engine and the sharded
-// ParallelEngine emit byte-identical traces for the same seed at any thread
-// count: both record the same events in plan order, and plan order is the
-// replayed order.
+// anywhere, which is what lets sim::CycleEngine emit byte-identical traces
+// for the same seed at any thread count: every schedule records the same
+// events in plan order, and plan order is the replayed order.
 //
 // This header sits at the bottom of obs/ so the exchange fabric
 // (host/exchange.hpp, same layer rank) can fill an ExchangeOutcome without

@@ -16,12 +16,12 @@
 // below cost a ring write plus a handful of id-indexed metric updates.
 //
 // Threading contract: NOT thread-safe (the lint `confinement` rule keeps
-// mutexes out of obs/). The cycle engines record from the driver thread only
-// — the parallel engine buffers per-unit ExchangeOutcomes in plan-position
-// slots and drains them serially after the exchange barrier, which is also
-// what makes its trace byte-identical to the serial engine's. The wall-clock
-// runtimes record lifecycle events and absorb traffic snapshots from the
-// controlling thread, before start() and after stop()/joins.
+// mutexes out of obs/). The cycle engine records from the driver thread only
+// — at any thread count it buffers per-unit ExchangeOutcomes in
+// plan-position slots and drains them serially after the exchange phase,
+// which is also what makes its trace the same at every thread count. The
+// wall-clock runtimes record lifecycle events and absorb traffic snapshots
+// from the controlling thread, before start() and after stop()/joins.
 #pragma once
 
 #include <cstdint>

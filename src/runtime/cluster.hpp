@@ -1,8 +1,8 @@
 // Threaded in-process deployment of the protocol agents.
 //
-// Where sim::Engine and sim::AsyncEngine *simulate* time, the Cluster runs
-// every node on a real thread against the wall clock: nodes gossip on their
-// own jittered timers, exchange framed datagrams through the in-process
+// Where sim::CycleEngine and sim::AsyncEngine *simulate* time, the Cluster
+// runs every node on a real thread against the wall clock: nodes gossip on
+// their own jittered timers, exchange framed datagrams through the in-process
 // Network, and apply the same exchange-atomicity discipline as the
 // asynchronous engine (a node awaiting a response refuses other exchanges
 // until it arrives or times out). The protocol agents are the exact same

@@ -301,7 +301,7 @@ void AsyncEngine::on_maintenance() {
     }
   }
   // One kRoundEnd per maintenance cycle: the event-driven analogue of the
-  // cycle engines' end-of-round sample (same gauges, same traffic absorb).
+  // cycle engine's end-of-round sample (same gauges, same traffic absorb).
   if (recorder_ != nullptr) {
     recorder_->round_end(round(), table_.live_count(), table_.size(),
                          total_traffic_);

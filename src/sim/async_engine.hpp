@@ -1,7 +1,7 @@
 // Event-driven asynchronous simulation mode (PeerSim's event-driven
 // analogue).
 //
-// The cycle-driven Engine assumes globally synchronised rounds. Real
+// The cycle-driven CycleEngine assumes globally synchronised rounds. Real
 // deployments have neither synchronised clocks nor instant messages: each
 // node gossips on its own jittered timer and messages take a random one-way
 // latency. AsyncEngine models exactly that with a discrete-event queue while
@@ -45,7 +45,7 @@
 #include "obs/recorder.hpp"
 #include "rng/rng.hpp"
 #include "host/agent.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
 #include "host/traffic.hpp"
 #include "host/types.hpp"

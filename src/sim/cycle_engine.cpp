@@ -22,19 +22,36 @@ bool same_plan(const host::FaultPlan& a, const host::FaultPlan& b) {
          a.seed == b.seed && a.warm_restart == b.warm_restart;
 }
 
+/// The calling thread's traffic accumulator while it runs a sharded-phase
+/// task; null otherwise (see CycleEngine::totals).
+thread_local host::TrafficStats* tls_totals = nullptr;
+
+/// Points the calling thread's accumulator at a worker slot for one task and
+/// unbinds it on exit, exceptions included, so no thread keeps a pointer
+/// into an engine between phases.
+class WorkerBinding {
+ public:
+  explicit WorkerBinding(host::TrafficStats& slot) { tls_totals = &slot; }
+  ~WorkerBinding() { tls_totals = nullptr; }
+  WorkerBinding(const WorkerBinding&) = delete;
+  WorkerBinding& operator=(const WorkerBinding&) = delete;
+};
+
 }  // namespace
 
 CycleEngine::CycleEngine(EngineConfig config,
                          std::vector<stats::Value> initial_attributes,
                          std::unique_ptr<Overlay> overlay,
                          AgentFactory agent_factory,
-                         AttributeSource attribute_source)
+                         AttributeSource attribute_source, std::size_t threads)
     : config_(config),
       conduit_(config.faults, config.message_loss),
       rng_(config.seed),
       overlay_(std::move(overlay)),
       agent_factory_(std::move(agent_factory)),
-      attribute_source_(std::move(attribute_source)) {
+      attribute_source_(std::move(attribute_source)),
+      pool_(threads),
+      worker_totals_(pool_.size()) {
   if (!overlay_) throw std::invalid_argument("engine requires an overlay");
   if (!agent_factory_) {
     throw std::invalid_argument("engine requires an agent factory");
@@ -55,6 +72,101 @@ void CycleEngine::record_traffic(NodeId sender, NodeId receiver,
   table_.record_traffic(sender, receiver, channel, bytes, totals());
 }
 
+TrafficStats& CycleEngine::totals() {
+  return tls_totals != nullptr ? *tls_totals : total_traffic_;
+}
+
+void CycleEngine::merge_worker_totals() {
+  for (TrafficStats& slot : worker_totals_) {
+    total_traffic_ += slot;
+    slot = TrafficStats{};
+  }
+}
+
+void CycleEngine::run_round() {
+  if (recorder_ != nullptr) recorder_->round_begin(round_, table_.live_count());
+
+  // 1. Round start for every live agent (sharded).
+  const auto live = table_.live_ids();
+  pool_.run_indexed(live.size(), [&](std::size_t i, std::size_t worker) {
+    const WorkerBinding binding(worker_totals_[worker]);
+    Node& n = table_.at(live[i]);
+    AgentContext ctx = make_context(*this, *overlay_, n, round_);
+    n.agent->on_round_start(ctx);
+  });
+  merge_worker_totals();
+
+  // 2. Overlay maintenance (serial: shuffles mutate shared views).
+  overlay_->maintain(*this, rng_);
+
+  // 3. One exchange per live node, in an order shuffled from the global
+  //    stream. With a recorder attached every exchange fills its plan
+  //    position's outcome slot; draining them in order afterwards gives the
+  //    same record stream at any thread count.
+  const auto initiators = table_.live_ids();
+  order_.assign(initiators.begin(), initiators.end());
+  rng_.shuffle(order_);
+  if (recorder_ != nullptr) outcomes_.assign(order_.size(), {});
+  if (pool_.size() == 1) {
+    // Each target is picked right before its exchange, from the initiator's
+    // control stream: the draws the sharded path makes up front.
+    for (std::size_t p = 0; p < order_.size(); ++p) {
+      Node& initiator = table_.at(order_[p]);
+      exchange(p, initiator,
+               overlay_->pick_gossip_target(order_[p], initiator.pick_rng));
+    }
+  } else {
+    run_gated_exchanges();
+  }
+  if (recorder_ != nullptr) {
+    for (const obs::ExchangeOutcome& outcome : outcomes_) {
+      recorder_->exchange(round_, outcome);
+    }
+  }
+
+  // 4. Fault-plan crash-restarts (no-op without a plan).
+  apply_crashes();
+
+  // 5. Churn.
+  apply_churn();
+
+  // 6. Round end: the recorder captures the settled state.
+  if (recorder_ != nullptr) {
+    recorder_->round_end(round_, table_.live_count(), table_.size(),
+                         total_traffic_);
+  }
+  ++round_;
+}
+
+void CycleEngine::run_gated_exchanges() {
+  const std::size_t units = order_.size();
+  targets_.resize(units);
+  pool_.run_indexed(units, [&](std::size_t p, std::size_t) {
+    targets_[p] = overlay_->pick_gossip_target(order_[p],
+                                               table_.at(order_[p]).pick_rng);
+  });
+
+  // Participants per unit: the initiator always; the target when the
+  // exchange can actually reach it. (The conduit re-checks validity, so a
+  // conservative mismatch here could only over-serialise, never diverge —
+  // but liveness is frozen during this phase, so the check is exact.)
+  unit_slots_.assign(2 * units, host::WorkerPool::kNoSlot);
+  for (std::size_t p = 0; p < units; ++p) {
+    unit_slots_[2 * p] = static_cast<std::uint32_t>(table_.slot_of(order_[p]));
+    const std::optional<NodeId>& target = targets_[p];
+    if (target && *target != order_[p] && table_.is_live(*target)) {
+      unit_slots_[2 * p + 1] =
+          static_cast<std::uint32_t>(table_.slot_of(*target));
+    }
+  }
+  pool_.run_gated(unit_slots_, table_.size(),
+                  [&](std::size_t p, std::size_t worker) {
+                    const WorkerBinding binding(worker_totals_[worker]);
+                    exchange(p, table_.at(order_[p]), targets_[p]);
+                  });
+  merge_worker_totals();
+}
+
 void CycleEngine::spawn_node(stats::Value attribute, bool bootstrap) {
   Node& stored =
       table_.spawn(attribute, bootstrap ? round_ + 1 : round_, rng_);
@@ -73,19 +185,19 @@ void CycleEngine::spawn_node(stats::Value attribute, bool bootstrap) {
   host::bootstrap_joiner(stored, table_, *overlay_, *this, round_,
                          total_traffic_);
   // Initial-population spawns happen before a recorder can be attached, so
-  // only churn-in joins (bootstrap) ever reach the trace — on serial and
-  // parallel engines alike (both churn in the same serial phase).
+  // only churn-in joins (bootstrap) ever reach the trace (churn is a serial
+  // phase at any thread count).
   if (recorder_ != nullptr) recorder_->node_join(round_, stored.id);
 }
 
-void CycleEngine::exchange_with(Node& initiator,
-                                const std::optional<NodeId>& target,
-                                obs::ExchangeOutcome* outcome) {
+void CycleEngine::exchange(std::size_t position, Node& initiator,
+                           const std::optional<NodeId>& target) {
   // The fabric owns the whole pipeline (legacy loss, partitions, fates,
-  // duplicate-delivery policy); this engine contributes only the traffic
-  // accumulator, which the sharded subclass reroutes per worker.
-  conduit_.run_cycle_exchange(*this, *overlay_, table_, round_, initiator,
-                              target, totals(), outcome);
+  // duplicate-delivery policy); the engine contributes only the traffic
+  // accumulator, which sharded phases route per worker.
+  conduit_.run_cycle_exchange(
+      *this, *overlay_, table_, round_, initiator, target, totals(),
+      recorder_ != nullptr ? &outcomes_[position] : nullptr);
 }
 
 void CycleEngine::apply_crashes() {
@@ -158,22 +270,6 @@ void CycleEngine::kill_node(NodeId id) {
   overlay_->remove_node(id);
   table_.kill(id);
   if (recorder_ != nullptr) recorder_->node_depart(round_, id);
-}
-
-void CycleEngine::finish_round() {
-  // Legacy adapters first (their callbacks may still mutate the engine),
-  // then the recorder captures the settled end-of-round state.
-  for (const Observer& fn : observers_) fn(*this);
-  if (!sinks_.empty()) {
-    const host::RoundSnapshot snapshot{round_, table_.live_count(),
-                                       table_.size(), total_traffic_};
-    for (host::MetricsSink* sink : sinks_) sink->on_round_end(snapshot);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->round_end(round_, table_.live_count(), table_.size(),
-                         total_traffic_);
-  }
-  ++round_;
 }
 
 std::vector<std::byte> CycleEngine::save_snapshot() const {

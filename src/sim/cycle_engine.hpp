@@ -1,28 +1,45 @@
-// Shared base of the cycle-driven engines (serial Engine, sharded
-// ParallelEngine): node registry, churn, bootstrap, traffic accounting,
-// observers and metrics sinks — everything except the round scheduling
-// itself, which each engine defines in run_round().
+// Cycle-driven gossip simulation engine (PeerSim-equivalent substrate).
 //
-// Random-stream discipline (the key to parallel determinism):
+// Execution model per round, matching §IV and PeerSim's cycle-driven mode:
+//   1. round start — every live agent gets on_round_start (TTL bookkeeping,
+//      instance creation). Sharded: an agent only touches its own node's
+//      state and reads host/overlay state that is immutable this phase;
+//   2. maintenance — serial: the overlay's peer-sampling shuffles mutate
+//      shared views;
+//   3. exchanges   — every live node, in an order shuffled from the global
+//      stream, initiates one gossip exchange with an overlay-chosen
+//      neighbour: request -> response, both as encoded byte buffers with
+//      traffic accounted; dead targets count as failed contacts; loss and
+//      the fault plan can drop, duplicate or corrupt either direction;
+//   4. crashes     — serial: fault-plan crash-restarts;
+//   5. churn       — serial: a configured fraction of nodes is replaced with
+//      fresh ones (the model of §VII-G), each bootstrapped by a live
+//      neighbour;
+//   6. round end   — an attached obs::Recorder captures the settled state.
+//
+// Random-stream discipline (the key to thread-count independence):
 //
 //  * the global engine stream (`rng_`) is consumed only in serial phases —
-//    overlay maintenance, exchange-order shuffles, churn victim/attribute
+//    overlay maintenance, the exchange-order shuffle, churn victim/attribute
 //    draws, node-stream derivation;
 //  * each node's agent stream (`Node::rng`) is consumed only inside that
 //    node's agent callbacks;
 //  * each node's control stream (`Node::pick_rng`) is consumed only for
 //    engine decisions about that node — exactly one gossip-target pick per
 //    live node per round (drawn before make_request, whether or not the
-//    agent stays silent) followed by that initiator's message-loss draws,
-//    plus bootstrap contact picks at join time.
+//    agent stays silent) followed by that initiator's loss draws, plus
+//    bootstrap contact picks at join time.
 //
-// Because no stream is shared between nodes inside a round's exchange phase,
-// an engine may evaluate exchanges in any schedule that preserves the
-// per-node plan order and obtain bit-identical results (see ParallelEngine).
+// No stream is shared between nodes inside the exchange phase, so the
+// phase may run in any schedule that keeps each node's exchanges in plan
+// order. With one thread the engine picks each target right before its
+// exchange. With more, it draws every target first and hands one unit per
+// initiator to host::WorkerPool::run_gated, whose gate runs the units that
+// share a participant in plan order. A seed therefore gives bit-identical
+// results at any thread count (golden replay tests).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -30,8 +47,8 @@
 
 #include "host/exchange.hpp"
 #include "host/fault.hpp"
-#include "host/metrics.hpp"
 #include "host/node.hpp"
+#include "host/pool.hpp"
 #include "host/registry.hpp"
 #include "obs/recorder.hpp"
 #include "rng/rng.hpp"
@@ -73,18 +90,29 @@ struct EngineConfig {
   host::FaultPlan faults;
 };
 
-class CycleEngine : public HostView {
+class CycleEngine final : public HostView {
  public:
+  /// Creates `initial_attributes.size()` nodes with those attribute values,
+  /// builds the overlay over them, and instantiates one agent per node.
+  /// `attribute_source` supplies values for churned-in nodes; pass nullptr
+  /// only if churn_rate == 0. `threads` is the worker count of the sharded
+  /// phases; 0 and 1 both run everything on the calling thread.
+  CycleEngine(EngineConfig config, std::vector<stats::Value> initial_attributes,
+              std::unique_ptr<Overlay> overlay, AgentFactory agent_factory,
+              AttributeSource attribute_source, std::size_t threads = 1);
   ~CycleEngine() override = default;
 
   CycleEngine(const CycleEngine&) = delete;
   CycleEngine& operator=(const CycleEngine&) = delete;
 
   /// Advances the simulation by one gossip cycle.
-  virtual void run_round() = 0;
+  void run_round();
   void run_rounds(std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) run_round();
   }
+
+  /// Worker threads of the sharded phases (1 = all inline).
+  [[nodiscard]] std::size_t threads() const { return pool_.size(); }
 
   // -- HostView ----------------------------------------------------------
   [[nodiscard]] bool is_live(NodeId id) const override {
@@ -130,31 +158,16 @@ class CycleEngine : public HostView {
   /// Count of all nodes ever created (live + departed).
   [[nodiscard]] std::size_t nodes_ever() const { return table_.size(); }
 
-  /// Attaches the observability recorder (nullptr detaches). Not owned; must
-  /// outlive the engine. With no recorder the engine executes the exact
-  /// pre-obs instruction stream (every hook is null-checked), so detached
-  /// runs stay bit-identical and allocation-free. With one attached, the
-  /// engine records round begin/end, every exchange outcome in plan order,
-  /// crash-restarts and churn joins/departures — identically on the serial
-  /// and sharded engines (DESIGN.md §11).
+  /// Attaches the observability recorder (nullptr detaches) — the engine's
+  /// one per-round hook. Not owned; must outlive the engine. With no
+  /// recorder the engine executes the exact pre-obs instruction stream
+  /// (every hook is null-checked), so detached runs stay bit-identical and
+  /// allocation-free. With one attached, the engine records round
+  /// begin/end, every exchange outcome in plan order, crash-restarts and
+  /// churn joins/departures — identically at any thread count
+  /// (DESIGN.md §11).
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
-
-  /// Runs `fn(*this)` after every round.
-  ///
-  /// Legacy hook, kept as a thin adapter for one release: new code should
-  /// attach an obs::Recorder (round_end events + round gauges) instead.
-  using Observer = std::function<void(CycleEngine&)>;
-  void add_observer(Observer fn) { observers_.push_back(std::move(fn)); }
-
-  /// Registers a metrics sink notified with aggregate state after every
-  /// round. The sink must outlive the engine (not owned).
-  ///
-  /// Legacy hook, kept as a thin adapter for one release: the RoundSnapshot
-  /// it delivers is the same data an obs::Recorder captures per round.
-  void add_metrics_sink(host::MetricsSink* sink) {
-    if (sink != nullptr) sinks_.push_back(sink);
-  }
 
   /// Builds the context for a direct agent call from experiment drivers
   /// (e.g. to start a scripted aggregation instance on a chosen node).
@@ -174,43 +187,35 @@ class CycleEngine : public HostView {
   /// Serialises the engine's complete deterministic state (config echo,
   /// round counter, global stream, traffic ledger, every node record with
   /// its three streams and agent blob, the overlay) into one versioned
-  /// snapshot. Serial and sharded engines share the layout: the shards hold
-  /// only per-round scratch. Throws host::snapshot::SnapshotError when an
+  /// snapshot. The thread count is not part of it: the workers hold only
+  /// per-round scratch. Throws host::snapshot::SnapshotError when an
   /// attached agent or overlay type has no snapshot support.
   [[nodiscard]] std::vector<std::byte> save_snapshot() const;
 
   /// Restores a snapshot produced by save_snapshot on an engine built with
-  /// the same configuration. Resume + run-to-round-R is bit-identical to the
-  /// uninterrupted run (golden-resume fixtures). Throws wire::DecodeError on
-  /// any malformed or mismatched input, leaving the engine untouched.
+  /// the same configuration (any thread count). Resume + run-to-round-R is
+  /// bit-identical to the uninterrupted run (golden-resume fixtures).
+  /// Throws wire::DecodeError on any malformed or mismatched input, leaving
+  /// the engine untouched.
   void restore_snapshot(std::span<const std::byte> bytes);
 
- protected:
-  CycleEngine(EngineConfig config, std::vector<stats::Value> initial_attributes,
-              std::unique_ptr<Overlay> overlay, AgentFactory agent_factory,
-              AttributeSource attribute_source);
-
+ private:
   /// Creates a node; `bootstrap` runs the join-time state transfer and marks
   /// the node born next round (churned-in nodes arrive at the end of the
   /// current round, so instances started this round must not count them).
   void spawn_node(stats::Value attribute, bool bootstrap);
 
-  /// One full gossip exchange initiated by `initiator` towards the
+  /// The exchange at plan position `position`: `initiator` towards the
   /// pre-picked `target` (request -> response, loss and failed-contact
-  /// accounting). The control-stream draws (loss legs) come from the
-  /// initiator's pick_rng, so the unit is self-contained: it touches only
-  /// the two participants' state plus `totals()` (and `outcome` when the
-  /// caller records traces).
-  void exchange_with(Node& initiator, const std::optional<NodeId>& target,
-                     obs::ExchangeOutcome* outcome = nullptr);
+  /// accounting). Every draw comes from the initiator's streams, so the
+  /// unit touches only the two participants' state plus `totals()` (and its
+  /// outcome slot when a recorder is attached).
+  void exchange(std::size_t position, Node& initiator,
+                const std::optional<NodeId>& target);
 
-  /// Records the round-begin trace event (no-op without a recorder). Each
-  /// engine calls this at the top of run_round.
-  void record_round_begin() {
-    if (recorder_ != nullptr) {
-      recorder_->round_begin(round_, table_.live_count());
-    }
-  }
+  /// Sharded exchange phase: draws every initiator's target, then runs one
+  /// gated unit per initiator on the pool.
+  void run_gated_exchanges();
 
   /// Stochastic churn at config_.churn_rate (serial phase).
   void apply_churn();
@@ -219,20 +224,20 @@ class CycleEngine : public HostView {
   /// crashing node keeps its identity, attribute and overlay links but loses
   /// all agent state and rejoins next round like a churned-in newcomer. The
   /// crash draw comes from the node's own fault stream, so the schedule is
-  /// identical across serial and parallel engines.
+  /// identical at any thread count.
   void apply_crashes();
 
-  /// Observers, metrics sinks, round increment.
-  void finish_round();
-
-  /// The traffic accumulator for the calling context. The parallel engine
-  /// overrides this to route global counters into per-worker slots during
-  /// parallel phases (merged — commutatively — at the phase barrier).
-  [[nodiscard]] virtual TrafficStats& totals() { return total_traffic_; }
+  /// The traffic accumulator of the calling thread: its worker's slot while
+  /// it runs a sharded-phase task, the global totals otherwise.
+  [[nodiscard]] TrafficStats& totals();
+  /// Ends a sharded phase: folds the worker slots into the global totals
+  /// (commutative integer sums, so the result does not depend on which
+  /// worker counted what).
+  void merge_worker_totals();
 
   EngineConfig config_;
   /// The shared exchange fabric: owns legacy loss, partitions and the whole
-  /// fault-fate pipeline (host/exchange.hpp). Engines only schedule.
+  /// fault-fate pipeline (host/exchange.hpp). The engine only schedules.
   host::Conduit conduit_;
   rng::Rng rng_;
   std::unique_ptr<Overlay> overlay_;
@@ -241,9 +246,22 @@ class CycleEngine : public HostView {
   host::NodeTable table_;
   Round round_ = 0;
   TrafficStats total_traffic_;
-  std::vector<Observer> observers_;
-  std::vector<host::MetricsSink*> sinks_;
   obs::Recorder* recorder_ = nullptr;
+
+  host::WorkerPool pool_;
+  std::vector<TrafficStats> worker_totals_;  // One slot per worker.
+
+  // Per-round exchange plan: shuffled initiation order, pre-drawn targets
+  // and participant slots (sharded only; 2 per unit: initiator, target).
+  std::vector<NodeId> order_;
+  std::vector<std::optional<NodeId>> targets_;
+  std::vector<std::uint32_t> unit_slots_;
+
+  // Exchange-outcome slots, one per plan position, used only with a
+  // recorder attached: each unit fills its own slot and the main thread
+  // drains them in plan order after the phase (the pool join publishes the
+  // writes), so the recorded stream is the same at any thread count.
+  std::vector<obs::ExchangeOutcome> outcomes_;
 };
 
 }  // namespace adam2::sim

@@ -21,15 +21,15 @@ std::vector<stats::Value> iota_values(std::size_t n) {
   return values;
 }
 
-sim::Engine make_equidepth_engine(const EquiDepthConfig& config,
-                                  std::vector<stats::Value> values,
-                                  std::uint64_t seed = 1,
-                                  double churn = 0.0,
-                                  host::AttributeSource source = nullptr) {
+sim::CycleEngine make_equidepth_engine(const EquiDepthConfig& config,
+                                       std::vector<stats::Value> values,
+                                       std::uint64_t seed = 1,
+                                       double churn = 0.0,
+                                       host::AttributeSource source = nullptr) {
   sim::EngineConfig engine_config;
   engine_config.seed = seed;
   engine_config.churn_rate = churn;
-  return sim::Engine(
+  return sim::CycleEngine(
       engine_config, std::move(values),
       std::make_unique<sim::StaticRandomOverlay>(8),
       [config](const host::AgentContext&) {
@@ -38,7 +38,8 @@ sim::Engine make_equidepth_engine(const EquiDepthConfig& config,
       std::move(source));
 }
 
-wire::InstanceId run_phase(sim::Engine& engine, const EquiDepthConfig& config,
+wire::InstanceId run_phase(sim::CycleEngine& engine,
+                           const EquiDepthConfig& config,
                            host::NodeId initiator = 0) {
   auto ctx = engine.context_for(initiator);
   auto& agent = dynamic_cast<EquiDepthAgent&>(engine.agent(initiator));

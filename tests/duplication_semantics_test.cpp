@@ -35,9 +35,8 @@
 #include "runtime/cluster.hpp"
 #include "runtime/udp.hpp"
 #include "sim/async_engine.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 
 namespace adam2 {
 namespace {
@@ -138,21 +137,13 @@ Counts run_cycle(std::size_t threads) {
   sim::EngineConfig config;
   config.seed = 0xd0b;
   config.faults = always_duplicate();
-  auto overlay = std::make_unique<sim::StaticRandomOverlay>(4);
-  if (threads == 0) {
-    sim::Engine engine(config, iota_values(kCycleNodes), std::move(overlay),
-                       ordinal_factory(&counts, kCycleRounds), nullptr);
-    engine.run_rounds(kCycleRounds);
-    EXPECT_EQ(engine.total_traffic().duplicated_messages, 2 * kCycleRounds);
-    EXPECT_EQ(engine.total_traffic().failed_contacts, 0u);
-  } else {
-    sim::ParallelEngine engine(config, threads, iota_values(kCycleNodes),
-                               std::move(overlay),
-                               ordinal_factory(&counts, kCycleRounds), nullptr);
-    engine.run_rounds(kCycleRounds);
-    EXPECT_EQ(engine.total_traffic().duplicated_messages, 2 * kCycleRounds);
-    EXPECT_EQ(engine.total_traffic().failed_contacts, 0u);
-  }
+  sim::CycleEngine engine(config, iota_values(kCycleNodes),
+                          std::make_unique<sim::StaticRandomOverlay>(4),
+                          ordinal_factory(&counts, kCycleRounds), nullptr,
+                          threads);
+  engine.run_rounds(kCycleRounds);
+  EXPECT_EQ(engine.total_traffic().duplicated_messages, 2 * kCycleRounds);
+  EXPECT_EQ(engine.total_traffic().failed_contacts, 0u);
   return counts;
 }
 

@@ -4,7 +4,7 @@
 
 #include "core/system.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
 
 namespace adam2::sim {
@@ -24,8 +24,9 @@ AgentFactory silent_factory() {
 }
 
 TEST(EngineEdgeTest, EmptyPopulationRunsHarmlessly) {
-  Engine engine(EngineConfig{}, {}, std::make_unique<StaticRandomOverlay>(4),
-                silent_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, {},
+                     std::make_unique<StaticRandomOverlay>(4), silent_factory(),
+                     nullptr);
   engine.run_rounds(3);
   EXPECT_EQ(engine.live_count(), 0u);
   EXPECT_THROW((void)engine.random_live_node(), std::runtime_error);
@@ -80,18 +81,18 @@ TEST(EngineEdgeTest, TwoNodeSystemConverges) {
 }
 
 TEST(EngineEdgeTest, KillNodeTwiceIsIdempotent) {
-  Engine engine(EngineConfig{}, {1, 2, 3},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                nullptr);
+  CycleEngine engine(EngineConfig{}, {1, 2, 3},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     nullptr);
   engine.kill_node(1);
   engine.kill_node(1);
   EXPECT_EQ(engine.live_count(), 2u);
 }
 
 TEST(EngineEdgeTest, ChurnCountClampsToPopulation) {
-  Engine engine(EngineConfig{}, {1, 2, 3},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [](rng::Rng&) { return stats::Value{9}; });
+  CycleEngine engine(EngineConfig{}, {1, 2, 3},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{9}; });
   engine.churn_nodes(100);  // More than exist.
   EXPECT_EQ(engine.live_count(), 3u);
   for (NodeId id : engine.live_ids()) {
@@ -103,17 +104,19 @@ TEST(EngineEdgeTest, ObserverSeesConsistentStateDuringChurn) {
   EngineConfig config;
   config.churn_rate = 0.2;
   config.seed = 5;
-  Engine engine(config, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-                std::make_unique<StaticRandomOverlay>(3), silent_factory(),
-                [](rng::Rng& rng) { return static_cast<stats::Value>(rng.below(50)); });
-  engine.add_observer([](CycleEngine& e) {
+  CycleEngine engine(config, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+                     std::make_unique<StaticRandomOverlay>(3), silent_factory(),
+                     [](rng::Rng& rng) {
+                       return static_cast<stats::Value>(rng.below(50));
+                     });
+  for (int round = 0; round < 10; ++round) {
+    engine.run_round();
     // Live ids must always reference live nodes with agents.
-    for (NodeId id : e.live_ids()) {
-      EXPECT_TRUE(e.is_live(id));
-      (void)e.agent(id);
+    for (NodeId id : engine.live_ids()) {
+      EXPECT_TRUE(engine.is_live(id));
+      (void)engine.agent(id);
     }
-  });
-  engine.run_rounds(10);
+  }
   EXPECT_EQ(engine.live_count(), 10u);
 }
 
@@ -121,9 +124,9 @@ TEST(EngineEdgeTest, CyclonWithMinimalView) {
   CyclonConfig config;
   config.view_size = 1;
   config.shuffle_size = 1;
-  Engine engine(EngineConfig{}, {1, 2, 3, 4},
-                std::make_unique<CyclonOverlay>(config), silent_factory(),
-                nullptr);
+  CycleEngine engine(EngineConfig{}, {1, 2, 3, 4},
+                     std::make_unique<CyclonOverlay>(config), silent_factory(),
+                     nullptr);
   engine.run_rounds(10);
   for (NodeId id : engine.live_ids()) {
     EXPECT_LE(engine.overlay().neighbors(id).size(), 1u);
@@ -131,8 +134,9 @@ TEST(EngineEdgeTest, CyclonWithMinimalView) {
 }
 
 TEST(EngineEdgeTest, KillingLastLiveNodeLeavesEmptyEngine) {
-  Engine engine(EngineConfig{}, {7}, std::make_unique<StaticRandomOverlay>(2),
-                silent_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, {7},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     nullptr);
   engine.kill_node(0);
   EXPECT_EQ(engine.live_count(), 0u);
   EXPECT_TRUE(engine.live_ids().empty());
@@ -146,9 +150,9 @@ TEST(EngineEdgeTest, FullChurnReplacesEveryNodeEachRound) {
   EngineConfig config;
   config.churn_rate = 1.0;
   config.seed = 8;
-  Engine engine(config, {1, 2, 3, 4, 5},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [](rng::Rng&) { return stats::Value{77}; });
+  CycleEngine engine(config, {1, 2, 3, 4, 5},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{77}; });
   engine.run_rounds(4);
   // Population size is preserved; every survivor is a replacement.
   EXPECT_EQ(engine.live_count(), 5u);
@@ -168,9 +172,9 @@ TEST(EngineEdgeTest, ChurnRateAboveOneIsClampedToLivePopulation) {
   EngineConfig config;
   config.churn_rate = 1.5;  // Expected replacements: 7.5 of 5 live nodes.
   config.seed = 13;
-  Engine engine(config, {1, 2, 3, 4, 5},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [](rng::Rng&) { return stats::Value{31}; });
+  CycleEngine engine(config, {1, 2, 3, 4, 5},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{31}; });
   engine.run_rounds(6);
   // Clamped to a full replacement per round: the population neither shrinks
   // nor grows, and exactly live_count() nodes churn each round.
@@ -210,12 +214,12 @@ TEST(EngineEdgeTest, AttributeSourceReceivesWorkingRng) {
   config.churn_rate = 0.5;
   config.seed = 6;
   bool called = false;
-  Engine engine(config, {1, 2, 3, 4},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                [&called](rng::Rng& rng) {
-                  called = true;
-                  return static_cast<stats::Value>(rng.range(5, 10));
-                });
+  CycleEngine engine(config, {1, 2, 3, 4},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     [&called](rng::Rng& rng) {
+                       called = true;
+                       return static_cast<stats::Value>(rng.range(5, 10));
+                     });
   engine.run_rounds(3);
   EXPECT_TRUE(called);
   for (NodeId id : engine.live_ids()) {

@@ -8,9 +8,9 @@
 // The digest covers everything the replay-pair tests compare — live
 // membership, attributes, bitwise agent state, per-node traffic, global
 // counters — folded through FNV-1a so a single u64 mismatch pinpoints a
-// divergence. Scenarios cover the serial engine, the sharded engine at 1 and
-// 8 threads, and the event-driven engine, each with faults disabled and
-// under a non-trivial fault plan.
+// divergence. Scenarios cover the cycle engine at 0, 1 and 8 threads and the
+// event-driven engine, each with faults disabled and under a non-trivial
+// fault plan.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -24,10 +24,9 @@
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "sim/async_engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
 #include "sim/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 #include "wire/buffer.hpp"
 
 namespace adam2::sim {
@@ -191,38 +190,29 @@ EngineConfig cycle_config(bool faults) {
   return config;
 }
 
+CycleEngine make_cycle(std::size_t threads, bool faults) {
+  return CycleEngine(cycle_config(faults), iota_values(64), cyclon(),
+                     digest_factory(), churn_values(), threads);
+}
+
 std::uint64_t run_cycle(std::size_t threads, bool faults) {
-  if (threads == 0) {
-    Engine engine(cycle_config(faults), iota_values(64), cyclon(),
-                  digest_factory(), churn_values());
-    engine.run_rounds(12);
-    return digest(engine);
-  }
-  ParallelEngine engine(cycle_config(faults), threads, iota_values(64),
-                        cyclon(), digest_factory(), churn_values());
+  CycleEngine engine = make_cycle(threads, faults);
   engine.run_rounds(12);
   return digest(engine);
 }
 
-/// Golden resume (host::snapshot, DESIGN.md §12): snapshot a serial run at
-/// round 6, restore into a fresh engine (serial or sharded — the layout is
-/// shared) and run the remaining rounds. The digest must equal the SAME
-/// pinned constant as the uninterrupted run: checkpoint/restore is invisible
-/// to the replayed schedule, draws included.
-std::uint64_t run_cycle_resumed(std::size_t threads, bool faults) {
-  Engine source(cycle_config(faults), iota_values(64), cyclon(),
-                digest_factory(), churn_values());
+/// Golden resume (host::snapshot, DESIGN.md §12): snapshot a run on
+/// `source_threads` at round 6, restore into a fresh engine on `threads`
+/// (the layout is the same at any thread count) and run the remaining
+/// rounds. The digest must equal the SAME pinned constant as the
+/// uninterrupted run: checkpoint/restore is invisible to the replayed
+/// schedule, draws included.
+std::uint64_t run_cycle_resumed(std::size_t source_threads,
+                                std::size_t threads, bool faults) {
+  CycleEngine source = make_cycle(source_threads, faults);
   source.run_rounds(6);
   const std::vector<std::byte> bytes = source.save_snapshot();
-  if (threads == 0) {
-    Engine engine(cycle_config(faults), iota_values(64), cyclon(),
-                  digest_factory(), churn_values());
-    engine.restore_snapshot(bytes);
-    engine.run_rounds(6);
-    return digest(engine);
-  }
-  ParallelEngine engine(cycle_config(faults), threads, iota_values(64),
-                        cyclon(), digest_factory(), churn_values());
+  CycleEngine engine = make_cycle(threads, faults);
   engine.restore_snapshot(bytes);
   engine.run_rounds(6);
   return digest(engine);
@@ -295,13 +285,7 @@ TracedRun traced(EngineT& engine, obs::Recorder& recorder) {
 
 TracedRun run_cycle_traced(std::size_t threads, bool faults) {
   obs::Recorder recorder;
-  if (threads == 0) {
-    Engine engine(cycle_config(faults), iota_values(64), cyclon(),
-                  digest_factory(), churn_values());
-    return traced(engine, recorder);
-  }
-  ParallelEngine engine(cycle_config(faults), threads, iota_values(64),
-                        cyclon(), digest_factory(), churn_values());
+  CycleEngine engine = make_cycle(threads, faults);
   return traced(engine, recorder);
 }
 
@@ -349,19 +333,32 @@ TEST(GoldenReplayTest, AsyncEngineUnderFaultPlanMatchesCheckedInDigest) {
 // entry, a traffic counter), which would silently break crash recovery.
 
 TEST(GoldenResumeTest, SerialResumeMatchesUninterruptedDigest) {
-  EXPECT_EQ(run_cycle_resumed(0, false), kCycleGolden);
+  EXPECT_EQ(run_cycle_resumed(0, 0, false), kCycleGolden);
 }
 
 TEST(GoldenResumeTest, SerialResumeUnderFaultPlanMatchesUninterruptedDigest) {
-  EXPECT_EQ(run_cycle_resumed(0, true), kCycleFaultsGolden);
+  EXPECT_EQ(run_cycle_resumed(0, 0, true), kCycleFaultsGolden);
 }
 
 TEST(GoldenResumeTest, ParallelResumeMatchesUninterruptedDigest) {
-  EXPECT_EQ(run_cycle_resumed(8, false), kCycleGolden);
+  EXPECT_EQ(run_cycle_resumed(0, 8, false), kCycleGolden);
 }
 
 TEST(GoldenResumeTest, ParallelResumeUnderFaultPlanMatchesUninterruptedDigest) {
-  EXPECT_EQ(run_cycle_resumed(8, true), kCycleFaultsGolden);
+  EXPECT_EQ(run_cycle_resumed(0, 8, true), kCycleFaultsGolden);
+}
+
+// A snapshot taken mid-run by the sharded engine resumes on one thread or
+// on eight to the same pinned digests.
+TEST(GoldenResumeTest, ShardedSourceResumeMatchesUninterruptedDigest) {
+  EXPECT_EQ(run_cycle_resumed(8, 1, false), kCycleGolden);
+  EXPECT_EQ(run_cycle_resumed(8, 8, false), kCycleGolden);
+}
+
+TEST(GoldenResumeTest,
+     ShardedSourceResumeUnderFaultPlanMatchesUninterruptedDigest) {
+  EXPECT_EQ(run_cycle_resumed(8, 1, true), kCycleFaultsGolden);
+  EXPECT_EQ(run_cycle_resumed(8, 8, true), kCycleFaultsGolden);
 }
 
 TEST(GoldenResumeTest, AsyncResumeMatchesUninterruptedDigest) {
@@ -373,12 +370,12 @@ TEST(GoldenResumeTest, AsyncResumeUnderFaultPlanMatchesUninterruptedDigest) {
 }
 
 // -- Observability determinism (DESIGN.md §11) -------------------------------
-// The serial engine and the sharded engine at any thread count must export
-// byte-identical traces, metrics and series for the same seed: the parallel
-// engine buffers per-unit exchange outcomes in plan-position slots and drains
-// them serially after the barrier, so the recorded stream is the plan order
-// on both. The non-trivial fault plan makes this bite — it exercises drops,
-// duplicates, corruption, partitions and crash-restarts in the trace.
+// The cycle engine must export byte-identical traces, metrics and series for
+// the same seed at any thread count: exchange outcomes are buffered in
+// plan-position slots and drained serially after the phase, so the recorded
+// stream is the plan order on every schedule. The non-trivial fault plan
+// makes this bite — it exercises drops, duplicates, corruption, partitions
+// and crash-restarts in the trace.
 
 TEST(GoldenReplayTest, TraceExportsAreIdenticalAcrossSchedules) {
   for (bool faults : {false, true}) {

@@ -1,15 +1,18 @@
 // Unit tests for the shared host substrate: node registry, bootstrap
-// policy, churn arithmetic, the exchange-atomicity session, and the
-// thread-safe traffic ledger.
+// policy, churn arithmetic, the exchange-atomicity session, the thread-safe
+// traffic ledger, and the worker pool's claim counter and unit gate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "host/bootstrap.hpp"
 #include "host/churn.hpp"
 #include "host/exchange.hpp"
 #include "host/ledger.hpp"
+#include "host/pool.hpp"
 #include "host/registry.hpp"
 
 namespace adam2::host {
@@ -146,6 +149,66 @@ TEST(ExchangeSessionTest, AbandonDropsTheOpenExchange) {
   session.abandon();
   EXPECT_FALSE(session.busy());
   EXPECT_FALSE(session.close_if_current(token));
+}
+
+// -------------------------------------------------------------- worker pool
+
+TEST(WorkerPoolTest, RunIndexedVisitsEveryIndexOnce) {
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    WorkerPool pool(workers);
+    std::vector<int> runs(1000, 0);
+    std::vector<int> worker_ok(runs.size(), 0);
+    pool.run_indexed(runs.size(), [&](std::size_t i, std::size_t worker) {
+      ++runs[i];
+      worker_ok[i] = worker < pool.size() ? 1 : 0;
+    });
+    EXPECT_EQ(runs, std::vector<int>(runs.size(), 1)) << workers;
+    EXPECT_EQ(worker_ok, std::vector<int>(runs.size(), 1)) << workers;
+  }
+}
+
+// The gate behind the sharded cycle engine: random unit -> slot plans (an
+// initiator slot per unit, a target slot for most) must run every unit
+// exactly once, and every slot must see its units in ascending plan order.
+// The per-slot logs are unsynchronised on purpose: the gate alone keeps two
+// units of one slot apart, which ThreadSanitizer checks in CI.
+TEST(WorkerPoolTest, GatedUnitsRunOnceInPlanOrderPerSlot) {
+  constexpr std::size_t kUnits = 400;
+  constexpr std::size_t kSlots = 24;
+  rng::Rng rng(0x9a7e);
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    WorkerPool pool(workers);
+    for (int plan = 0; plan < 20; ++plan) {
+      std::vector<std::uint32_t> unit_slots(2 * kUnits);
+      std::vector<std::vector<std::uint32_t>> expected(kSlots);
+      for (std::uint32_t u = 0; u < kUnits; ++u) {
+        const auto initiator = static_cast<std::uint32_t>(rng.below(kSlots));
+        auto target = static_cast<std::uint32_t>(rng.below(kSlots));
+        if (target == initiator || rng.below(5) == 0) {
+          target = WorkerPool::kNoSlot;  // No reachable target.
+        }
+        unit_slots[2 * u] = initiator;
+        unit_slots[2 * u + 1] = target;
+        expected[initiator].push_back(u);
+        if (target != WorkerPool::kNoSlot) expected[target].push_back(u);
+      }
+
+      std::vector<int> runs(kUnits, 0);
+      std::vector<std::vector<std::uint32_t>> seen(kSlots);
+      pool.run_gated(unit_slots, kSlots, [&](std::size_t u, std::size_t) {
+        ++runs[u];
+        for (std::size_t k = 0; k < 2; ++k) {
+          const std::uint32_t s = unit_slots[2 * u + k];
+          if (s != WorkerPool::kNoSlot) {
+            seen[s].push_back(static_cast<std::uint32_t>(u));
+          }
+        }
+      });
+      EXPECT_EQ(runs, std::vector<int>(kUnits, 1))
+          << workers << " workers, plan " << plan;
+      EXPECT_EQ(seen, expected) << workers << " workers, plan " << plan;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ ledger

@@ -35,9 +35,8 @@
 #include "core/protocol.hpp"
 #include "core/system.hpp"
 #include "host/fault.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
-#include "sim/parallel_engine.hpp"
 #include "wire/messages.hpp"
 
 namespace adam2::core {
@@ -203,14 +202,14 @@ std::uint64_t drive(EngineT& engine) {
 }
 
 std::uint64_t run_serial(bool faults, const sim::AgentFactory& factory) {
-  sim::Engine engine(engine_config(faults), spread_values(64), cyclon(),
-                     factory, churn_values());
+  sim::CycleEngine engine(engine_config(faults), spread_values(64), cyclon(),
+                          factory, churn_values());
   return drive(engine);
 }
 
 std::uint64_t run_parallel(bool faults, const sim::AgentFactory& factory) {
-  sim::ParallelEngine engine(engine_config(faults), 8, spread_values(64),
-                             cyclon(), factory, churn_values());
+  sim::CycleEngine engine(engine_config(faults), spread_values(64), cyclon(),
+                          factory, churn_values(), 8);
   return drive(engine);
 }
 

@@ -115,7 +115,7 @@ TEST(IntegrationTest, Adam2OutperformsEquiDepthByAnOrderOfMagnitude) {
   baselines::EquiDepthConfig ed_config;
   sim::EngineConfig engine_config;
   engine_config.seed = 5;
-  sim::Engine ed_engine(
+  sim::CycleEngine ed_engine(
       engine_config, values, core::make_overlay(core::OverlayKind::kCyclon, 20),
       [ed_config](const host::AgentContext&) {
         return std::make_unique<baselines::EquiDepthAgent>(ed_config);

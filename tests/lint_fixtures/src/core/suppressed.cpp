@@ -4,7 +4,7 @@
 #include <random>
 
 // The whole file opts out of the confinement rule (imagine a sanctioned
-// substrate TU, like src/sim/parallel_engine.cpp in the real tree):
+// substrate TU outside src/host/ and src/runtime/):
 // adam2-lint: allow-file(confinement)
 #include <mutex>
 #include <iostream>

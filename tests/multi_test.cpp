@@ -13,8 +13,8 @@ namespace {
 
 /// Builds an engine where node i holds the value set `sets[i]` (the node's
 /// engine-level attribute is its first value, used only by the overlay).
-sim::Engine make_multi_engine(std::vector<std::vector<stats::Value>> sets,
-                              Adam2Config config, std::uint64_t seed = 1) {
+sim::CycleEngine make_multi_engine(std::vector<std::vector<stats::Value>> sets,
+                                   Adam2Config config, std::uint64_t seed = 1) {
   std::vector<stats::Value> attributes;
   attributes.reserve(sets.size());
   for (const auto& s : sets) attributes.push_back(s.front());
@@ -22,7 +22,7 @@ sim::Engine make_multi_engine(std::vector<std::vector<stats::Value>> sets,
       std::move(sets));
   sim::EngineConfig engine_config;
   engine_config.seed = seed;
-  return sim::Engine(
+  return sim::CycleEngine(
       engine_config, std::move(attributes),
       std::make_unique<sim::StaticRandomOverlay>(8),
       [shared, config](const host::AgentContext& ctx) {

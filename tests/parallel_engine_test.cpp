@@ -1,9 +1,8 @@
-// Golden replay: the sharded ParallelEngine must produce bit-identical
-// results to the serial Engine for every seed at every thread count. The
-// tests replay the same configuration on both engines (and on the parallel
-// engine at several thread counts) and compare the full observable state:
-// live membership, per-agent protocol state, attributes, and traffic
-// totals — all exact equality, no tolerances.
+// Golden replay: the cycle engine's sharded phases must produce bit-identical
+// results to its one-thread run for every seed at every thread count. The
+// tests replay the same configuration at several thread counts and compare
+// the full observable state: live membership, per-agent protocol state,
+// attributes, and traffic totals — all exact equality, no tolerances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +13,10 @@
 
 #include "core/evaluation.hpp"
 #include "core/system.hpp"
+#include "obs/recorder.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
 #include "sim/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 #include "wire/buffer.hpp"
 
 namespace adam2::sim {
@@ -189,22 +188,23 @@ void expect_identical(CycleEngine& a, CycleEngine& b) {
 }
 
 TEST(ParallelEngineTest, SingleThreadMatchesSerialEngine) {
-  Engine serial(stress_config(), iota_values(300), cyclon(),
-                averaging_factory(), churn_values());
-  ParallelEngine parallel(stress_config(), 1, iota_values(300), cyclon(),
-                          averaging_factory(), churn_values());
+  // 0 and 1 both select the inline path.
+  CycleEngine serial(stress_config(), iota_values(300), cyclon(),
+                     averaging_factory(), churn_values(), 0);
+  CycleEngine single(stress_config(), iota_values(300), cyclon(),
+                     averaging_factory(), churn_values(), 1);
   serial.run_rounds(25);
-  parallel.run_rounds(25);
-  expect_identical(serial, parallel);
+  single.run_rounds(25);
+  expect_identical(serial, single);
 }
 
 TEST(ParallelEngineTest, AnyThreadCountMatchesSerialEngine) {
-  Engine serial(stress_config(), iota_values(300), cyclon(),
-                averaging_factory(), churn_values());
+  CycleEngine serial(stress_config(), iota_values(300), cyclon(),
+                     averaging_factory(), churn_values());
   serial.run_rounds(20);
   for (std::size_t threads : {2u, 8u}) {
-    ParallelEngine parallel(stress_config(), threads, iota_values(300),
-                            cyclon(), averaging_factory(), churn_values());
+    CycleEngine parallel(stress_config(), iota_values(300), cyclon(),
+                         averaging_factory(), churn_values(), threads);
     parallel.run_rounds(20);
     expect_identical(serial, parallel);
   }
@@ -213,31 +213,31 @@ TEST(ParallelEngineTest, AnyThreadCountMatchesSerialEngine) {
 TEST(ParallelEngineTest, StaticOverlayWithoutChurnMatches) {
   EngineConfig config;
   config.seed = 77;
-  Engine serial(config, iota_values(200),
-                std::make_unique<StaticRandomOverlay>(6), averaging_factory(),
-                nullptr);
-  ParallelEngine parallel(config, 4, iota_values(200),
-                          std::make_unique<StaticRandomOverlay>(6),
-                          averaging_factory(), nullptr);
+  CycleEngine serial(config, iota_values(200),
+                     std::make_unique<StaticRandomOverlay>(6),
+                     averaging_factory(), nullptr);
+  CycleEngine parallel(config, iota_values(200),
+                       std::make_unique<StaticRandomOverlay>(6),
+                       averaging_factory(), nullptr, 4);
   serial.run_rounds(30);
   parallel.run_rounds(30);
   expect_identical(serial, parallel);
 }
 
 TEST(ParallelEngineTest, RepeatedParallelRunsAreDeterministic) {
-  ParallelEngine first(stress_config(), 4, iota_values(250), cyclon(),
-                       averaging_factory(), churn_values());
-  ParallelEngine second(stress_config(), 4, iota_values(250), cyclon(),
-                        averaging_factory(), churn_values());
+  CycleEngine first(stress_config(), iota_values(250), cyclon(),
+                    averaging_factory(), churn_values(), 4);
+  CycleEngine second(stress_config(), iota_values(250), cyclon(),
+                     averaging_factory(), churn_values(), 4);
   first.run_rounds(15);
   second.run_rounds(15);
   expect_identical(first, second);
 }
 
 TEST(ParallelEngineTest, EmptyPopulationRunsHarmlessly) {
-  ParallelEngine engine(EngineConfig{}, 4, {},
-                        std::make_unique<StaticRandomOverlay>(4),
-                        averaging_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, {},
+                     std::make_unique<StaticRandomOverlay>(4),
+                     averaging_factory(), nullptr, 4);
   engine.run_rounds(3);
   EXPECT_EQ(engine.live_count(), 0u);
 }
@@ -245,51 +245,44 @@ TEST(ParallelEngineTest, EmptyPopulationRunsHarmlessly) {
 TEST(ParallelEngineTest, MoreThreadsThanNodes) {
   EngineConfig config;
   config.seed = 3;
-  Engine serial(config, iota_values(3),
-                std::make_unique<StaticRandomOverlay>(2), averaging_factory(),
-                nullptr);
-  ParallelEngine parallel(config, 8, iota_values(3),
-                          std::make_unique<StaticRandomOverlay>(2),
-                          averaging_factory(), nullptr);
+  CycleEngine serial(config, iota_values(3),
+                     std::make_unique<StaticRandomOverlay>(2),
+                     averaging_factory(), nullptr);
+  CycleEngine parallel(config, iota_values(3),
+                       std::make_unique<StaticRandomOverlay>(2),
+                       averaging_factory(), nullptr, 8);
   serial.run_rounds(10);
   parallel.run_rounds(10);
   expect_identical(serial, parallel);
 }
 
 TEST(ParallelEngineTest, ZeroThreadsMeansSerialExecution) {
-  ParallelEngine engine(EngineConfig{}, 0, iota_values(10),
-                        std::make_unique<StaticRandomOverlay>(3),
-                        averaging_factory(), nullptr);
+  CycleEngine engine(EngineConfig{}, iota_values(10),
+                     std::make_unique<StaticRandomOverlay>(3),
+                     averaging_factory(), nullptr, 0);
   EXPECT_EQ(engine.threads(), 1u);
   engine.run_rounds(2);
   EXPECT_EQ(engine.live_count(), 10u);
 }
 
-TEST(ParallelEngineTest, MetricsSinkSeesEveryRound) {
-  struct Recorder final : host::MetricsSink {
-    std::vector<Round> rounds;
-    std::vector<std::size_t> live;
-    void on_round_end(const host::RoundSnapshot& snapshot) override {
-      rounds.push_back(snapshot.round);
-      live.push_back(snapshot.live_count);
-    }
-  } recorder;
-  ParallelEngine engine(stress_config(), 2, iota_values(50), cyclon(4),
-                        averaging_factory(), churn_values());
-  engine.add_metrics_sink(&recorder);
+TEST(ParallelEngineTest, RecorderSeesEveryRound) {
+  obs::Recorder recorder;
+  CycleEngine engine(stress_config(), iota_values(50), cyclon(4),
+                     averaging_factory(), churn_values(), 2);
+  engine.set_recorder(&recorder);
   engine.run_rounds(5);
-  ASSERT_EQ(recorder.rounds.size(), 5u);
+  const std::vector<obs::RoundSample>& series = recorder.series();
+  ASSERT_EQ(series.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(recorder.rounds[i], i);
-    EXPECT_EQ(recorder.live[i], 50u);
+    EXPECT_EQ(series[i].round, i);
+    EXPECT_EQ(series[i].live, 50u);
   }
 }
 
-// Fault replay (ISSUE PR5 satellite): the same FaultPlan seed must produce
-// the same fault schedule — and therefore bit-identical node state and
-// fault counters — on the serial engine and the sharded engine at any
-// thread count. Fault draws come from per-node streams consumed only inside
-// the owning exchange unit, which is what makes this possible.
+// Fault replay: the same FaultPlan seed must produce the same fault
+// schedule — and therefore bit-identical node state and fault counters — at
+// any thread count. Fault draws come from per-node streams consumed only
+// inside the owning exchange unit, which is what makes this possible.
 TEST(ParallelEngineTest, FaultScheduleReplaysBitIdenticallyAcrossEngines) {
   EngineConfig config = stress_config();
   config.faults.drop_rate = 0.1;
@@ -301,21 +294,21 @@ TEST(ParallelEngineTest, FaultScheduleReplaysBitIdenticallyAcrossEngines) {
   config.faults.partition_heal_after = 6;
   config.faults.seed = 0x5eed;
 
-  Engine serial(config, iota_values(300), cyclon(), hardened_factory(),
-                churn_values());
+  CycleEngine serial(config, iota_values(300), cyclon(), hardened_factory(),
+                     churn_values());
   serial.run_rounds(25);
   EXPECT_GT(serial.total_traffic().corrupted_messages, 0u);
   EXPECT_GT(serial.total_traffic().crash_restarts, 0u);
   for (std::size_t threads : {2u, 8u}) {
-    ParallelEngine parallel(config, threads, iota_values(300), cyclon(),
-                            hardened_factory(), churn_values());
+    CycleEngine parallel(config, iota_values(300), cyclon(),
+                         hardened_factory(), churn_values(), threads);
     parallel.run_rounds(25);
     expect_identical<HardenedAgent>(serial, parallel);
   }
 }
 
 // Full protocol stack: the Adam2 system must report bit-identical
-// population errors whichever engine hosts it.
+// population errors at any engine thread count.
 TEST(ParallelEngineTest, Adam2SystemErrorsAreBitIdenticalAcrossEngines) {
   const auto run = [](std::size_t threads) {
     core::SystemConfig config;

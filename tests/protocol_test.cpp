@@ -280,10 +280,6 @@ TEST(ProtocolTest, ProbabilisticStartsMatchExpectedFrequency) {
   config.protocol.instance_ttl = 5;  // Short-lived to keep the run light.
   Adam2System system(config, iota_values(300));
   std::size_t started = 0;
-  system.engine().add_observer([&](sim::CycleEngine& engine) {
-    // Count instances by watching initiators' sequence numbers via actives.
-    (void)engine;
-  });
   // Count completed+active instance creations through agent introspection:
   // run 200 rounds, then sum sequence numbers (each start bumps one).
   system.run_rounds(200);

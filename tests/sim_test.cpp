@@ -7,7 +7,7 @@
 #include <set>
 
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
 #include "wire/buffer.hpp"
 
@@ -93,36 +93,36 @@ EngineConfig config_with_seed(std::uint64_t seed) {
 // ------------------------------------------------------------------ Engine
 
 TEST(EngineTest, ConstructsRequestedPopulation) {
-  Engine engine(config_with_seed(1), iota_values(100),
-                std::make_unique<StaticRandomOverlay>(8), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(1), iota_values(100),
+                     std::make_unique<StaticRandomOverlay>(8), silent_factory(),
+                     nullptr);
   EXPECT_EQ(engine.live_count(), 100u);
   EXPECT_EQ(engine.nodes_ever(), 100u);
   EXPECT_EQ(engine.round(), 0u);
 }
 
 TEST(EngineTest, AttributesAreAssignedInOrder) {
-  Engine engine(config_with_seed(2), {10, 20, 30},
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(2), {10, 20, 30},
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     nullptr);
   EXPECT_EQ(engine.attribute_of(0), 10);
   EXPECT_EQ(engine.attribute_of(1), 20);
   EXPECT_EQ(engine.attribute_of(2), 30);
 }
 
 TEST(EngineTest, RoundCounterAdvances) {
-  Engine engine(config_with_seed(3), iota_values(10),
-                std::make_unique<StaticRandomOverlay>(4), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(3), iota_values(10),
+                     std::make_unique<StaticRandomOverlay>(4), silent_factory(),
+                     nullptr);
   engine.run_rounds(7);
   EXPECT_EQ(engine.round(), 7u);
 }
 
 TEST(EngineTest, AveragingConvergesToGlobalMean) {
   const std::size_t n = 256;
-  Engine engine(config_with_seed(4), iota_values(n),
-                std::make_unique<StaticRandomOverlay>(10), averaging_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(4), iota_values(n),
+                     std::make_unique<StaticRandomOverlay>(10),
+                     averaging_factory(), nullptr);
   engine.run_rounds(60);
   const double mean = (static_cast<double>(n) - 1.0) / 2.0;
   for (NodeId id : engine.live_ids()) {
@@ -133,9 +133,9 @@ TEST(EngineTest, AveragingConvergesToGlobalMean) {
 
 TEST(EngineTest, AveragingConservesMassExactly) {
   const std::size_t n = 128;
-  Engine engine(config_with_seed(5), iota_values(n),
-                std::make_unique<StaticRandomOverlay>(8), averaging_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(5), iota_values(n),
+                     std::make_unique<StaticRandomOverlay>(8),
+                     averaging_factory(), nullptr);
   auto total = [&] {
     double sum = 0.0;
     for (NodeId id : engine.live_ids()) {
@@ -150,9 +150,9 @@ TEST(EngineTest, AveragingConservesMassExactly) {
 
 TEST(EngineTest, DeterministicAcrossRuns) {
   auto run = [](std::uint64_t seed) {
-    Engine engine(config_with_seed(seed), iota_values(64),
-                  std::make_unique<StaticRandomOverlay>(6),
-                  averaging_factory(), nullptr);
+    CycleEngine engine(config_with_seed(seed), iota_values(64),
+                       std::make_unique<StaticRandomOverlay>(6),
+                       averaging_factory(), nullptr);
     engine.run_rounds(5);
     std::vector<double> values;
     for (NodeId id : engine.live_ids()) {
@@ -166,9 +166,9 @@ TEST(EngineTest, DeterministicAcrossRuns) {
 }
 
 TEST(EngineTest, TrafficIsAccountedPerChannelAndGlobally) {
-  Engine engine(config_with_seed(6), iota_values(50),
-                std::make_unique<StaticRandomOverlay>(6), averaging_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(6), iota_values(50),
+                     std::make_unique<StaticRandomOverlay>(6),
+                     averaging_factory(), nullptr);
   engine.run_rounds(3);
   const auto& total = engine.total_traffic();
   const auto& agg = total.on(Channel::kAggregation);
@@ -185,20 +185,10 @@ TEST(EngineTest, TrafficIsAccountedPerChannelAndGlobally) {
   EXPECT_EQ(per_node, agg.bytes_sent);
 }
 
-TEST(EngineTest, ObserverRunsEveryRound) {
-  Engine engine(config_with_seed(7), iota_values(10),
-                std::make_unique<StaticRandomOverlay>(4), silent_factory(),
-                nullptr);
-  int calls = 0;
-  engine.add_observer([&](CycleEngine&) { ++calls; });
-  engine.run_rounds(5);
-  EXPECT_EQ(calls, 5);
-}
-
 TEST(EngineTest, KillNodeRemovesItFromLiveSet) {
-  Engine engine(config_with_seed(8), iota_values(10),
-                std::make_unique<StaticRandomOverlay>(4), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(8), iota_values(10),
+                     std::make_unique<StaticRandomOverlay>(4), silent_factory(),
+                     nullptr);
   engine.kill_node(3);
   EXPECT_EQ(engine.live_count(), 9u);
   EXPECT_FALSE(engine.is_live(3));
@@ -209,11 +199,11 @@ TEST(EngineTest, KillNodeRemovesItFromLiveSet) {
 TEST(EngineTest, ChurnKeepsPopulationSizeConstant) {
   EngineConfig config = config_with_seed(9);
   config.churn_rate = 0.05;
-  Engine engine(config, iota_values(200),
-                std::make_unique<StaticRandomOverlay>(8), averaging_factory(),
-                [](rng::Rng& rng) {
-                  return static_cast<stats::Value>(rng.below(100));
-                });
+  CycleEngine engine(config, iota_values(200),
+                     std::make_unique<StaticRandomOverlay>(8),
+                     averaging_factory(), [](rng::Rng& rng) {
+                       return static_cast<stats::Value>(rng.below(100));
+                     });
   engine.run_rounds(20);
   EXPECT_EQ(engine.live_count(), 200u);
   EXPECT_GT(engine.nodes_ever(), 200u);
@@ -224,9 +214,9 @@ TEST(EngineTest, ChurnKeepsPopulationSizeConstant) {
 TEST(EngineTest, ChurnedInNodesGetFreshIdsAndBirthRounds) {
   EngineConfig config = config_with_seed(10);
   config.churn_rate = 0.1;
-  Engine engine(config, iota_values(50),
-                std::make_unique<StaticRandomOverlay>(6), silent_factory(),
-                [](rng::Rng&) { return stats::Value{7}; });
+  CycleEngine engine(config, iota_values(50),
+                     std::make_unique<StaticRandomOverlay>(6), silent_factory(),
+                     [](rng::Rng&) { return stats::Value{7}; });
   engine.run_rounds(5);
   std::set<NodeId> seen;
   for (NodeId id : engine.live_ids()) {
@@ -242,18 +232,18 @@ TEST(EngineTest, ChurnedInNodesGetFreshIdsAndBirthRounds) {
 TEST(EngineTest, ChurnRequiresAttributeSource) {
   EngineConfig config = config_with_seed(11);
   config.churn_rate = 0.1;
-  EXPECT_THROW(Engine(config, iota_values(10),
-                      std::make_unique<StaticRandomOverlay>(4),
-                      silent_factory(), nullptr),
+  EXPECT_THROW(CycleEngine(config, iota_values(10),
+                           std::make_unique<StaticRandomOverlay>(4),
+                           silent_factory(), nullptr),
                std::invalid_argument);
 }
 
 TEST(EngineTest, MessageLossDropsTraffic) {
   EngineConfig lossy = config_with_seed(12);
   lossy.message_loss = 0.5;
-  Engine engine(lossy, iota_values(100),
-                std::make_unique<StaticRandomOverlay>(8), averaging_factory(),
-                nullptr);
+  CycleEngine engine(lossy, iota_values(100),
+                     std::make_unique<StaticRandomOverlay>(8),
+                     averaging_factory(), nullptr);
   engine.run_rounds(5);
   EXPECT_GT(engine.total_traffic().dropped_messages, 50u);
 }
@@ -263,9 +253,9 @@ TEST(EngineTest, MessageLossBreaksExactMassConservation) {
   // the asymmetry a real deployment would see.
   EngineConfig lossy = config_with_seed(13);
   lossy.message_loss = 0.3;
-  Engine engine(lossy, iota_values(64),
-                std::make_unique<StaticRandomOverlay>(8), averaging_factory(),
-                nullptr);
+  CycleEngine engine(lossy, iota_values(64),
+                     std::make_unique<StaticRandomOverlay>(8),
+                     averaging_factory(), nullptr);
   auto total = [&] {
     double sum = 0.0;
     for (NodeId id : engine.live_ids()) {
@@ -279,9 +269,9 @@ TEST(EngineTest, MessageLossBreaksExactMassConservation) {
 }
 
 TEST(EngineTest, SetAttributeChangesGroundTruth) {
-  Engine engine(config_with_seed(14), iota_values(5),
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(14), iota_values(5),
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     nullptr);
   engine.set_attribute(2, 999);
   EXPECT_EQ(engine.attribute_of(2), 999);
   const auto values = engine.live_attribute_values();
@@ -289,9 +279,9 @@ TEST(EngineTest, SetAttributeChangesGroundTruth) {
 }
 
 TEST(EngineTest, UnknownNodeThrows) {
-  Engine engine(config_with_seed(15), iota_values(3),
-                std::make_unique<StaticRandomOverlay>(2), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(15), iota_values(3),
+                     std::make_unique<StaticRandomOverlay>(2), silent_factory(),
+                     nullptr);
   EXPECT_THROW((void)engine.node(99), std::out_of_range);
   EXPECT_FALSE(engine.is_live(99));
 }
@@ -299,9 +289,9 @@ TEST(EngineTest, UnknownNodeThrows) {
 // ----------------------------------------------------- StaticRandomOverlay
 
 TEST(StaticOverlayTest, InitialGraphIsConnected) {
-  Engine engine(config_with_seed(16), iota_values(500),
-                std::make_unique<StaticRandomOverlay>(8), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(16), iota_values(500),
+                     std::make_unique<StaticRandomOverlay>(8), silent_factory(),
+                     nullptr);
   // BFS over neighbour lists from node 0.
   std::set<NodeId> visited{0};
   std::queue<NodeId> frontier;
@@ -317,9 +307,9 @@ TEST(StaticOverlayTest, InitialGraphIsConnected) {
 }
 
 TEST(StaticOverlayTest, DegreesAreNearTarget) {
-  Engine engine(config_with_seed(17), iota_values(1000),
-                std::make_unique<StaticRandomOverlay>(10), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(17), iota_values(1000),
+                     std::make_unique<StaticRandomOverlay>(10),
+                     silent_factory(), nullptr);
   double total_degree = 0.0;
   for (NodeId id : engine.live_ids()) {
     total_degree += static_cast<double>(engine.overlay().neighbors(id).size());
@@ -328,9 +318,9 @@ TEST(StaticOverlayTest, DegreesAreNearTarget) {
 }
 
 TEST(StaticOverlayTest, PickGossipTargetReturnsNeighbour) {
-  Engine engine(config_with_seed(18), iota_values(100),
-                std::make_unique<StaticRandomOverlay>(6), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(18), iota_values(100),
+                     std::make_unique<StaticRandomOverlay>(6), silent_factory(),
+                     nullptr);
   rng::Rng rng(1);
   for (NodeId id : {NodeId{0}, NodeId{50}, NodeId{99}}) {
     const auto neighbors = engine.overlay().neighbors(id);
@@ -345,9 +335,9 @@ TEST(StaticOverlayTest, PickGossipTargetReturnsNeighbour) {
 
 TEST(StaticOverlayTest, RemoveNodeDropsReverseLinks) {
   StaticRandomOverlay overlay(4);
-  Engine engine(config_with_seed(19), iota_values(20),
-                std::make_unique<StaticRandomOverlay>(4), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(19), iota_values(20),
+                     std::make_unique<StaticRandomOverlay>(4), silent_factory(),
+                     nullptr);
   const auto victims = engine.overlay().neighbors(0);
   ASSERT_FALSE(victims.empty());
   const NodeId victim = victims.front();
@@ -357,9 +347,9 @@ TEST(StaticOverlayTest, RemoveNodeDropsReverseLinks) {
 }
 
 TEST(StaticOverlayTest, KnownAttributeValuesComeFromLiveNeighbours) {
-  Engine engine(config_with_seed(20), iota_values(50),
-                std::make_unique<StaticRandomOverlay>(6), silent_factory(),
-                nullptr);
+  CycleEngine engine(config_with_seed(20), iota_values(50),
+                     std::make_unique<StaticRandomOverlay>(6), silent_factory(),
+                     nullptr);
   const auto values = engine.overlay().known_attribute_values(0, engine);
   EXPECT_FALSE(values.empty());
   for (stats::Value v : values) {
@@ -379,8 +369,8 @@ std::unique_ptr<CyclonOverlay> make_cyclon(std::size_t view = 8,
 }
 
 TEST(CyclonTest, ViewsRespectCapacity) {
-  Engine engine(config_with_seed(21), iota_values(200), make_cyclon(),
-                silent_factory(), nullptr);
+  CycleEngine engine(config_with_seed(21), iota_values(200), make_cyclon(),
+                     silent_factory(), nullptr);
   engine.run_rounds(10);
   for (NodeId id : engine.live_ids()) {
     EXPECT_LE(engine.overlay().neighbors(id).size(), 8u);
@@ -389,8 +379,8 @@ TEST(CyclonTest, ViewsRespectCapacity) {
 }
 
 TEST(CyclonTest, ViewsContainNoSelfOrDuplicates) {
-  Engine engine(config_with_seed(22), iota_values(100), make_cyclon(),
-                silent_factory(), nullptr);
+  CycleEngine engine(config_with_seed(22), iota_values(100), make_cyclon(),
+                     silent_factory(), nullptr);
   engine.run_rounds(15);
   for (NodeId id : engine.live_ids()) {
     const auto neighbors = engine.overlay().neighbors(id);
@@ -401,8 +391,8 @@ TEST(CyclonTest, ViewsContainNoSelfOrDuplicates) {
 }
 
 TEST(CyclonTest, ShufflingMixesViews) {
-  Engine engine(config_with_seed(23), iota_values(200), make_cyclon(),
-                silent_factory(), nullptr);
+  CycleEngine engine(config_with_seed(23), iota_values(200), make_cyclon(),
+                     silent_factory(), nullptr);
   const auto before = engine.overlay().neighbors(0);
   engine.run_rounds(20);
   const auto after = engine.overlay().neighbors(0);
@@ -417,11 +407,11 @@ TEST(CyclonTest, ShufflingMixesViews) {
 TEST(CyclonTest, GraphStaysConnectedUnderChurn) {
   EngineConfig config = config_with_seed(24);
   config.churn_rate = 0.01;
-  Engine engine(config, iota_values(300), make_cyclon(12, 6),
-                silent_factory(),
-                [](rng::Rng& rng) {
-                  return static_cast<stats::Value>(rng.below(1000));
-                });
+  CycleEngine engine(config, iota_values(300), make_cyclon(12, 6),
+                     silent_factory(),
+                     [](rng::Rng& rng) {
+                       return static_cast<stats::Value>(rng.below(1000));
+                     });
   engine.run_rounds(50);
   // BFS over the (directed) views, treating edges as undirected.
   std::map<NodeId, std::vector<NodeId>> undirected;
@@ -448,8 +438,8 @@ TEST(CyclonTest, GraphStaysConnectedUnderChurn) {
 }
 
 TEST(CyclonTest, DeadEntriesAreEventuallyEvicted) {
-  Engine engine(config_with_seed(25), iota_values(100), make_cyclon(),
-                silent_factory(), nullptr);
+  CycleEngine engine(config_with_seed(25), iota_values(100), make_cyclon(),
+                     silent_factory(), nullptr);
   engine.run_rounds(5);
   engine.kill_node(42);
   engine.run_rounds(30);
@@ -461,8 +451,8 @@ TEST(CyclonTest, DeadEntriesAreEventuallyEvicted) {
 }
 
 TEST(CyclonTest, DescriptorsCarryAttributeValues) {
-  Engine engine(config_with_seed(26), iota_values(100), make_cyclon(),
-                silent_factory(), nullptr);
+  CycleEngine engine(config_with_seed(26), iota_values(100), make_cyclon(),
+                     silent_factory(), nullptr);
   engine.run_rounds(10);
   const auto values = engine.overlay().known_attribute_values(0, engine);
   EXPECT_GT(values.size(), 8u);  // View plus the shuffle value cache.
@@ -473,8 +463,8 @@ TEST(CyclonTest, DescriptorsCarryAttributeValues) {
 }
 
 TEST(CyclonTest, ShuffleTrafficIsAccountedOnOverlayChannel) {
-  Engine engine(config_with_seed(27), iota_values(50), make_cyclon(),
-                silent_factory(), nullptr);
+  CycleEngine engine(config_with_seed(27), iota_values(50), make_cyclon(),
+                     silent_factory(), nullptr);
   engine.run_rounds(3);
   const auto& overlay_traffic = engine.total_traffic().on(Channel::kOverlay);
   EXPECT_GT(overlay_traffic.messages_sent, 0u);

@@ -31,10 +31,9 @@
 #include "host/snapshot.hpp"
 #include "rng/rng.hpp"
 #include "sim/async_engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/cyclon.hpp"
-#include "sim/engine.hpp"
 #include "sim/overlay.hpp"
-#include "sim/parallel_engine.hpp"
 #include "wire/buffer.hpp"
 
 namespace adam2::sim {
@@ -148,9 +147,9 @@ EngineConfig cycle_config() {
   return config;
 }
 
-Engine make_cycle_engine() {
-  return Engine(cycle_config(), iota_values(24), cyclon(), snap_factory(),
-                churn_values());
+CycleEngine make_cycle_engine() {
+  return CycleEngine(cycle_config(), iota_values(24), cyclon(), snap_factory(),
+                     churn_values());
 }
 
 AsyncConfig async_config() {
@@ -170,11 +169,11 @@ AsyncEngine make_async_engine() {
 // -- Round-trip byte identity ------------------------------------------------
 
 TEST(SnapshotRoundTripTest, CycleSaveRestoreSaveIsByteIdentical) {
-  Engine original = make_cycle_engine();
+  CycleEngine original = make_cycle_engine();
   original.run_rounds(8);
   const std::vector<std::byte> bytes = original.save_snapshot();
 
-  Engine resumed = make_cycle_engine();
+  CycleEngine resumed = make_cycle_engine();
   resumed.restore_snapshot(bytes);
   EXPECT_EQ(resumed.save_snapshot(), bytes);
 
@@ -185,15 +184,15 @@ TEST(SnapshotRoundTripTest, CycleSaveRestoreSaveIsByteIdentical) {
 }
 
 TEST(SnapshotRoundTripTest, SerialAndShardedEnginesShareTheLayout) {
-  Engine serial = make_cycle_engine();
+  CycleEngine serial = make_cycle_engine();
   serial.run_rounds(6);
   const std::vector<std::byte> bytes = serial.save_snapshot();
   serial.run_rounds(6);
 
   // A serial snapshot restores into the sharded engine (and vice versa):
   // the shards are per-round scratch, not persistent state.
-  ParallelEngine sharded(cycle_config(), 8, iota_values(24), cyclon(),
-                         snap_factory(), churn_values());
+  CycleEngine sharded(cycle_config(), iota_values(24), cyclon(), snap_factory(),
+                      churn_values(), 8);
   sharded.restore_snapshot(bytes);
   EXPECT_EQ(sharded.save_snapshot(), bytes);
   sharded.run_rounds(6);
@@ -216,9 +215,9 @@ TEST(SnapshotRoundTripTest, AsyncSaveRestoreSaveIsByteIdentical) {
 
 TEST(SnapshotRoundTripTest, FreshEngineSnapshotRestoresBeforeAnyRound) {
   // Round-0 snapshots (no exchanges yet) are valid checkpoints too.
-  Engine original = make_cycle_engine();
+  CycleEngine original = make_cycle_engine();
   const std::vector<std::byte> bytes = original.save_snapshot();
-  Engine resumed = make_cycle_engine();
+  CycleEngine resumed = make_cycle_engine();
   resumed.restore_snapshot(bytes);
   EXPECT_EQ(resumed.save_snapshot(), bytes);
 }
@@ -226,9 +225,11 @@ TEST(SnapshotRoundTripTest, FreshEngineSnapshotRestoresBeforeAnyRound) {
 // -- Encode-side failures ----------------------------------------------------
 
 TEST(SnapshotEncodeTest, UnsupportedAgentTypeThrowsSnapshotError) {
-  Engine engine(cycle_config(), iota_values(8), cyclon(),
-                [](const AgentContext&) { return std::make_unique<OpaqueAgent>(); },
-                churn_values());
+  CycleEngine engine(cycle_config(), iota_values(8), cyclon(),
+                     [](const AgentContext&) {
+                       return std::make_unique<OpaqueAgent>();
+                     },
+                     churn_values());
   EXPECT_THROW((void)engine.save_snapshot(), snap::SnapshotError);
 }
 
@@ -239,7 +240,7 @@ TEST(SnapshotEncodeTest, UnsupportedAgentTypeThrowsSnapshotError) {
 /// its pre-restore state.
 void expect_rejected(const std::vector<std::byte>& bytes,
                      const std::string& context) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   const std::vector<std::byte> before = engine.save_snapshot();
   try {
     engine.restore_snapshot(bytes);
@@ -266,21 +267,21 @@ TEST(SnapshotContainerTest, RejectsEmptyAndTinyInputs) {
 }
 
 TEST(SnapshotContainerTest, RejectsBadMagic) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   std::vector<std::byte> bytes = engine.save_snapshot();
   bytes[0] ^= std::byte{0xff};
   expect_rejected(reseal(std::move(bytes)), "bad magic");
 }
 
 TEST(SnapshotContainerTest, RejectsUnsupportedFormatVersion) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   std::vector<std::byte> bytes = engine.save_snapshot();
   bytes[4] = std::byte{99};  // Version field, little-endian low byte.
   expect_rejected(reseal(std::move(bytes)), "future version");
 }
 
 TEST(SnapshotContainerTest, RejectsEngineKindMismatch) {
-  Engine cycle = make_cycle_engine();
+  CycleEngine cycle = make_cycle_engine();
   const std::vector<std::byte> bytes = cycle.save_snapshot();
   AsyncEngine async = make_async_engine();
   const std::vector<std::byte> before = async.save_snapshot();
@@ -289,14 +290,14 @@ TEST(SnapshotContainerTest, RejectsEngineKindMismatch) {
 }
 
 TEST(SnapshotContainerTest, RejectsChecksumMismatch) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   std::vector<std::byte> bytes = engine.save_snapshot();
   bytes.back() ^= std::byte{0x01};
   expect_rejected(bytes, "flipped checksum bit");
 }
 
 TEST(SnapshotContainerTest, RejectsTruncationAtEveryBoundary) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   engine.run_rounds(3);
   const std::vector<std::byte> bytes = engine.save_snapshot();
   for (std::size_t keep : {std::size_t{0}, std::size_t{4}, std::size_t{12},
@@ -309,21 +310,21 @@ TEST(SnapshotContainerTest, RejectsTruncationAtEveryBoundary) {
 }
 
 TEST(SnapshotContainerTest, RejectsTrailingGarbage) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   std::vector<std::byte> bytes = engine.save_snapshot();
   bytes.insert(bytes.end(), 8, std::byte{0xab});
   expect_rejected(bytes, "8 garbage bytes appended");
 }
 
 TEST(SnapshotContainerTest, RejectsConfigMismatch) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   engine.run_rounds(2);
   const std::vector<std::byte> bytes = engine.save_snapshot();
 
   EngineConfig other = cycle_config();
   other.seed = 0xbad;  // Any config divergence must reject, not diverge.
-  Engine mismatched(other, iota_values(24), cyclon(), snap_factory(),
-                    churn_values());
+  CycleEngine mismatched(other, iota_values(24), cyclon(), snap_factory(),
+                         churn_values());
   const std::vector<std::byte> before = mismatched.save_snapshot();
   EXPECT_THROW(mismatched.restore_snapshot(bytes), wire::DecodeError);
   EXPECT_EQ(mismatched.save_snapshot(), before);
@@ -417,12 +418,12 @@ class MutantOracle {
 };
 
 TEST(SnapshotMutantCorpusTest, CycleContainerMutantsRejectedOrCanonical) {
-  Engine source = make_cycle_engine();
+  CycleEngine source = make_cycle_engine();
   source.run_rounds(6);
   const std::vector<std::byte> pristine = source.save_snapshot();
 
-  Engine victim = make_cycle_engine();
-  MutantOracle<Engine> oracle(victim);
+  CycleEngine victim = make_cycle_engine();
+  MutantOracle<CycleEngine> oracle(victim);
   rng::Rng rng(0x5a405a40);
   for (int i = 0; i < kMutantsPerCorpus; ++i) {
     oracle.feed(mutate(pristine, rng), i);
@@ -435,12 +436,12 @@ TEST(SnapshotMutantCorpusTest, CycleContainerMutantsRejectedOrCanonical) {
 }
 
 TEST(SnapshotMutantCorpusTest, CycleBodyMutantsRejectedOrCanonical) {
-  Engine source = make_cycle_engine();
+  CycleEngine source = make_cycle_engine();
   source.run_rounds(6);
   const std::vector<std::byte> pristine = source.save_snapshot();
 
-  Engine victim = make_cycle_engine();
-  MutantOracle<Engine> oracle(victim);
+  CycleEngine victim = make_cycle_engine();
+  MutantOracle<CycleEngine> oracle(victim);
   rng::Rng rng(0xb0d7b0d7);
   for (int i = 0; i < kMutantsPerCorpus; ++i) {
     oracle.feed(mutate_body(pristine, rng), i);
@@ -486,7 +487,7 @@ class SnapshotFileTest : public ::testing::Test {
 };
 
 TEST_F(SnapshotFileTest, WriteThenReadRoundTrips) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   engine.run_rounds(4);
   const std::vector<std::byte> bytes = engine.save_snapshot();
 
@@ -504,7 +505,7 @@ TEST_F(SnapshotFileTest, WriteThenReadRoundTrips) {
   }
   EXPECT_EQ(entries, 1u);
 
-  Engine resumed = make_cycle_engine();
+  CycleEngine resumed = make_cycle_engine();
   resumed.restore_snapshot(*loaded);
   EXPECT_EQ(resumed.save_snapshot(), bytes);
 }
@@ -517,7 +518,7 @@ TEST_F(SnapshotFileTest, MissingFileReportsError) {
 }
 
 TEST_F(SnapshotFileTest, OversizedFileIsRefused) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   const std::vector<std::byte> bytes = engine.save_snapshot();
   const auto path = dir_ / "state.snap";
   ASSERT_TRUE(snap::write_snapshot_file(path, bytes));
@@ -528,7 +529,7 @@ TEST_F(SnapshotFileTest, OversizedFileIsRefused) {
 }
 
 TEST_F(SnapshotFileTest, CreatesParentDirectoriesButFailsCleanlyOtherwise) {
-  Engine engine = make_cycle_engine();
+  CycleEngine engine = make_cycle_engine();
   const std::vector<std::byte> bytes = engine.save_snapshot();
   // Missing parent directories are created (checkpoint paths come from
   // flags; requiring a pre-made directory would make --snapshot-out flaky).

@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "../tools/flags.hpp"
+#include "options.hpp"
 
 namespace adam2::tools {
 namespace {
 
-Flags parse(std::vector<std::string> args) {
+Options parse(std::vector<std::string> args) {
   std::vector<char*> argv{const_cast<char*>("prog")};
   for (auto& a : args) argv.push_back(a.data());
-  return Flags(static_cast<int>(argv.size()), argv.data());
+  return Options(static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(FlagsTest, ParsesNameValuePairs) {
@@ -49,13 +49,34 @@ TEST(FlagsTest, PositionalArgumentsCollected) {
 }
 
 TEST(FlagsTest, BadIntegerThrows) {
-  auto flags = parse({"--nodes", "abc"});
-  EXPECT_THROW((void)flags.get_int("nodes", 0), std::invalid_argument);
+  // Malformed, a bare flag followed by another flag, an empty `=` value,
+  // and an overflow.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--nodes", "abc"},
+        std::vector<std::string>{"--nodes", "--seed", "1"},
+        std::vector<std::string>{"--nodes="},
+        std::vector<std::string>{"--nodes", "99999999999999999999"}}) {
+    auto flags = parse(args);
+    EXPECT_THROW((void)flags.get_int("nodes", 0), std::invalid_argument)
+        << args.back();
+  }
 }
 
 TEST(FlagsTest, BadDoubleThrows) {
-  auto flags = parse({"--churn", "zzz"});
-  EXPECT_THROW((void)flags.get_double("churn", 0.0), std::invalid_argument);
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--churn", "zzz"},
+        std::vector<std::string>{"--churn", "--nodes", "100"},
+        std::vector<std::string>{"--churn="},
+        std::vector<std::string>{"--churn", "1e999"}}) {
+    auto flags = parse(args);
+    EXPECT_THROW((void)flags.get_double("churn", 0.0), std::invalid_argument)
+        << args.back();
+  }
+}
+
+TEST(FlagsTest, UnderflowingDoubleParsesAsZero) {
+  auto flags = parse({"--churn", "1e-400"});
+  EXPECT_EQ(flags.get_double("churn", 1.0), 0.0);
 }
 
 TEST(FlagsTest, RejectUnknownCatchesTypos) {

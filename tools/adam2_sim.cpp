@@ -66,9 +66,9 @@ faults (deterministic injection, DESIGN.md §8; all default 0 = off):
   --async              use the event-driven engine (jittered periods,
                        real message latencies, exchange atomicity)
   --latency-max MS     max one-way latency in ms for --async (default 100)
-  --threads T          worker threads for the cycle engine; T > 1 selects
-                       the sharded parallel engine, which is bit-identical
-                       to the serial one at any thread count (default 0)
+  --threads T          worker threads for the cycle engine; T > 1 shards
+                       its round phases, with bit-identical results at any
+                       thread count (default 0)
 
 checkpoint (host::snapshot, DESIGN.md §12):
   --snapshot-out FILE  save the full engine state at the end of the run

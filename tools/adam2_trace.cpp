@@ -14,7 +14,7 @@
 
 #include "data/boinc_synth.hpp"
 #include "data/trace.hpp"
-#include "flags.hpp"
+#include "options.hpp"
 #include "stats/cdf.hpp"
 
 using namespace adam2;
@@ -51,7 +51,7 @@ void print_stats(const std::vector<data::HostRecord>& records) {
   }
 }
 
-int run(const tools::Flags& flags) {
+int run(const tools::Options& flags) {
   if (flags.has("help") || flags.positional().empty()) {
     std::fputs(kUsage, stdout);
     return flags.positional().empty() ? 1 : 0;
@@ -97,7 +97,7 @@ int run(const tools::Flags& flags) {
 
 int main(int argc, char** argv) {
   try {
-    return run(tools::Flags(argc, argv));
+    return run(tools::Options(argc, argv));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "adam2_trace: %s\n", error.what());
     std::fputs(kUsage, stderr);

@@ -620,9 +620,8 @@ class Analyzer {
       if (inc.angle && kHeaders.contains(inc.target)) {
         emit(inc.line, "confinement",
              "<" + inc.target + "> outside src/host/ and src/runtime/: "
-             "concurrency lives in the substrates (plus the sharded "
-             "parallel engine's documented exception), never in protocol "
-             "or statistics code.");
+             "concurrency lives in the substrates (sharded code borrows "
+             "host::WorkerPool), never in protocol or statistics code.");
       }
     }
     for (std::size_t i = 2; i < tokens.size(); ++i) {
@@ -633,9 +632,8 @@ class Analyzer {
       if (!is_punct(i - 1, "::") || !is_ident(i - 2, "std")) continue;
       emit(t.line, "confinement",
            "std::" + t.text + " outside src/host/ and src/runtime/: "
-           "concurrency lives in the substrates (plus the sharded parallel "
-           "engine's documented exception), never in protocol or statistics "
-           "code.");
+           "concurrency lives in the substrates (sharded code borrows "
+           "host::WorkerPool), never in protocol or statistics code.");
     }
   }
 

@@ -1,6 +1,8 @@
 #include "options.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -83,9 +85,12 @@ std::int64_t Options::get_int(const std::string& name,
   seen_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  // strtoll converts nothing from "" (a bare `--nodes`) and saturates on
+  // overflow; both must fail like any other malformed value.
   char* end = nullptr;
+  errno = 0;
   const auto value = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument(describe(name) + " expects an integer, got '" +
                                 it->second + "'");
   }
@@ -96,9 +101,13 @@ double Options::get_double(const std::string& name, double fallback) const {
   seen_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  // As in get_int; an underflow (ERANGE with a result near 0) is still a
+  // number, only an overflow to ±HUGE_VAL fails.
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || *end != '\0' ||
+      (errno == ERANGE && std::isinf(value))) {
     throw std::invalid_argument(describe(name) + " expects a number, got '" +
                                 it->second + "'");
   }
