@@ -48,7 +48,6 @@ void Adam2System::attach_recorder(obs::Recorder* recorder) {
   manifest.threads = std::max<std::size_t>(config_.engine_threads, 1);
   manifest.set("nodes", static_cast<std::uint64_t>(engine_->live_count()));
   manifest.set("churn_rate", config_.engine.churn_rate);
-  manifest.set("message_loss", config_.engine.message_loss);
   manifest.set("overlay", config_.overlay == OverlayKind::kCyclon
                               ? "cyclon"
                               : "static_random");

@@ -12,15 +12,8 @@ Conduit::Delivery Conduit::resolve(const Leg& leg,
   Delivery delivery;
   delivery.payload = payload;
 
-  // Stage order (and therefore draw order) is exactly what the engines
-  // always did: legacy loss from the control stream, then the stateless
-  // partition check, then the fault-plan draws from the fault stream.
-  if (message_loss_ > 0.0 && leg.loss_stream != nullptr &&
-      leg.loss_stream->bernoulli(message_loss_)) {
-    ++counters.dropped_messages;
-    delivery.drop_cause = DropCause::kLoss;
-    return delivery;  // copies == 0: lost.
-  }
+  // Stage order (and therefore draw order): the stateless partition check,
+  // then the fault-plan draws from the fault stream.
   if (leg.partition_check && faults_.enabled() &&
       faults_.partitioned(leg.from, leg.to, leg.round)) {
     ++counters.partitioned_messages;
@@ -94,16 +87,14 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
 
   host.record_traffic(initiator.id, *target, Channel::kAggregation,
                       request.size());
-  // All draws come from the initiator's streams (loss legs from its control
-  // stream, faults from its fault stream), so the unit is self-contained and
-  // sharded runs replay bit-identically to one-thread runs. The
-  // partition check applies to the request leg only: a blocked request means
-  // no response ever exists.
+  // Both legs draw from the initiator's fault stream, so the unit is
+  // self-contained and sharded runs replay bit-identically to one-thread
+  // runs. The partition check applies to the request leg only: a blocked
+  // request means no response ever exists.
   std::vector<std::byte> request_scratch;
   const Delivery request_delivery =
-      resolve(Leg{initiator.id, *target, round, &initiator.pick_rng,
-                  &initiator.fault_rng, /*partition_check=*/true,
-                  /*draw_delay=*/false},
+      resolve(Leg{initiator.id, *target, round, &initiator.fault_rng,
+                  /*partition_check=*/true, /*draw_delay=*/false},
               request, request_scratch, counters);
   if (outcome != nullptr) {
     outcome->request_bytes = static_cast<std::uint32_t>(request.size());
@@ -135,9 +126,8 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
                       response.size());
   std::vector<std::byte> response_scratch;
   const Delivery response_delivery =
-      resolve(Leg{responder.id, initiator.id, round, &initiator.pick_rng,
-                  &initiator.fault_rng, /*partition_check=*/false,
-                  /*draw_delay=*/false},
+      resolve(Leg{responder.id, initiator.id, round, &initiator.fault_rng,
+                  /*partition_check=*/false, /*draw_delay=*/false},
               response, response_scratch, counters);
   if (outcome != nullptr) {
     outcome->response_bytes = static_cast<std::uint32_t>(response.size());
@@ -212,14 +202,12 @@ bool SessionedPort::on_response(NodeAgent& agent, AgentContext& ctx,
 bool SessionedPort::send_copies(bool is_request, NodeId to,
                                 std::uint64_t token,
                                 std::span<const std::byte> payload) {
-  // Wall-clock runtimes have no legacy loss knob, no simulated partitions
-  // and no injected delay (real latency supplies itself): only the
-  // fault-plan draws apply.
+  // Wall-clock runtimes have no simulated partitions and no injected delay
+  // (real latency supplies itself): only the fault-plan fate applies.
   std::vector<std::byte> scratch;
   const Conduit::Delivery delivery = conduit_.resolve(
-      Conduit::Leg{/*from=*/0, to, /*round=*/0, /*loss_stream=*/nullptr,
-                   &fault_stream_, /*partition_check=*/false,
-                   /*draw_delay=*/false},
+      Conduit::Leg{/*from=*/0, to, /*round=*/0, &fault_stream_,
+                   /*partition_check=*/false, /*draw_delay=*/false},
       payload, scratch, counters_);
   if (delivery.copies == 0) {
     return true;  // The sender cannot tell a dropped message from a sent one.

@@ -1,18 +1,17 @@
 // The transport-agnostic exchange fabric shared by every execution substrate
 // (DESIGN.md §9).
 //
-// Every engine used to re-implement the same per-message pipeline — legacy
-// loss draw, partition check, fault-fate draw, corruption mangling, duplicate
-// delivery, traffic counters — five times, with five chances to diverge. The
-// fabric centralises it:
+// One per-message pipeline — partition check, fault-fate draw, corruption
+// mangling, duplicate delivery, traffic counters — serves all five engines,
+// so they cannot diverge:
 //
 //  * `Conduit` owns per-leg fate resolution. `resolve()` is the ONLY place
-//    in the codebase that switches on `MessageFate`: it folds the legacy
-//    `message_loss` knob and the fault plan's `drop_rate` into one pipeline
-//    while drawing from exactly the streams (and in exactly the order) the
-//    engines always used, so golden replay stays bit-identical. Engines
-//    receive back a `Delivery` — how many copies to hand over, pointing at
-//    which bytes, after how much extra delay — and do scheduling only.
+//    in the codebase that switches on `MessageFate`, and the fault plan's
+//    `drop_rate` is the one way a message is lost. It draws in a fixed
+//    order, only from the fault stream the leg names, so replay is
+//    bit-identical on any schedule. Engines receive back a `Delivery` — how
+//    many copies to hand over, pointing at which bytes, after how much extra
+//    delay — and do scheduling only.
 //  * `Conduit::run_cycle_exchange()` is the full in-round request→response
 //    state machine of the cycle engine (any thread count), including the
 //    "reply to the second copy wins" duplicate rule. Payload spans alias
@@ -94,31 +93,23 @@ class ExchangeSession {
   Clock::time_point deadline_{};
 };
 
-/// The per-message delivery pipeline: legacy loss, partitions, and the fault
-/// plan, resolved in one place for every substrate.
+/// The per-message delivery pipeline: partitions and the fault plan,
+/// resolved in one place for every substrate.
 class Conduit {
  public:
-  Conduit() = default;  ///< No loss, no faults: every leg delivers one copy.
-  explicit Conduit(const FaultPlan& plan, double message_loss = 0.0)
-      : faults_(plan), message_loss_(message_loss) {}
+  Conduit() = default;  ///< No faults: every leg delivers one copy.
+  explicit Conduit(const FaultPlan& plan) : faults_(plan) {}
 
   [[nodiscard]] const FaultInjector& faults() const noexcept { return faults_; }
-  [[nodiscard]] double message_loss() const noexcept { return message_loss_; }
 
   /// One direction of one message: who is sending to whom, at which round,
-  /// and from which random streams the pipeline may draw. Null streams skip
-  /// the corresponding stage (e.g. the runtimes have no legacy loss knob, so
-  /// they pass no loss stream).
+  /// and from which random stream the pipeline may draw.
   struct Leg {
     NodeId from = 0;
     NodeId to = 0;
     Round round = 0;
-    /// Stream for the legacy `message_loss` draw (the engines' control
-    /// stream). The draw happens exactly when `message_loss > 0` and a
-    /// stream is supplied — same condition, same stream, same position as
-    /// the pre-fabric engines.
-    rng::Rng* loss_stream = nullptr;
-    /// Stream for the fault-plan draws (fate, corruption bytes, delay).
+    /// Stream for the fault-plan draws (fate, corruption bytes, delay); null
+    /// skips them.
     rng::Rng* fault_stream = nullptr;
     /// Whether this leg can be blocked by an overlay partition (stateless
     /// check, consumes no draws). The cycle engine checks the request leg
@@ -132,14 +123,13 @@ class Conduit {
   /// a partition-blocked request from a fault-dropped one).
   enum class DropCause : std::uint8_t {
     kNone = 0,    ///< Delivered (copies > 0).
-    kLoss,        ///< Legacy message_loss draw.
     kPartition,   ///< Blocked by an overlay partition.
     kFault,       ///< Fault-plan drop fate.
   };
 
   /// What the transport must now do with the message.
   struct Delivery {
-    /// 0 = the message never arrives (lost / dropped / partitioned);
+    /// 0 = the message never arrives (dropped or partitioned);
     /// 1 = deliver once; 2 = deliver twice (duplication fault).
     unsigned copies = 0;
     /// The bytes to deliver — the caller's payload, or `scratch` when the
@@ -155,8 +145,8 @@ class Conduit {
     bool corrupted = false;
   };
 
-  /// Resolves the fate of one leg: draws loss → partition → fate → mangling
-  /// → delay in the engines' historical stream order, bumps the matching
+  /// Resolves the fate of one leg: partition → fate (with mangling) → delay,
+  /// in the engines' historical stream order, bumps the matching
   /// `counters`, and rebinds the payload to `scratch` when corrupted.
   /// Allocates only on corruption — the steady-state path is allocation-free.
   Delivery resolve(const Leg& leg, std::span<const std::byte> payload,
@@ -167,8 +157,9 @@ class Conduit {
   /// accounting, both legs through `resolve`, duplicate-copy delivery with
   /// the "reply to the second copy wins" rule, and traffic recording through
   /// `host` (so sharded phases can reroute totals per worker). Draws only
-  /// from the initiator's control/agent/fault streams and touches only the
-  /// two participants plus `counters` — the unit stays parallel-safe.
+  /// from the two participants' agent streams and the initiator's fault
+  /// stream, and touches only the two participants plus `counters` — the
+  /// unit stays parallel-safe.
   /// When `outcome` is non-null it is filled with how far the exchange got
   /// (obs trace support); the null path is the exact pre-obs instruction
   /// stream, so detached runs stay bit-identical and allocation-free.
@@ -180,7 +171,6 @@ class Conduit {
 
  private:
   FaultInjector faults_;
-  double message_loss_ = 0.0;
 };
 
 /// The wall-clock runtimes' request→response state machine, shared by the

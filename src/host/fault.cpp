@@ -1,5 +1,9 @@
 #include "host/fault.hpp"
 
+#include <stdexcept>
+
+#include "wire/buffer.hpp"
+
 namespace adam2::host {
 
 namespace {
@@ -41,6 +45,26 @@ double FaultInjector::extra_delay(rng::Rng& stream) const noexcept {
 bool FaultInjector::crashes(rng::Rng& stream) const noexcept {
   if (plan_.crash_rate <= 0.0) return false;
   return stream.bernoulli(plan_.crash_rate);
+}
+
+void restart_agent(std::unique_ptr<NodeAgent>& agent, bool warm,
+                   const AgentFactory& factory,
+                   const std::function<AgentContext(bool)>& context) {
+  wire::Writer blob;
+  const bool carry = warm && agent->save_state(blob);
+  auto fresh = factory(context(carry));
+  if (!fresh) throw std::runtime_error("agent factory returned null");
+  if (carry) {
+    wire::Reader in(blob.view());
+    if (!fresh->restore_state(in)) {
+      // The blob was produced by save_state moments ago; rejection means the
+      // agent's save/restore pair is asymmetric — a bug, not bad input.
+      throw std::runtime_error(
+          "warm restart: agent rejected its own state blob");
+    }
+    in.expect_done();
+  }
+  agent = std::move(fresh);
 }
 
 std::vector<std::byte> FaultInjector::corrupt(std::span<const std::byte> bytes,

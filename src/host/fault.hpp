@@ -24,9 +24,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "host/agent.hpp"
 #include "host/types.hpp"
 #include "rng/rng.hpp"
 
@@ -58,6 +61,10 @@ struct FaultPlan {
   /// consumes no draws from any stream, so the crash schedule itself is
   /// identical warm or cold.
   bool warm_restart = false;
+
+  /// Field-by-field equality: a snapshot resumes only under the exact plan
+  /// that produced it.
+  bool operator==(const FaultPlan&) const = default;
 
   /// True when any fault can ever fire.
   [[nodiscard]] bool enabled() const noexcept {
@@ -105,7 +112,8 @@ class FaultInjector {
   [[nodiscard]] double extra_delay(rng::Rng& stream) const noexcept;
 
   /// Whether the node owning `stream` crash-restarts this round. Consumes
-  /// one draw when crash faults are enabled, zero otherwise.
+  /// one draw when crash faults are enabled, zero otherwise. The restart
+  /// itself is restart_agent (below).
   [[nodiscard]] bool crashes(rng::Rng& stream) const noexcept;
 
   /// Returns a mangled copy of `bytes`: truncated at a random offset or with
@@ -129,5 +137,19 @@ class FaultInjector {
  private:
   FaultPlan plan_{};
 };
+
+/// The crash-restart agent swap every substrate shares. Replaces `agent` with
+/// a fresh one from `factory`. With `warm` (FaultPlan::warm_restart) the
+/// crashed agent's protocol state is saved through the host::snapshot hooks
+/// and restored into the replacement; an agent type that cannot save
+/// restarts cold. `context` builds the factory's context and is told
+/// whether the state is carried, so a substrate can adjust the node for a
+/// cold restart first (the simulators move its birth round). Throws
+/// std::runtime_error when the factory returns null or the replacement
+/// rejects the blob, which leaves `agent` in place. Draws nothing: the crash
+/// schedule is the same warm or cold.
+void restart_agent(std::unique_ptr<NodeAgent>& agent, bool warm,
+                   const AgentFactory& factory,
+                   const std::function<AgentContext(bool)>& context);
 
 }  // namespace adam2::host

@@ -17,8 +17,7 @@ namespace adam2::host {
 ///  * `rng`      — the agent stream, consumed only inside agent callbacks
 ///                 (restart coin flips, threshold sampling, ...);
 ///  * `pick_rng` — the control stream, consumed only by the hosting engine
-///                 (gossip target picks, message-loss draws, bootstrap
-///                 contact picks).
+///                 (gossip target picks and bootstrap contact picks).
 ///
 /// Fault-injecting engines add a third stream, `fault_rng`, seeded
 /// *statelessly* from the fault-plan seed and the node id (never drawn from

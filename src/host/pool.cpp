@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 namespace adam2::host {
 
@@ -23,13 +24,18 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::run(const std::function<void(std::size_t)>& task) {
-  std::unique_lock lock(mutex_);
-  task_ = &task;
-  running_ = threads_.size();
-  ++generation_;
-  start_.notify_all();
-  done_.wait(lock, [this] { return running_ == 0; });
-  task_ = nullptr;
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(mutex_);
+    task_ = &task;
+    running_ = threads_.size();
+    ++generation_;
+    start_.notify_all();
+    done_.wait(lock, [this] { return running_ == 0; });
+    task_ = nullptr;
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void WorkerPool::run_indexed(std::size_t count, const Task& task) {
@@ -115,18 +121,28 @@ void WorkerPool::run_gated(std::span<const std::uint32_t> unit_slots,
   std::mutex mutex;
   std::condition_variable cv;
   std::size_t completed = 0;
+  bool failed = false;  // A unit threw: its successors will never be ready.
   run([&](std::size_t worker) {
     for (;;) {
       std::uint32_t u = 0;
       {
         std::unique_lock lock(mutex);
-        cv.wait(lock,
-                [&] { return completed == unit_count || !ready_.empty(); });
-        if (completed == unit_count) return;
+        cv.wait(lock, [&] {
+          return completed == unit_count || failed || !ready_.empty();
+        });
+        if (completed == unit_count || failed) return;
         u = ready_.back();
         ready_.pop_back();
       }
-      task(u, worker);
+      try {
+        task(u, worker);
+      } catch (...) {
+        // Release every waiter; run() hands the exception to the caller.
+        std::lock_guard lock(mutex);
+        failed = true;
+        cv.notify_all();
+        throw;
+      }
 
       // Advance both participants' lists; a successor that now heads all its
       // lists becomes ready. The acq_rel RMW chain on its gate (plus the
@@ -163,9 +179,15 @@ void WorkerPool::worker_main(std::size_t index) {
       seen = generation_;
       task = task_;
     }
-    (*task)(index);
+    std::exception_ptr error;
+    try {
+      (*task)(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard lock(mutex_);
+      if (error && !error_) error_ = error;
       if (--running_ == 0) done_.notify_all();
     }
   }

@@ -6,12 +6,20 @@
 // short parallel phases; re-spawning threads per phase would dominate the
 // runtime at small N). A pool of one worker spawns no thread at all: every
 // call then runs its tasks inline on the calling thread, in index order.
+//
+// A task that throws fails the whole call the same way at any worker count:
+// the exception reaches the caller of run_indexed / run_gated, and tasks not
+// yet started may be skipped. With threads, the first exception is kept and
+// rethrown once every worker has returned; a gated run releases its waiters
+// instead of leaving them blocked on a unit that will never be ready. The
+// pool stays usable afterwards.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,8 +66,9 @@ class WorkerPool {
   }
 
  private:
-  /// Runs `task(worker)` on every worker thread; returns when all are done.
-  /// Not reentrant; the calling thread does not execute the task.
+  /// Runs `task(worker)` on every worker thread; returns when all are done,
+  /// then rethrows the first exception a worker's task threw. Not
+  /// reentrant; the calling thread does not execute the task.
   void run(const std::function<void(std::size_t)>& task);
   void worker_main(std::size_t index);
 
@@ -70,6 +79,7 @@ class WorkerPool {
   std::uint64_t generation_ = 0;
   std::size_t running_ = 0;
   bool stop_ = false;
+  std::exception_ptr error_;  // First exception of the current run.
 
   // run_gated scratch, reused across calls (indices are unit numbers).
   std::vector<std::uint32_t> slot_offsets_;  // Per-slot start in slot_units_.

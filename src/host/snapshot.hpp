@@ -46,7 +46,9 @@ namespace adam2::host::snapshot {
 
 /// 'A' '2' 'S' 'N' as little-endian bytes on disk.
 inline constexpr std::uint32_t kMagic = 0x4e533241U;
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped on every layout change, however small, so an older snapshot is
+/// refused by its version number instead of misparsed (DESIGN.md §12.1).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Thrown on the *encode* side only (e.g. an agent type without snapshot
 /// support). Decode-side rejection is always wire::DecodeError.

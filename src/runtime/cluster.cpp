@@ -8,7 +8,6 @@
 #include "host/exchange.hpp"
 #include "host/ledger.hpp"
 #include "sim/overlay.hpp"
-#include "wire/buffer.hpp"
 
 namespace adam2::runtime {
 
@@ -84,22 +83,8 @@ class Cluster::RuntimeNode final : private host::SessionedPort::Transport {
   /// first post-restart initiation stamps a fresh token and any straggler
   /// response to the pre-crash exchange is rejected as stale, not merged.
   void restart(const host::AgentFactory& factory, bool warm) {
-    wire::Writer blob;
-    const bool carry = warm && agent_->save_state(blob);
-    host::AgentContext ctx = make_context();
-    auto fresh = factory(ctx);
-    if (!fresh) throw std::runtime_error("agent factory returned null");
-    if (carry) {
-      wire::Reader in(blob.view());
-      if (!fresh->restore_state(in)) {
-        // The blob was produced by save_state moments ago; rejection means
-        // the agent's save/restore pair is asymmetric — a bug, not bad input.
-        throw std::runtime_error(
-            "warm restart: agent rejected its own state blob");
-      }
-      in.expect_done();
-    }
-    agent_ = std::move(fresh);
+    host::restart_agent(agent_, warm, factory,
+                        [this](bool) { return make_context(); });
     port_.session().abandon();
     ++traffic_.crash_restarts;
   }

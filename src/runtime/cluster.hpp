@@ -73,8 +73,8 @@ class Cluster {
   void run_on_node(host::NodeId id, NodeTask fn);
 
   /// Crash-restarts one node in place, on its own thread (blocking): the
-  /// agent is replaced through the factory and any in-flight exchange is
-  /// abandoned — the lock died with the process. With
+  /// agent is replaced through host::restart_agent and any in-flight
+  /// exchange is abandoned — the lock died with the process. With
   /// `config.faults.warm_restart` the agent's protocol state is carried
   /// across through the host::snapshot hooks (DESIGN.md §12), so the node
   /// rejoins its running instances; cold restarts lose all protocol state.
@@ -103,8 +103,8 @@ class Cluster {
   class HostBridge;
 
   ClusterConfig config_;
-  /// The shared exchange fabric (no legacy loss knob here: real message
-  /// transfer either works or does not).
+  /// The shared exchange fabric: messages are lost only by the fault plan's
+  /// drop_rate, since in-process transfer itself either works or does not.
   host::Conduit conduit_;
   std::vector<stats::Value> attributes_;
   /// Kept past construction so restart_node can rebuild crashed agents.

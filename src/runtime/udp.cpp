@@ -10,8 +10,6 @@
 #include <future>
 #include <stdexcept>
 
-#include "wire/buffer.hpp"
-
 namespace adam2::runtime {
 namespace {
 
@@ -264,21 +262,7 @@ void UdpPeer::restart(const host::AgentFactory& factory) {
   // task's agent reference points at the old agent and is not used after the
   // replacement.
   run_on_peer([&](host::NodeAgent& /*agent*/, host::AgentContext& ctx) {
-    wire::Writer blob;
-    const bool carry = warm && agent_->save_state(blob);
-    auto fresh = factory(ctx);
-    if (!fresh) throw std::runtime_error("agent factory returned null");
-    if (carry) {
-      wire::Reader in(blob.view());
-      if (!fresh->restore_state(in)) {
-        // The blob was produced by save_state moments ago; rejection means
-        // the agent's save/restore pair is asymmetric — a bug, not bad input.
-        throw std::runtime_error(
-            "warm restart: agent rejected its own state blob");
-      }
-      in.expect_done();
-    }
-    agent_ = std::move(fresh);
+    host::restart_agent(agent_, warm, factory, [&ctx](bool) { return ctx; });
     port_.session().abandon();
     ++traffic_.crash_restarts;
   });

@@ -159,14 +159,14 @@ class UdpPeer final : private host::SessionedPort::Transport {
   void run_on_peer(const std::function<void(host::NodeAgent&,
                                             host::AgentContext&)>& fn);
 
-  /// Crash-restarts this peer's agent in place, on the peer's own thread
-  /// (blocking; inline while stopped). With `config.faults.warm_restart` the
-  /// agent's protocol state is carried across through the host::snapshot
-  /// hooks (DESIGN.md §12); cold restarts lose it. The in-flight exchange is
-  /// abandoned but the port's token counter survives, so the first
-  /// post-restart initiation stamps a fresh token and straggler datagrams
-  /// answering the pre-crash exchange are rejected as stale, not merged.
-  /// Counted in crash_restarts.
+  /// Crash-restarts this peer's agent in place (host::restart_agent), on
+  /// the peer's own thread (blocking; inline while stopped). With
+  /// `config.faults.warm_restart` the agent's protocol state is carried
+  /// across through the host::snapshot hooks (DESIGN.md §12); cold restarts
+  /// lose it. The in-flight exchange is abandoned but the port's token
+  /// counter survives, so the first post-restart initiation stamps a fresh
+  /// token and straggler datagrams answering the pre-crash exchange are
+  /// rejected as stale, not merged. Counted in crash_restarts.
   void restart(const host::AgentFactory& factory);
 
  private:
@@ -193,8 +193,8 @@ class UdpPeer final : private host::SessionedPort::Transport {
   UdpEndpoint& endpoint_;
   std::unique_ptr<host::NodeAgent> agent_;
   rng::Rng rng_;
-  /// The shared exchange fabric (fault plan only: loss, latency and
-  /// reordering come for free from real datagram semantics).
+  /// The shared exchange fabric (fault plan only: its drop_rate is the one
+  /// injected loss; latency and reordering come from real datagrams).
   host::Conduit conduit_;
   rng::Rng fault_rng_;
   /// Local fault/reliability counters, merged into the directory ledger at

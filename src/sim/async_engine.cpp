@@ -10,29 +10,16 @@
 #include "host/snapshot.hpp"
 
 namespace adam2::sim {
-namespace {
 
 namespace snap = host::snapshot;
 
-bool same_async_plan(const host::FaultPlan& a, const host::FaultPlan& b) {
-  return a.drop_rate == b.drop_rate && a.duplicate_rate == b.duplicate_rate &&
-         a.corrupt_rate == b.corrupt_rate && a.delay_rate == b.delay_rate &&
-         a.max_delay == b.max_delay && a.crash_rate == b.crash_rate &&
-         a.partition_count == b.partition_count &&
-         a.partition_start == b.partition_start &&
-         a.partition_heal_after == b.partition_heal_after &&
-         a.seed == b.seed && a.warm_restart == b.warm_restart;
-}
-
-}  // namespace
-
 AsyncEngine::AsyncEngine(AsyncConfig config,
                          std::vector<stats::Value> initial_attributes,
-                         std::unique_ptr<Overlay> overlay,
-                         AgentFactory agent_factory,
-                         AttributeSource attribute_source)
+                         std::unique_ptr<host::Overlay> overlay,
+                         host::AgentFactory agent_factory,
+                         host::AttributeSource attribute_source)
     : config_(config),
-      conduit_(config.faults, config.message_loss),
+      conduit_(config.faults),
       rng_(config.seed),
       overlay_(std::move(overlay)),
       agent_factory_(std::move(agent_factory)),
@@ -58,7 +45,7 @@ AsyncEngine::AsyncEngine(AsyncConfig config,
   overlay_->build_initial(table_.live_ids(), *this, rng_);
 
   // Desynchronised start: first ticks are spread over one full period.
-  for (NodeId id : table_.live_ids()) {
+  for (host::NodeId id : table_.live_ids()) {
     schedule(rng_.uniform(0.0, config_.gossip_period), EventKind::kNodeTick,
              id, id);
   }
@@ -66,12 +53,13 @@ AsyncEngine::AsyncEngine(AsyncConfig config,
 }
 
 void AsyncEngine::spawn_node(stats::Value attribute, bool bootstrap) {
-  Node& stored =
+  host::Node& stored =
       table_.spawn(attribute, bootstrap ? round() + 1 : round(), rng_);
   // Stateless derivation: consumes nothing from rng_ (golden replay).
   stored.fault_rng = conduit_.faults().node_stream(stored.id);
-  const NodeId id = stored.id;
-  AgentContext ctx = context_ref(stored);
+  const host::NodeId id = stored.id;
+  host::AgentContext ctx =
+      host::make_context(*this, *overlay_, stored, round());
   stored.agent = agent_factory_(ctx);
   if (!stored.agent) throw std::runtime_error("agent factory returned null");
 
@@ -86,34 +74,35 @@ void AsyncEngine::spawn_node(stats::Value attribute, bool bootstrap) {
   if (recorder_ != nullptr) recorder_->node_join(round(), id);
 }
 
-AgentContext AsyncEngine::context_ref(Node& n) {
-  return AgentContext{*this,  *overlay_,   n.id, round(),
-                      n.birth_round, n.attribute, n.rng};
-}
+bool AsyncEngine::is_live(host::NodeId id) const { return table_.is_live(id); }
 
-bool AsyncEngine::is_live(NodeId id) const { return table_.is_live(id); }
-
-stats::Value AsyncEngine::attribute_of(NodeId id) const {
+stats::Value AsyncEngine::attribute_of(host::NodeId id) const {
   return table_.attribute_of(id);
 }
 
-void AsyncEngine::record_traffic(NodeId sender, NodeId receiver,
-                                 Channel channel, std::size_t bytes) {
+void AsyncEngine::record_traffic(host::NodeId sender, host::NodeId receiver,
+                                 host::Channel channel, std::size_t bytes) {
   table_.record_traffic(sender, receiver, channel, bytes, total_traffic_);
 }
 
-NodeAgent& AsyncEngine::agent(NodeId id) { return *table_.at(id).agent; }
+host::NodeAgent& AsyncEngine::agent(host::NodeId id) {
+  return *table_.at(id).agent;
+}
 
-const Node& AsyncEngine::node(NodeId id) const { return table_.at(id); }
+const host::Node& AsyncEngine::node(host::NodeId id) const {
+  return table_.at(id);
+}
 
-NodeId AsyncEngine::random_live_node() { return table_.random_live(rng_); }
+host::NodeId AsyncEngine::random_live_node() {
+  return table_.random_live(rng_);
+}
 
 std::vector<stats::Value> AsyncEngine::live_attribute_values() const {
   return table_.live_attribute_values();
 }
 
-AgentContext AsyncEngine::context_for(NodeId id) {
-  return context_ref(table_.at(id));
+host::AgentContext AsyncEngine::context_for(host::NodeId id) {
+  return host::make_context(*this, *overlay_, table_.at(id), round());
 }
 
 double AsyncEngine::sample_latency() {
@@ -125,8 +114,8 @@ double AsyncEngine::next_period() {
   return config_.gossip_period * rng_.uniform(1.0 - jitter, 1.0 + jitter);
 }
 
-void AsyncEngine::schedule(double time, EventKind kind, NodeId from, NodeId to,
-                           std::vector<std::byte> payload) {
+void AsyncEngine::schedule(double time, EventKind kind, host::NodeId from,
+                           host::NodeId to, std::vector<std::byte> payload) {
   queue_.push(Event{time, next_seq_++, kind, from, to, std::move(payload)});
 }
 
@@ -161,22 +150,22 @@ void AsyncEngine::handle(Event&& event) {
   }
 }
 
-bool AsyncEngine::is_busy(NodeId id) const {
+bool AsyncEngine::is_busy(host::NodeId id) const {
   auto it = busy_until_.find(id);
   return it != busy_until_.end() && now_ < it->second;
 }
 
-void AsyncEngine::set_busy(NodeId id) {
+void AsyncEngine::set_busy(host::NodeId id) {
   // Worst-case round trip plus slack; a lost response frees the node then.
   busy_until_[id] = now_ + 2.0 * config_.latency_max + 1e-9;
 }
 
-void AsyncEngine::clear_busy(NodeId id) { busy_until_.erase(id); }
+void AsyncEngine::clear_busy(host::NodeId id) { busy_until_.erase(id); }
 
-void AsyncEngine::on_tick(NodeId id) {
+void AsyncEngine::on_tick(host::NodeId id) {
   if (!is_live(id)) return;  // Died while the tick was in flight.
-  Node& n = table_.at(id);
-  AgentContext ctx = context_ref(n);
+  host::Node& n = table_.at(id);
+  host::AgentContext ctx = host::make_context(*this, *overlay_, n, round());
   n.agent->on_round_start(ctx);
 
   // Exchange atomicity: never two exchanges in flight from one node.
@@ -188,7 +177,8 @@ void AsyncEngine::on_tick(NodeId id) {
         ++n.traffic.failed_contacts;
         ++total_traffic_.failed_contacts;
       } else {
-        record_traffic(id, *target, Channel::kAggregation, request.size());
+        record_traffic(id, *target, host::Channel::kAggregation,
+                       request.size());
         // The busy lock opens whether or not the request survives the
         // pipeline: a lost request frees the node at its timeout, exactly as
         // in a deployment.
@@ -203,7 +193,7 @@ void AsyncEngine::on_tick(NodeId id) {
 
 void AsyncEngine::on_request(Event&& event) {
   if (!is_live(event.to)) return;  // Responder died in flight.
-  Node& responder = table_.at(event.to);
+  host::Node& responder = table_.at(event.to);
   if (is_busy(event.to)) {
     // Atomicity: the responder's state could still change when its own
     // outstanding response arrives, so it must not commit to an answer now.
@@ -211,24 +201,25 @@ void AsyncEngine::on_request(Event&& event) {
     ++total_traffic_.busy_rejections;
     return;
   }
-  AgentContext ctx = context_ref(responder);
+  host::AgentContext ctx =
+      host::make_context(*this, *overlay_, responder, round());
   auto response = responder.agent->handle_request(ctx, event.payload);
   if (response.empty()) return;
-  record_traffic(event.to, event.from, Channel::kAggregation, response.size());
+  record_traffic(event.to, event.from, host::Channel::kAggregation,
+                 response.size());
   deliver(EventKind::kResponseDelivery, event.to, event.from, response,
           responder.fault_rng);
 }
 
-void AsyncEngine::deliver(EventKind kind, NodeId from, NodeId to,
+void AsyncEngine::deliver(EventKind kind, host::NodeId from, host::NodeId to,
                           std::span<const std::byte> payload,
                           rng::Rng& fault_stream) {
-  // The fabric resolves loss (legacy knob, global engine stream — matching
-  // the pre-fabric draw position), partitions, fate and extra delay; this
-  // engine turns the surviving copies into events. Each copy samples its own
-  // latency, so duplicates genuinely reorder through the event queue.
+  // The fabric resolves partitions, fate and extra delay; this engine turns
+  // the surviving copies into events. Each copy samples its own latency, so
+  // duplicates genuinely reorder through the event queue.
   std::vector<std::byte> scratch;
   const host::Conduit::Delivery delivery = conduit_.resolve(
-      host::Conduit::Leg{from, to, round(), &rng_, &fault_stream,
+      host::Conduit::Leg{from, to, round(), &fault_stream,
                          /*partition_check=*/true, /*draw_delay=*/true},
       payload, scratch, total_traffic_);
   for (unsigned copy = 0; copy < delivery.copies; ++copy) {
@@ -240,32 +231,21 @@ void AsyncEngine::deliver(EventKind kind, NodeId from, NodeId to,
 }
 
 void AsyncEngine::apply_crashes() {
-  if (conduit_.faults().plan().crash_rate <= 0.0) return;
-  const bool warm = conduit_.faults().plan().warm_restart;
-  wire::Writer warm_blob;
-  for (NodeId id : table_.live_ids()) {
-    Node& n = table_.at(id);
-    if (!conduit_.faults().crashes(n.fault_rng)) continue;
-    // Warm restart (plan.warm_restart): protocol state carries over through
-    // the host::snapshot hooks and birth_round stays put; otherwise the cold
-    // crash-restart with state loss (see CycleEngine::apply_crashes). Either
-    // way the busy lock dies with the old process; a stale in-flight
-    // response is ignored through the birth_round guard (cold) or merges
-    // harmlessly into the carried-over state (warm — same instances).
-    warm_blob.clear();
-    const bool carry = warm && n.agent->save_state(warm_blob);
-    if (!carry) n.birth_round = round() + 1;
-    AgentContext ctx = context_ref(n);
-    n.agent = agent_factory_(ctx);
-    if (!n.agent) throw std::runtime_error("agent factory returned null");
-    if (carry) {
-      wire::Reader in(warm_blob.view());
-      if (!n.agent->restore_state(in)) {
-        throw std::runtime_error(
-            "warm restart: agent rejected its own state blob");
-      }
-      in.expect_done();
-    }
+  const host::FaultInjector& faults = conduit_.faults();
+  if (faults.plan().crash_rate <= 0.0) return;
+  for (host::NodeId id : table_.live_ids()) {
+    host::Node& n = table_.at(id);
+    if (!faults.crashes(n.fault_rng)) continue;
+    // Warm or cold as in CycleEngine::apply_crashes. Either way the busy
+    // lock dies with the old process; a stale in-flight response is ignored
+    // through the birth_round guard (cold) or merges harmlessly into the
+    // carried-over state (warm — same instances).
+    host::restart_agent(n.agent, faults.plan().warm_restart, agent_factory_,
+                        [&](bool warm) {
+                          if (!warm) n.birth_round = round() + 1;
+                          return host::make_context(*this, *overlay_, n,
+                                                    round());
+                        });
     busy_until_.erase(id);
     ++n.traffic.crash_restarts;
     ++total_traffic_.crash_restarts;
@@ -276,8 +256,9 @@ void AsyncEngine::apply_crashes() {
 void AsyncEngine::on_response(Event&& event) {
   clear_busy(event.to);
   if (!is_live(event.to)) return;  // Requester died in flight.
-  Node& requester = table_.at(event.to);
-  AgentContext ctx = context_ref(requester);
+  host::Node& requester = table_.at(event.to);
+  host::AgentContext ctx =
+      host::make_context(*this, *overlay_, requester, round());
   requester.agent->handle_response(ctx, event.payload);
 }
 
@@ -290,7 +271,7 @@ void AsyncEngine::on_maintenance() {
     std::size_t count =
         std::min(host::stochastic_count(expected, rng_), table_.live_count());
     for (std::size_t i = 0; i < count; ++i) {
-      const NodeId victim = table_.random_live(rng_);
+      const host::NodeId victim = table_.random_live(rng_);
       overlay_->remove_node(victim);
       table_.kill(victim);
       busy_until_.erase(victim);
@@ -317,7 +298,6 @@ std::vector<std::byte> AsyncEngine::save_snapshot() const {
   writer.out().f64(config_.period_jitter);
   writer.out().f64(config_.latency_min);
   writer.out().f64(config_.latency_max);
-  writer.out().f64(config_.message_loss);
   writer.out().f64(config_.churn_per_second);
   writer.out().u64(config_.seed);
   snap::write_fault_plan(writer.out(), config_.faults);
@@ -331,13 +311,13 @@ std::vector<std::byte> AsyncEngine::save_snapshot() const {
   {
     // The busy set is an unordered map; sorted ids keep the encoding a
     // function of state, not bucket layout.
-    std::vector<NodeId> busy_ids;
+    std::vector<host::NodeId> busy_ids;
     busy_ids.reserve(busy_until_.size());
     // adam2-lint: allow(unordered-iter)
     for (const auto& [id, until] : busy_until_) busy_ids.push_back(id);
     std::sort(busy_ids.begin(), busy_ids.end());
     writer.out().length(busy_ids.size());
-    for (NodeId id : busy_ids) {
+    for (host::NodeId id : busy_ids) {
       writer.out().u64(id);
       writer.out().f64(busy_until_.at(id));
     }
@@ -393,10 +373,9 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
       meta.f64() != config_.period_jitter ||
       meta.f64() != config_.latency_min ||
       meta.f64() != config_.latency_max ||
-      meta.f64() != config_.message_loss ||
       meta.f64() != config_.churn_per_second ||
       meta.u64() != config_.seed ||
-      !same_async_plan(snap::read_fault_plan(meta), config_.faults)) {
+      snap::read_fault_plan(meta) != config_.faults) {
     throw wire::DecodeError("snapshot engine config mismatch");
   }
   meta.expect_done();
@@ -405,16 +384,16 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
   const std::uint64_t next_seq = engine.u64();
   rng::Rng global(0);
   snap::read_rng(engine, global);
-  TrafficStats totals;
+  host::TrafficStats totals;
   snap::read_traffic(engine, totals);
-  std::unordered_map<NodeId, double> busy;
+  std::unordered_map<host::NodeId, double> busy;
   {
     const std::size_t count = engine.length(16);
     busy.reserve(count);
     bool have_prev = false;
-    NodeId prev = 0;
+    host::NodeId prev = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      const NodeId id = engine.u64();
+      const host::NodeId id = engine.u64();
       if (have_prev && id <= prev) {
         throw wire::DecodeError("busy set ids not in sorted order");
       }
@@ -426,8 +405,8 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
   engine.expect_done();
 
   host::NodeTable scratch;
-  snap::read_node_table(nodes, scratch, [&](Node& n) {
-    AgentContext ctx = context_ref(n);
+  snap::read_node_table(nodes, scratch, [&](host::Node& n) {
+    host::AgentContext ctx = host::make_context(*this, *overlay_, n, round());
     return agent_factory_(ctx);
   });
   nodes.expect_done();

@@ -14,9 +14,10 @@
 //   * node tick      — the node runs its round-start hook and initiates one
 //                      exchange; the next tick is scheduled one jittered
 //                      period later;
-//   * request/response delivery — after a sampled latency; lost with the
-//                      configured probability; deliveries to dead nodes are
-//                      dropped (requester side counts a failed contact);
+//   * request/response delivery — after a sampled latency; dropped,
+//                      duplicated, corrupted or delayed by the fault plan;
+//                      deliveries to dead nodes are dropped (requester side
+//                      counts a failed contact);
 //   * maintenance    — overlay shuffles and churn, once per mean period.
 //
 // Exchange atomicity: with message latency, a node's state could change
@@ -26,7 +27,7 @@
 // therefore *busy*: it initiates nothing and silently refuses incoming
 // requests until its response arrives or a worst-case-RTT timeout passes.
 // With that discipline the averaging conserves mass exactly (up to messages
-// deliberately lost by `message_loss`).
+// the fault plan drops, `faults.drop_rate`).
 //
 // A node's protocol "round" is its own tick count, so TTLs advance at the
 // node's pace exactly as §IV describes.
@@ -39,16 +40,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "host/agent.hpp"
 #include "host/exchange.hpp"
 #include "host/fault.hpp"
+#include "host/node.hpp"
+#include "host/overlay.hpp"
 #include "host/registry.hpp"
-#include "obs/recorder.hpp"
-#include "rng/rng.hpp"
-#include "host/agent.hpp"
-#include "sim/cycle_engine.hpp"
-#include "sim/overlay.hpp"
 #include "host/traffic.hpp"
 #include "host/types.hpp"
+#include "host/view.hpp"
+#include "obs/recorder.hpp"
+#include "rng/rng.hpp"
 
 namespace adam2::sim {
 
@@ -57,22 +59,23 @@ struct AsyncConfig {
   double period_jitter = 0.05;  ///< Relative uniform jitter per period.
   double latency_min = 0.010;   ///< One-way message latency bounds (uniform).
   double latency_max = 0.100;
-  double message_loss = 0.0;    ///< Per-message loss probability.
   /// Fraction of nodes replaced per second (0.001 at a 1 s period matches
   /// the paper's typical churn).
   double churn_per_second = 0.0;
   std::uint64_t seed = 0xa5ada2;
-  /// Deterministic fault schedule. The event-driven engine expresses the
-  /// full taxonomy including bounded extra delay, which reorders deliveries
-  /// through the event queue. Default: no faults, bit-identical replay.
+  /// Deterministic fault schedule; `faults.drop_rate` is the one
+  /// message-loss knob. The event-driven engine expresses the full taxonomy
+  /// including bounded extra delay, which reorders deliveries through the
+  /// event queue. Default: no faults, bit-identical replay.
   host::FaultPlan faults;
 };
 
-class AsyncEngine final : public HostView {
+class AsyncEngine final : public host::HostView {
  public:
   AsyncEngine(AsyncConfig config, std::vector<stats::Value> initial_attributes,
-              std::unique_ptr<Overlay> overlay, AgentFactory agent_factory,
-              AttributeSource attribute_source);
+              std::unique_ptr<host::Overlay> overlay,
+              host::AgentFactory agent_factory,
+              host::AttributeSource attribute_source);
 
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
@@ -83,31 +86,31 @@ class AsyncEngine final : public HostView {
   [[nodiscard]] double now() const { return now_; }
 
   // -- HostView ----------------------------------------------------------
-  [[nodiscard]] bool is_live(NodeId id) const override;
-  [[nodiscard]] stats::Value attribute_of(NodeId id) const override;
+  [[nodiscard]] bool is_live(host::NodeId id) const override;
+  [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override;
   /// Global round index: elapsed mean periods (used for instance
   /// eligibility; individual nodes tick at their own jittered pace).
-  [[nodiscard]] Round round() const override {
-    return static_cast<Round>(now_ / config_.gossip_period);
+  [[nodiscard]] host::Round round() const override {
+    return static_cast<host::Round>(now_ / config_.gossip_period);
   }
-  [[nodiscard]] std::span<const NodeId> live_ids() const override {
+  [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
     return table_.live_ids();
   }
-  void record_traffic(NodeId sender, NodeId receiver, Channel channel,
-                      std::size_t bytes) override;
+  void record_traffic(host::NodeId sender, host::NodeId receiver,
+                      host::Channel channel, std::size_t bytes) override;
 
   // -- Introspection -----------------------------------------------------
   [[nodiscard]] std::size_t live_count() const { return table_.live_count(); }
-  [[nodiscard]] NodeAgent& agent(NodeId id);
-  [[nodiscard]] const Node& node(NodeId id) const;
-  [[nodiscard]] Overlay& overlay() { return *overlay_; }
+  [[nodiscard]] host::NodeAgent& agent(host::NodeId id);
+  [[nodiscard]] const host::Node& node(host::NodeId id) const;
+  [[nodiscard]] host::Overlay& overlay() { return *overlay_; }
   [[nodiscard]] rng::Rng& rng() { return rng_; }
-  [[nodiscard]] NodeId random_live_node();
+  [[nodiscard]] host::NodeId random_live_node();
   [[nodiscard]] std::vector<stats::Value> live_attribute_values() const;
-  [[nodiscard]] const TrafficStats& total_traffic() const {
+  [[nodiscard]] const host::TrafficStats& total_traffic() const {
     return total_traffic_;
   }
-  [[nodiscard]] AgentContext context_for(NodeId id);
+  [[nodiscard]] host::AgentContext context_for(host::NodeId id);
   [[nodiscard]] const host::FaultInjector& fault_injector() const {
     return conduit_.faults();
   }
@@ -149,8 +152,8 @@ class AsyncEngine final : public HostView {
     double time = 0.0;
     std::uint64_t seq = 0;  // FIFO tie-break for identical timestamps.
     EventKind kind = EventKind::kNodeTick;
-    NodeId from = 0;
-    NodeId to = 0;
+    host::NodeId from = 0;
+    host::NodeId to = 0;
     std::vector<std::byte> payload;
   };
 
@@ -160,43 +163,42 @@ class AsyncEngine final : public HostView {
     }
   };
 
-  void schedule(double time, EventKind kind, NodeId from, NodeId to,
+  void schedule(double time, EventKind kind, host::NodeId from, host::NodeId to,
                 std::vector<std::byte> payload = {});
   void handle(Event&& event);
-  void on_tick(NodeId id);
+  void on_tick(host::NodeId id);
   void on_request(Event&& event);
   void on_response(Event&& event);
   void on_maintenance();
   void apply_crashes();
   void spawn_node(stats::Value attribute, bool bootstrap);
-  /// Runs one leg through the exchange fabric (loss, partitions, fates,
-  /// injected delay) and schedules each surviving copy with its own sampled
+  /// Runs one leg through the exchange fabric (partitions, fates, injected
+  /// delay) and schedules each surviving copy with its own sampled
   /// latency, so duplicates genuinely reorder through the event queue.
-  void deliver(EventKind kind, NodeId from, NodeId to,
+  void deliver(EventKind kind, host::NodeId from, host::NodeId to,
                std::span<const std::byte> payload, rng::Rng& fault_stream);
   [[nodiscard]] double sample_latency();
   [[nodiscard]] double next_period();
-  [[nodiscard]] AgentContext context_ref(Node& n);
 
   AsyncConfig config_;
   /// The shared exchange fabric (host/exchange.hpp): this engine schedules
   /// deliveries, the conduit decides their fate.
   host::Conduit conduit_;
   rng::Rng rng_;
-  std::unique_ptr<Overlay> overlay_;
-  AgentFactory agent_factory_;
-  AttributeSource attribute_source_;
+  std::unique_ptr<host::Overlay> overlay_;
+  host::AgentFactory agent_factory_;
+  host::AttributeSource attribute_source_;
 
   host::NodeTable table_;
-  [[nodiscard]] bool is_busy(NodeId id) const;
-  void set_busy(NodeId id);
-  void clear_busy(NodeId id);
+  [[nodiscard]] bool is_busy(host::NodeId id) const;
+  void set_busy(host::NodeId id);
+  void clear_busy(host::NodeId id);
 
   /// Nodes with an exchange in flight: id -> time the lock expires.
-  std::unordered_map<NodeId, double> busy_until_;
+  std::unordered_map<host::NodeId, double> busy_until_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  TrafficStats total_traffic_;
+  host::TrafficStats total_traffic_;
   obs::Recorder* recorder_ = nullptr;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
 };

@@ -12,16 +12,6 @@ namespace {
 
 namespace snap = host::snapshot;
 
-bool same_plan(const host::FaultPlan& a, const host::FaultPlan& b) {
-  return a.drop_rate == b.drop_rate && a.duplicate_rate == b.duplicate_rate &&
-         a.corrupt_rate == b.corrupt_rate && a.delay_rate == b.delay_rate &&
-         a.max_delay == b.max_delay && a.crash_rate == b.crash_rate &&
-         a.partition_count == b.partition_count &&
-         a.partition_start == b.partition_start &&
-         a.partition_heal_after == b.partition_heal_after &&
-         a.seed == b.seed && a.warm_restart == b.warm_restart;
-}
-
 /// The calling thread's traffic accumulator while it runs a sharded-phase
 /// task; null otherwise (see CycleEngine::totals).
 thread_local host::TrafficStats* tls_totals = nullptr;
@@ -41,11 +31,12 @@ class WorkerBinding {
 
 CycleEngine::CycleEngine(EngineConfig config,
                          std::vector<stats::Value> initial_attributes,
-                         std::unique_ptr<Overlay> overlay,
-                         AgentFactory agent_factory,
-                         AttributeSource attribute_source, std::size_t threads)
+                         std::unique_ptr<host::Overlay> overlay,
+                         host::AgentFactory agent_factory,
+                         host::AttributeSource attribute_source,
+                         std::size_t threads)
     : config_(config),
-      conduit_(config.faults, config.message_loss),
+      conduit_(config.faults),
       rng_(config.seed),
       overlay_(std::move(overlay)),
       agent_factory_(std::move(agent_factory)),
@@ -67,19 +58,19 @@ CycleEngine::CycleEngine(EngineConfig config,
   overlay_->build_initial(table_.live_ids(), *this, rng_);
 }
 
-void CycleEngine::record_traffic(NodeId sender, NodeId receiver,
-                                 Channel channel, std::size_t bytes) {
+void CycleEngine::record_traffic(host::NodeId sender, host::NodeId receiver,
+                                 host::Channel channel, std::size_t bytes) {
   table_.record_traffic(sender, receiver, channel, bytes, totals());
 }
 
-TrafficStats& CycleEngine::totals() {
+host::TrafficStats& CycleEngine::totals() {
   return tls_totals != nullptr ? *tls_totals : total_traffic_;
 }
 
 void CycleEngine::merge_worker_totals() {
-  for (TrafficStats& slot : worker_totals_) {
+  for (host::TrafficStats& slot : worker_totals_) {
     total_traffic_ += slot;
-    slot = TrafficStats{};
+    slot = host::TrafficStats{};
   }
 }
 
@@ -90,8 +81,8 @@ void CycleEngine::run_round() {
   const auto live = table_.live_ids();
   pool_.run_indexed(live.size(), [&](std::size_t i, std::size_t worker) {
     const WorkerBinding binding(worker_totals_[worker]);
-    Node& n = table_.at(live[i]);
-    AgentContext ctx = make_context(*this, *overlay_, n, round_);
+    host::Node& n = table_.at(live[i]);
+    host::AgentContext ctx = host::make_context(*this, *overlay_, n, round_);
     n.agent->on_round_start(ctx);
   });
   merge_worker_totals();
@@ -111,7 +102,7 @@ void CycleEngine::run_round() {
     // Each target is picked right before its exchange, from the initiator's
     // control stream: the draws the sharded path makes up front.
     for (std::size_t p = 0; p < order_.size(); ++p) {
-      Node& initiator = table_.at(order_[p]);
+      host::Node& initiator = table_.at(order_[p]);
       exchange(p, initiator,
                overlay_->pick_gossip_target(order_[p], initiator.pick_rng));
     }
@@ -153,7 +144,7 @@ void CycleEngine::run_gated_exchanges() {
   unit_slots_.assign(2 * units, host::WorkerPool::kNoSlot);
   for (std::size_t p = 0; p < units; ++p) {
     unit_slots_[2 * p] = static_cast<std::uint32_t>(table_.slot_of(order_[p]));
-    const std::optional<NodeId>& target = targets_[p];
+    const std::optional<host::NodeId>& target = targets_[p];
     if (target && *target != order_[p] && table_.is_live(*target)) {
       unit_slots_[2 * p + 1] =
           static_cast<std::uint32_t>(table_.slot_of(*target));
@@ -168,12 +159,12 @@ void CycleEngine::run_gated_exchanges() {
 }
 
 void CycleEngine::spawn_node(stats::Value attribute, bool bootstrap) {
-  Node& stored =
+  host::Node& stored =
       table_.spawn(attribute, bootstrap ? round_ + 1 : round_, rng_);
   // Stateless derivation: consumes nothing from rng_, so seeding the fault
   // stream preserves bit-identity with pre-fault engines.
   stored.fault_rng = conduit_.faults().node_stream(stored.id);
-  AgentContext ctx = make_context(*this, *overlay_, stored, round_);
+  host::AgentContext ctx = host::make_context(*this, *overlay_, stored, round_);
   stored.agent = agent_factory_(ctx);
   if (!stored.agent) throw std::runtime_error("agent factory returned null");
 
@@ -190,9 +181,9 @@ void CycleEngine::spawn_node(stats::Value attribute, bool bootstrap) {
   if (recorder_ != nullptr) recorder_->node_join(round_, stored.id);
 }
 
-void CycleEngine::exchange(std::size_t position, Node& initiator,
-                           const std::optional<NodeId>& target) {
-  // The fabric owns the whole pipeline (legacy loss, partitions, fates,
+void CycleEngine::exchange(std::size_t position, host::Node& initiator,
+                           const std::optional<host::NodeId>& target) {
+  // The fabric owns the whole pipeline (partitions, fates, the
   // duplicate-delivery policy); the engine contributes only the traffic
   // accumulator, which sharded phases route per worker.
   conduit_.run_cycle_exchange(
@@ -201,39 +192,21 @@ void CycleEngine::exchange(std::size_t position, Node& initiator,
 }
 
 void CycleEngine::apply_crashes() {
-  if (conduit_.faults().plan().crash_rate <= 0.0) return;
-  const bool warm = conduit_.faults().plan().warm_restart;
-  wire::Writer warm_blob;
-  for (NodeId id : table_.live_ids()) {
-    Node& n = table_.at(id);
-    if (!conduit_.faults().crashes(n.fault_rng)) continue;
-    // Warm restart (plan.warm_restart): the agent's protocol state is
-    // checkpointed through the host::snapshot hooks and handed to the
-    // replacement, so the node rejoins its running instances; birth_round
-    // stays put. Pure behaviour switch — no draws, so the crash schedule is
-    // identical warm or cold.
-    warm_blob.clear();
-    const bool carry = warm && n.agent->save_state(warm_blob);
-    if (!carry) {
-      // Cold crash-restart with state loss: identity, attribute and overlay
-      // links survive; all protocol state is gone. birth_round moves forward
-      // so the restarted node ignores instances started before the crash
-      // (they would otherwise absorb a partial, state-free contribution).
-      n.birth_round = round_ + 1;
-    }
-    AgentContext ctx = make_context(*this, *overlay_, n, round_);
-    n.agent = agent_factory_(ctx);
-    if (!n.agent) throw std::runtime_error("agent factory returned null");
-    if (carry) {
-      wire::Reader in(warm_blob.view());
-      if (!n.agent->restore_state(in)) {
-        // The blob was produced by save_state moments ago; rejection means
-        // the agent's save/restore pair is asymmetric — a bug, not bad input.
-        throw std::runtime_error(
-            "warm restart: agent rejected its own state blob");
-      }
-      in.expect_done();
-    }
+  const host::FaultInjector& faults = conduit_.faults();
+  if (faults.plan().crash_rate <= 0.0) return;
+  for (host::NodeId id : table_.live_ids()) {
+    host::Node& n = table_.at(id);
+    if (!faults.crashes(n.fault_rng)) continue;
+    // Identity, attribute and overlay links survive the crash. A cold
+    // restart also moves birth_round forward, so the restarted node ignores
+    // instances started before the crash (they would otherwise absorb a
+    // partial, state-free contribution); a warm one rejoins them.
+    host::restart_agent(n.agent, faults.plan().warm_restart, agent_factory_,
+                        [&](bool warm) {
+                          if (!warm) n.birth_round = round_ + 1;
+                          return host::make_context(*this, *overlay_, n,
+                                                    round_);
+                        });
     ++n.traffic.crash_restarts;
     ++total_traffic_.crash_restarts;
     if (recorder_ != nullptr) recorder_->crash_restart(round_, id);
@@ -262,7 +235,7 @@ void CycleEngine::churn_nodes(std::size_t count) {
   }
 }
 
-void CycleEngine::kill_node(NodeId id) {
+void CycleEngine::kill_node(host::NodeId id) {
   if (!table_.is_live(id)) {
     (void)table_.at(id);  // Preserve the out_of_range on unknown ids.
     return;
@@ -277,7 +250,6 @@ std::vector<std::byte> CycleEngine::save_snapshot() const {
 
   writer.begin_section(snap::kSectionMeta);
   writer.out().f64(config_.churn_rate);
-  writer.out().f64(config_.message_loss);
   writer.out().u64(config_.seed);
   snap::write_fault_plan(writer.out(), config_.faults);
   writer.end_section();
@@ -316,28 +288,26 @@ void CycleEngine::restore_snapshot(std::span<const std::byte> bytes) {
   // any divergence (different seed, rates, fault plan) would silently change
   // the replayed schedule, so mismatches reject instead.
   const double churn_rate = meta.f64();
-  const double message_loss = meta.f64();
   const std::uint64_t seed = meta.u64();
   const host::FaultPlan plan = snap::read_fault_plan(meta);
   meta.expect_done();
-  if (churn_rate != config_.churn_rate ||
-      message_loss != config_.message_loss || seed != config_.seed ||
-      !same_plan(plan, config_.faults)) {
+  if (churn_rate != config_.churn_rate || seed != config_.seed ||
+      plan != config_.faults) {
     throw wire::DecodeError("snapshot engine config mismatch");
   }
 
-  const Round round = engine.u32();
+  const host::Round round = engine.u32();
   rng::Rng global(0);
   snap::read_rng(engine, global);
-  TrafficStats totals;
+  host::TrafficStats totals;
   snap::read_traffic(engine, totals);
   engine.expect_done();
 
   // Everything below parses into scratch state; the engine's own members are
   // only swapped once the whole snapshot (overlay included) validated.
   host::NodeTable scratch;
-  snap::read_node_table(nodes, scratch, [&](Node& n) {
-    AgentContext ctx = make_context(*this, *overlay_, n, round);
+  snap::read_node_table(nodes, scratch, [&](host::Node& n) {
+    host::AgentContext ctx = host::make_context(*this, *overlay_, n, round);
     return agent_factory_(ctx);
   });
   nodes.expect_done();

@@ -9,9 +9,9 @@
 //   3. exchanges   — every live node, in an order shuffled from the global
 //      stream, initiates one gossip exchange with an overlay-chosen
 //      neighbour: request -> response, both as encoded byte buffers with
-//      traffic accounted; dead targets count as failed contacts; loss and
-//      the fault plan can drop, duplicate or corrupt either direction;
-//   4. crashes     — serial: fault-plan crash-restarts;
+//      traffic accounted; dead targets count as failed contacts; the fault
+//      plan can drop, duplicate or corrupt either direction;
+//   4. crashes     — serial: fault-plan crash-restarts, warm or cold;
 //   5. churn       — serial: a configured fraction of nodes is replaced with
 //      fresh ones (the model of §VII-G), each bootstrapped by a live
 //      neighbour;
@@ -27,8 +27,9 @@
 //  * each node's control stream (`Node::pick_rng`) is consumed only for
 //    engine decisions about that node — exactly one gossip-target pick per
 //    live node per round (drawn before make_request, whether or not the
-//    agent stays silent) followed by that initiator's loss draws, plus
-//    bootstrap contact picks at join time.
+//    agent stays silent), plus bootstrap contact picks at join time;
+//  * each node's fault stream (`Node::fault_rng`) is consumed only for the
+//    fates of the exchanges it initiates and its own crash draw.
 //
 // No stream is shared between nodes inside the exchange phase, so the
 // phase may run in any schedule that keeps each node's exchanges in plan
@@ -59,38 +60,20 @@
 
 namespace adam2::sim {
 
-// The sim vocabulary: these are the host substrate's types, re-exported so
-// the simulator's established spellings stay valid for engine code and
-// experiment drivers written against `namespace adam2::sim`.
-using host::AgentContext;
-using host::AgentFactory;
-using host::AttributeSource;
-using host::Channel;
-using host::channel_name;
-using host::ChannelTraffic;
-using host::kChannelCount;
-using host::make_context;
-using host::Node;
-using host::NodeAgent;
-using host::NodeId;
-using host::Round;
-using host::TrafficStats;
-
 struct EngineConfig {
   /// Fraction of live nodes replaced per round (0.001 = the paper's typical
   /// churn of 0.1% per round, §VII-G).
   double churn_rate = 0.0;
-  /// Probability that any single message (request or response) is lost.
-  double message_loss = 0.0;
   /// Master seed; every node and subsystem derives its stream from it.
   std::uint64_t seed = 0xada2;
-  /// Deterministic fault schedule (drop/duplicate/corrupt/crash/partition).
-  /// The default all-zero plan draws nothing and changes nothing — runs are
-  /// bit-identical to an engine without fault support.
+  /// Deterministic fault schedule (drop/duplicate/corrupt/crash/partition);
+  /// `faults.drop_rate` is the one message-loss knob. The default all-zero
+  /// plan draws nothing and changes nothing — runs are bit-identical to an
+  /// engine without fault support.
   host::FaultPlan faults;
 };
 
-class CycleEngine final : public HostView {
+class CycleEngine final : public host::HostView {
  public:
   /// Creates `initial_attributes.size()` nodes with those attribute values,
   /// builds the overlay over them, and instantiates one agent per node.
@@ -98,8 +81,9 @@ class CycleEngine final : public HostView {
   /// only if churn_rate == 0. `threads` is the worker count of the sharded
   /// phases; 0 and 1 both run everything on the calling thread.
   CycleEngine(EngineConfig config, std::vector<stats::Value> initial_attributes,
-              std::unique_ptr<Overlay> overlay, AgentFactory agent_factory,
-              AttributeSource attribute_source, std::size_t threads = 1);
+              std::unique_ptr<host::Overlay> overlay,
+              host::AgentFactory agent_factory,
+              host::AttributeSource attribute_source, std::size_t threads = 1);
   ~CycleEngine() override = default;
 
   CycleEngine(const CycleEngine&) = delete;
@@ -115,30 +99,38 @@ class CycleEngine final : public HostView {
   [[nodiscard]] std::size_t threads() const { return pool_.size(); }
 
   // -- HostView ----------------------------------------------------------
-  [[nodiscard]] bool is_live(NodeId id) const override {
+  [[nodiscard]] bool is_live(host::NodeId id) const override {
     return table_.is_live(id);
   }
-  [[nodiscard]] stats::Value attribute_of(NodeId id) const override {
+  [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override {
     return table_.attribute_of(id);
   }
-  [[nodiscard]] Round round() const override { return round_; }
-  [[nodiscard]] std::span<const NodeId> live_ids() const override {
+  [[nodiscard]] host::Round round() const override { return round_; }
+  [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
     return table_.live_ids();
   }
-  void record_traffic(NodeId sender, NodeId receiver, Channel channel,
-                      std::size_t bytes) override;
+  void record_traffic(host::NodeId sender, host::NodeId receiver,
+                      host::Channel channel, std::size_t bytes) override;
 
   // -- Introspection / experiment control --------------------------------
   [[nodiscard]] std::size_t live_count() const { return table_.live_count(); }
-  [[nodiscard]] NodeAgent& agent(NodeId id) { return *table_.at(id).agent; }
-  [[nodiscard]] const Node& node(NodeId id) const { return table_.at(id); }
-  [[nodiscard]] Node& mutable_node(NodeId id) { return table_.at(id); }
-  [[nodiscard]] Overlay& overlay() { return *overlay_; }
+  [[nodiscard]] host::NodeAgent& agent(host::NodeId id) {
+    return *table_.at(id).agent;
+  }
+  [[nodiscard]] const host::Node& node(host::NodeId id) const {
+    return table_.at(id);
+  }
+  [[nodiscard]] host::Node& mutable_node(host::NodeId id) {
+    return table_.at(id);
+  }
+  [[nodiscard]] host::Overlay& overlay() { return *overlay_; }
   [[nodiscard]] rng::Rng& rng() { return rng_; }
   [[nodiscard]] const host::FaultInjector& fault_injector() const {
     return conduit_.faults();
   }
-  [[nodiscard]] NodeId random_live_node() { return table_.random_live(rng_); }
+  [[nodiscard]] host::NodeId random_live_node() {
+    return table_.random_live(rng_);
+  }
 
   /// Attribute values of all live nodes (the ground truth population).
   [[nodiscard]] std::vector<stats::Value> live_attribute_values() const {
@@ -146,12 +138,12 @@ class CycleEngine final : public HostView {
   }
 
   /// Updates a node's attribute (dynamic-attribute scenarios, §VII-F).
-  void set_attribute(NodeId id, stats::Value value) {
+  void set_attribute(host::NodeId id, stats::Value value) {
     table_.set_attribute(id, value);
   }
 
   /// Global traffic totals (sums over all nodes, including departed ones).
-  [[nodiscard]] const TrafficStats& total_traffic() const {
+  [[nodiscard]] const host::TrafficStats& total_traffic() const {
     return total_traffic_;
   }
 
@@ -171,8 +163,8 @@ class CycleEngine final : public HostView {
 
   /// Builds the context for a direct agent call from experiment drivers
   /// (e.g. to start a scripted aggregation instance on a chosen node).
-  [[nodiscard]] AgentContext context_for(NodeId id) {
-    return make_context(*this, *overlay_, table_.at(id), round_);
+  [[nodiscard]] host::AgentContext context_for(host::NodeId id) {
+    return host::make_context(*this, *overlay_, table_.at(id), round_);
   }
 
   /// Immediately replaces `count` random live nodes (manual churn trigger,
@@ -180,7 +172,7 @@ class CycleEngine final : public HostView {
   void churn_nodes(std::size_t count);
 
   /// Removes one specific node (targeted failure injection).
-  void kill_node(NodeId id);
+  void kill_node(host::NodeId id);
 
   // -- Checkpoint / resume (host::snapshot, DESIGN.md §12) -----------------
 
@@ -206,12 +198,12 @@ class CycleEngine final : public HostView {
   void spawn_node(stats::Value attribute, bool bootstrap);
 
   /// The exchange at plan position `position`: `initiator` towards the
-  /// pre-picked `target` (request -> response, loss and failed-contact
-  /// accounting). Every draw comes from the initiator's streams, so the
-  /// unit touches only the two participants' state plus `totals()` (and its
-  /// outcome slot when a recorder is attached).
-  void exchange(std::size_t position, Node& initiator,
-                const std::optional<NodeId>& target);
+  /// pre-picked `target` (request -> response, fault fates and
+  /// failed-contact accounting). Every draw comes from the initiator's
+  /// streams, so the unit touches only the two participants' state plus
+  /// `totals()` (and its outcome slot when a recorder is attached).
+  void exchange(std::size_t position, host::Node& initiator,
+                const std::optional<host::NodeId>& target);
 
   /// Sharded exchange phase: draws every initiator's target, then runs one
   /// gated unit per initiator on the pool.
@@ -220,41 +212,43 @@ class CycleEngine final : public HostView {
   /// Stochastic churn at config_.churn_rate (serial phase).
   void apply_churn();
 
-  /// Fault-plan crash-restarts (serial phase, after the exchanges): each
-  /// crashing node keeps its identity, attribute and overlay links but loses
-  /// all agent state and rejoins next round like a churned-in newcomer. The
-  /// crash draw comes from the node's own fault stream, so the schedule is
-  /// identical at any thread count.
+  /// Fault-plan crash-restarts (serial phase, after the exchanges) through
+  /// host::restart_agent: each crashing node keeps its identity, attribute
+  /// and overlay links. A cold restart loses all agent state and rejoins
+  /// next round like a churned-in newcomer; a warm one (plan.warm_restart)
+  /// carries the state and its birth round across. The crash draw comes
+  /// from the node's own fault stream, so the schedule is identical at any
+  /// thread count.
   void apply_crashes();
 
   /// The traffic accumulator of the calling thread: its worker's slot while
   /// it runs a sharded-phase task, the global totals otherwise.
-  [[nodiscard]] TrafficStats& totals();
+  [[nodiscard]] host::TrafficStats& totals();
   /// Ends a sharded phase: folds the worker slots into the global totals
   /// (commutative integer sums, so the result does not depend on which
   /// worker counted what).
   void merge_worker_totals();
 
   EngineConfig config_;
-  /// The shared exchange fabric: owns legacy loss, partitions and the whole
-  /// fault-fate pipeline (host/exchange.hpp). The engine only schedules.
+  /// The shared exchange fabric: owns partitions and the whole fault-fate
+  /// pipeline (host/exchange.hpp). The engine only schedules.
   host::Conduit conduit_;
   rng::Rng rng_;
-  std::unique_ptr<Overlay> overlay_;
-  AgentFactory agent_factory_;
-  AttributeSource attribute_source_;
+  std::unique_ptr<host::Overlay> overlay_;
+  host::AgentFactory agent_factory_;
+  host::AttributeSource attribute_source_;
   host::NodeTable table_;
-  Round round_ = 0;
-  TrafficStats total_traffic_;
+  host::Round round_ = 0;
+  host::TrafficStats total_traffic_;
   obs::Recorder* recorder_ = nullptr;
 
   host::WorkerPool pool_;
-  std::vector<TrafficStats> worker_totals_;  // One slot per worker.
+  std::vector<host::TrafficStats> worker_totals_;  // One slot per worker.
 
   // Per-round exchange plan: shuffled initiation order, pre-drawn targets
   // and participant slots (sharded only; 2 per unit: initiator, target).
-  std::vector<NodeId> order_;
-  std::vector<std::optional<NodeId>> targets_;
+  std::vector<host::NodeId> order_;
+  std::vector<std::optional<host::NodeId>> targets_;
   std::vector<std::uint32_t> unit_slots_;
 
   // Exchange-outcome slots, one per plan position, used only with a

@@ -9,7 +9,7 @@ namespace {
 
 using wire::NodeDescriptor;
 
-bool contains(const std::vector<NodeDescriptor>& entries, NodeId id) {
+bool contains(const std::vector<NodeDescriptor>& entries, host::NodeId id) {
   return std::any_of(entries.begin(), entries.end(),
                      [id](const NodeDescriptor& d) { return d.id == id; });
 }
@@ -23,18 +23,18 @@ CyclonOverlay::CyclonOverlay(CyclonConfig config) : config_(config) {
   assert(config_.shuffle_size <= config_.view_size);
 }
 
-void CyclonOverlay::build_initial(std::span<const NodeId> ids,
-                                  const HostView& host, rng::Rng& rng) {
+void CyclonOverlay::build_initial(std::span<const host::NodeId> ids,
+                                  const host::HostView& host, rng::Rng& rng) {
   views_.clear();
   views_.reserve(ids.size());
-  for (NodeId id : ids) views_[id];
+  for (host::NodeId id : ids) views_[id];
   if (ids.size() < 2) return;
-  for (NodeId id : ids) {
+  for (host::NodeId id : ids) {
     View& view = views_[id];
     for (std::size_t attempts = 0;
          view.entries.size() < config_.view_size && attempts < config_.view_size * 8;
          ++attempts) {
-      const NodeId other = ids[rng.below(ids.size())];
+      const host::NodeId other = ids[rng.below(ids.size())];
       if (other == id || contains(view.entries, other)) continue;
       view.entries.push_back(
           {other, 0, host.is_live(other) ? host.attribute_of(other) : 0});
@@ -42,13 +42,14 @@ void CyclonOverlay::build_initial(std::span<const NodeId> ids,
   }
 }
 
-void CyclonOverlay::add_node(NodeId id, const HostView& host, rng::Rng& rng) {
+void CyclonOverlay::add_node(host::NodeId id, const host::HostView& host,
+                             rng::Rng& rng) {
   View& view = views_[id];
   const auto live = host.live_ids();
   if (live.empty()) return;
   // A joining node copies (a subset of) the view of one live contact, as in
   // Cyclon's join by random walks from an introducer.
-  const NodeId contact = live[rng.below(live.size())];
+  const host::NodeId contact = live[rng.below(live.size())];
   if (contact != id) {
     view.entries.push_back({contact, 0, host.attribute_of(contact)});
     auto it = views_.find(contact);
@@ -64,24 +65,24 @@ void CyclonOverlay::add_node(NodeId id, const HostView& host, rng::Rng& rng) {
   for (std::size_t attempts = 0;
        view.entries.size() < config_.view_size && attempts < config_.view_size * 4;
        ++attempts) {
-    const NodeId other = live[rng.below(live.size())];
+    const host::NodeId other = live[rng.below(live.size())];
     if (other == id || contains(view.entries, other)) continue;
     view.entries.push_back({other, 0, host.attribute_of(other)});
   }
 }
 
-void CyclonOverlay::remove_node(NodeId id) { views_.erase(id); }
+void CyclonOverlay::remove_node(host::NodeId id) { views_.erase(id); }
 
-std::optional<NodeId> CyclonOverlay::pick_gossip_target(NodeId id,
-                                                        rng::Rng& rng) const {
+std::optional<host::NodeId> CyclonOverlay::pick_gossip_target(
+    host::NodeId id, rng::Rng& rng) const {
   auto it = views_.find(id);
   if (it == views_.end() || it->second.entries.empty()) return std::nullopt;
   const auto& entries = it->second.entries;
   return entries[rng.below(entries.size())].id;
 }
 
-std::vector<NodeId> CyclonOverlay::neighbors(NodeId id) const {
-  std::vector<NodeId> out;
+std::vector<host::NodeId> CyclonOverlay::neighbors(host::NodeId id) const {
+  std::vector<host::NodeId> out;
   auto it = views_.find(id);
   if (it == views_.end()) return out;
   out.reserve(it->second.entries.size());
@@ -90,7 +91,7 @@ std::vector<NodeId> CyclonOverlay::neighbors(NodeId id) const {
 }
 
 std::vector<stats::Value> CyclonOverlay::known_attribute_values(
-    NodeId id, const HostView& /*host*/) const {
+    host::NodeId id, const host::HostView& /*host*/) const {
   std::vector<stats::Value> values;
   auto it = views_.find(id);
   if (it == views_.end()) return values;
@@ -103,7 +104,7 @@ std::vector<stats::Value> CyclonOverlay::known_attribute_values(
   return values;
 }
 
-void CyclonOverlay::maintain(HostView& host, rng::Rng& rng) {
+void CyclonOverlay::maintain(host::HostView& host, rng::Rng& rng) {
   // Iterate over a stable id snapshot: shuffles mutate views_ entries but
   // never insert/erase map keys. The snapshot order feeds rng.shuffle and so
   // determines which draws each node's shuffle consumes; it is deterministic
@@ -111,11 +112,11 @@ void CyclonOverlay::maintain(HostView& host, rng::Rng& rng) {
   // golden replay digests (tests/golden_replay_test.cpp) are pinned to it —
   // sorting here would change every digest. Revisit at the next digest
   // re-capture; until then this is a documented exception (DESIGN.md §10).
-  std::vector<NodeId> ids;
+  std::vector<host::NodeId> ids;
   ids.reserve(views_.size());
   for (const auto& [id, view] : views_) ids.push_back(id);  // adam2-lint: allow(unordered-iter)
   rng.shuffle(ids);
-  for (NodeId id : ids) {
+  for (host::NodeId id : ids) {
     if (host.is_live(id)) shuffle_once(id, host, rng);
   }
 }
@@ -138,7 +139,8 @@ std::uint64_t pick_slots(std::uint64_t mask, std::size_t size,
 
 }  // namespace
 
-void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
+void CyclonOverlay::shuffle_once(host::NodeId id, host::HostView& host,
+                                 rng::Rng& rng) {
   View& view = views_.at(id);
   if (view.entries.empty()) return;
 
@@ -150,7 +152,7 @@ void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
       [](const NodeDescriptor& a, const NodeDescriptor& b) {
         return a.age < b.age;
       });
-  const NodeId target = oldest->id;
+  const host::NodeId target = oldest->id;
   if (!host.is_live(target)) {
     view.entries.erase(oldest);  // Evict the dead entry; retry next round.
     return;
@@ -173,7 +175,8 @@ void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
   for (std::size_t slot = 0; slot < view.entries.size(); ++slot) {
     if ((sent_mask >> slot) & 1) request.descriptors.push_back(view.entries[slot]);
   }
-  host.record_traffic(id, target, Channel::kOverlay, request.encoded_size());
+  host.record_traffic(id, target, host::Channel::kOverlay,
+                      request.encoded_size());
 
   // Responder builds its reply from a random subset of its own view.
   View& peer_view = views_.at(target);
@@ -192,7 +195,8 @@ void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
       response.descriptors.push_back(peer_view.entries[slot]);
     }
   }
-  host.record_traffic(target, id, Channel::kOverlay, response.encoded_size());
+  host.record_traffic(target, id, host::Channel::kOverlay,
+                      response.encoded_size());
 
   remember_values(peer_view, request.descriptors);
   remember_values(view, response.descriptors);
@@ -201,7 +205,7 @@ void CyclonOverlay::shuffle_once(NodeId id, HostView& host, rng::Rng& rng) {
   install(id, view, response.descriptors, sent_mask);
 }
 
-void CyclonOverlay::install(NodeId self, View& view,
+void CyclonOverlay::install(host::NodeId self, View& view,
                             std::span<const wire::NodeDescriptor> received,
                             std::uint64_t sent_mask) {
   for (const NodeDescriptor& d : received) {
@@ -232,7 +236,7 @@ void CyclonOverlay::save_state(wire::Writer& out) const {
   out.u64(config_.view_size);
   out.u64(config_.shuffle_size);
   out.u64(config_.value_cache_size);
-  std::vector<NodeId> ids;
+  std::vector<host::NodeId> ids;
   ids.reserve(views_.size());
   // Bucket order cannot leak into the snapshot: ids are sorted before
   // anything is encoded.
@@ -240,7 +244,7 @@ void CyclonOverlay::save_state(wire::Writer& out) const {
   for (const auto& [id, view] : views_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   out.length(ids.size());
-  for (NodeId id : ids) {
+  for (host::NodeId id : ids) {
     const View& view = views_.at(id);
     out.u64(id);
     out.length(view.entries.size());
@@ -260,12 +264,12 @@ void CyclonOverlay::restore_state(wire::Reader& in) {
     throw wire::DecodeError("cyclon overlay config mismatch");
   }
   const std::size_t count = in.length(16);  // id + two empty sequences.
-  std::unordered_map<NodeId, View> views;
+  std::unordered_map<host::NodeId, View> views;
   views.reserve(count);
   bool have_prev = false;
-  NodeId prev = 0;
+  host::NodeId prev = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = in.u64();
+    const host::NodeId id = in.u64();
     if (have_prev && id <= prev) {
       throw wire::DecodeError("cyclon view ids not in sorted order");
     }

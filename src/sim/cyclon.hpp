@@ -27,20 +27,22 @@ struct CyclonConfig {
   std::size_t value_cache_size = 128;  ///< Recently seen attribute values.
 };
 
-class CyclonOverlay final : public Overlay {
+class CyclonOverlay final : public host::Overlay {
  public:
   explicit CyclonOverlay(CyclonConfig config);
 
-  void build_initial(std::span<const NodeId> ids, const HostView& host,
-                     rng::Rng& rng) override;
-  void add_node(NodeId id, const HostView& host, rng::Rng& rng) override;
-  void remove_node(NodeId id) override;
-  [[nodiscard]] std::optional<NodeId> pick_gossip_target(
-      NodeId id, rng::Rng& rng) const override;
-  [[nodiscard]] std::vector<NodeId> neighbors(NodeId id) const override;
+  void build_initial(std::span<const host::NodeId> ids,
+                     const host::HostView& host, rng::Rng& rng) override;
+  void add_node(host::NodeId id, const host::HostView& host,
+                rng::Rng& rng) override;
+  void remove_node(host::NodeId id) override;
+  [[nodiscard]] std::optional<host::NodeId> pick_gossip_target(
+      host::NodeId id, rng::Rng& rng) const override;
+  [[nodiscard]] std::vector<host::NodeId> neighbors(
+      host::NodeId id) const override;
   [[nodiscard]] std::vector<stats::Value> known_attribute_values(
-      NodeId id, const HostView& host) const override;
-  void maintain(HostView& host, rng::Rng& rng) override;
+      host::NodeId id, const host::HostView& host) const override;
+  void maintain(host::HostView& host, rng::Rng& rng) override;
 
   [[nodiscard]] const CyclonConfig& config() const { return config_; }
 
@@ -59,12 +61,12 @@ class CyclonOverlay final : public Overlay {
   };
 
   /// One shuffle initiated by `id` with its oldest live view entry.
-  void shuffle_once(NodeId id, HostView& host, rng::Rng& rng);
+  void shuffle_once(host::NodeId id, host::HostView& host, rng::Rng& rng);
 
   /// Installs `received` into `view`, replacing sent-away slots (bits set in
   /// `sent_mask`) first, then filling free capacity, never duplicating ids
   /// or storing `self`.
-  void install(NodeId self, View& view,
+  void install(host::NodeId self, View& view,
                std::span<const wire::NodeDescriptor> received,
                std::uint64_t sent_mask);
 
@@ -72,7 +74,7 @@ class CyclonOverlay final : public Overlay {
                        std::span<const wire::NodeDescriptor> descriptors);
 
   CyclonConfig config_;
-  std::unordered_map<NodeId, View> views_;
+  std::unordered_map<host::NodeId, View> views_;
   // Scratch messages reused across shuffles (hot path: one shuffle per node
   // per round).
   wire::ShuffleMessage request_scratch_;

@@ -10,55 +10,55 @@ StaticRandomOverlay::StaticRandomOverlay(std::size_t degree)
   assert(degree_ >= 1);
 }
 
-void StaticRandomOverlay::link(NodeId a, NodeId b) {
+void StaticRandomOverlay::link(host::NodeId a, host::NodeId b) {
   links_[a].out.push_back(b);
   links_[b].out.push_back(a);
 }
 
-void StaticRandomOverlay::build_initial(std::span<const NodeId> ids,
-                                        const HostView& /*host*/,
+void StaticRandomOverlay::build_initial(std::span<const host::NodeId> ids,
+                                        const host::HostView& /*host*/,
                                         rng::Rng& rng) {
   links_.clear();
   links_.reserve(ids.size());
   if (ids.size() < 2) {
-    for (NodeId id : ids) links_[id];
+    for (host::NodeId id : ids) links_[id];
     return;
   }
   // Random ring (guarantees connectivity) plus random chords up to `degree_`.
-  std::vector<NodeId> order(ids.begin(), ids.end());
+  std::vector<host::NodeId> order(ids.begin(), ids.end());
   rng.shuffle(order);
   for (std::size_t i = 0; i < order.size(); ++i) {
     link(order[i], order[(i + 1) % order.size()]);
   }
   const std::size_t chords_per_node = degree_ > 2 ? (degree_ - 2) / 2 : 0;
-  for (NodeId id : ids) {
+  for (host::NodeId id : ids) {
     for (std::size_t c = 0; c < chords_per_node; ++c) {
-      NodeId other = ids[rng.below(ids.size())];
+      host::NodeId other = ids[rng.below(ids.size())];
       if (other != id) link(id, other);
     }
   }
 }
 
-void StaticRandomOverlay::add_node(NodeId id, const HostView& host,
+void StaticRandomOverlay::add_node(host::NodeId id, const host::HostView& host,
                                    rng::Rng& rng) {
   links_[id];  // Ensure the entry exists even if no peer is available.
   const auto live = host.live_ids();
   if (live.empty()) return;
   for (std::size_t attempts = 0, added = 0;
        added < degree_ && attempts < degree_ * 8; ++attempts) {
-    NodeId other = live[rng.below(live.size())];
+    host::NodeId other = live[rng.below(live.size())];
     if (other == id) continue;
     link(id, other);
     ++added;
   }
 }
 
-void StaticRandomOverlay::remove_node(NodeId id) {
+void StaticRandomOverlay::remove_node(host::NodeId id) {
   auto it = links_.find(id);
   if (it == links_.end()) return;
   // Drop the reverse links eagerly so neighbour lists stay small; a dead
   // forward link discovered by a peer is handled as a failed contact.
-  for (NodeId peer : it->second.out) {
+  for (host::NodeId peer : it->second.out) {
     auto peer_it = links_.find(peer);
     if (peer_it == links_.end()) continue;
     std::erase(peer_it->second.out, id);
@@ -66,27 +66,28 @@ void StaticRandomOverlay::remove_node(NodeId id) {
   links_.erase(it);
 }
 
-std::optional<NodeId> StaticRandomOverlay::pick_gossip_target(
-    NodeId id, rng::Rng& rng) const {
+std::optional<host::NodeId> StaticRandomOverlay::pick_gossip_target(
+    host::NodeId id, rng::Rng& rng) const {
   auto it = links_.find(id);
   if (it == links_.end() || it->second.out.empty()) return std::nullopt;
   const auto& out = it->second.out;
   return out[rng.below(out.size())];
 }
 
-std::vector<NodeId> StaticRandomOverlay::neighbors(NodeId id) const {
+std::vector<host::NodeId> StaticRandomOverlay::neighbors(
+    host::NodeId id) const {
   auto it = links_.find(id);
   if (it == links_.end()) return {};
   return it->second.out;
 }
 
 std::vector<stats::Value> StaticRandomOverlay::known_attribute_values(
-    NodeId id, const HostView& host) const {
+    host::NodeId id, const host::HostView& host) const {
   std::vector<stats::Value> values;
   auto it = links_.find(id);
   if (it == links_.end()) return values;
   values.reserve(it->second.out.size());
-  for (NodeId peer : it->second.out) {
+  for (host::NodeId peer : it->second.out) {
     if (host.is_live(peer)) values.push_back(host.attribute_of(peer));
   }
   return values;
@@ -94,7 +95,7 @@ std::vector<stats::Value> StaticRandomOverlay::known_attribute_values(
 
 void StaticRandomOverlay::save_state(wire::Writer& out) const {
   out.u64(degree_);
-  std::vector<NodeId> ids;
+  std::vector<host::NodeId> ids;
   ids.reserve(links_.size());
   // Bucket order cannot leak into the snapshot: ids are sorted before
   // anything is encoded.
@@ -102,11 +103,11 @@ void StaticRandomOverlay::save_state(wire::Writer& out) const {
   for (const auto& [id, links] : links_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   out.length(ids.size());
-  for (NodeId id : ids) {
+  for (host::NodeId id : ids) {
     out.u64(id);
-    const std::vector<NodeId>& neighbours = links_.at(id).out;
+    const std::vector<host::NodeId>& neighbours = links_.at(id).out;
     out.length(neighbours.size());
-    for (NodeId peer : neighbours) out.u64(peer);
+    for (host::NodeId peer : neighbours) out.u64(peer);
   }
 }
 
@@ -115,12 +116,12 @@ void StaticRandomOverlay::restore_state(wire::Reader& in) {
     throw wire::DecodeError("static overlay degree mismatch");
   }
   const std::size_t count = in.length(12);  // id + empty neighbour list.
-  std::unordered_map<NodeId, Links> links;
+  std::unordered_map<host::NodeId, Links> links;
   links.reserve(count);
   bool have_prev = false;
-  NodeId prev = 0;
+  host::NodeId prev = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = in.u64();
+    const host::NodeId id = in.u64();
     if (have_prev && id <= prev) {
       throw wire::DecodeError("overlay node ids not in sorted order");
     }

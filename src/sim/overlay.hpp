@@ -1,9 +1,8 @@
 // Overlay abstraction: who can gossip with whom.
 //
 // The abstract Overlay and the HostView seam live in the host substrate
-// library (host/overlay.hpp, host/view.hpp); the aliases below keep the
-// established sim:: spellings working. Two concrete overlays are provided
-// here, matching the paper's system model (§III):
+// library (host/overlay.hpp, host/view.hpp). Two concrete overlays are
+// provided here, matching the paper's system model (§III):
 //
 //  * StaticRandomOverlay — a fixed random graph (the controlled setting for
 //    convergence experiments without churn);
@@ -25,27 +24,23 @@
 
 namespace adam2::sim {
 
-using host::Channel;
-using host::HostView;
-using host::NodeId;
-using host::Overlay;
-using host::Round;
-
 /// Fixed random graph of target degree `degree`. Links are bidirectional;
 /// churned-in nodes link to `degree` random live peers.
-class StaticRandomOverlay final : public Overlay {
+class StaticRandomOverlay final : public host::Overlay {
  public:
   explicit StaticRandomOverlay(std::size_t degree);
 
-  void build_initial(std::span<const NodeId> ids, const HostView& host,
-                     rng::Rng& rng) override;
-  void add_node(NodeId id, const HostView& host, rng::Rng& rng) override;
-  void remove_node(NodeId id) override;
-  [[nodiscard]] std::optional<NodeId> pick_gossip_target(
-      NodeId id, rng::Rng& rng) const override;
-  [[nodiscard]] std::vector<NodeId> neighbors(NodeId id) const override;
+  void build_initial(std::span<const host::NodeId> ids,
+                     const host::HostView& host, rng::Rng& rng) override;
+  void add_node(host::NodeId id, const host::HostView& host,
+                rng::Rng& rng) override;
+  void remove_node(host::NodeId id) override;
+  [[nodiscard]] std::optional<host::NodeId> pick_gossip_target(
+      host::NodeId id, rng::Rng& rng) const override;
+  [[nodiscard]] std::vector<host::NodeId> neighbors(
+      host::NodeId id) const override;
   [[nodiscard]] std::vector<stats::Value> known_attribute_values(
-      NodeId id, const HostView& host) const override;
+      host::NodeId id, const host::HostView& host) const override;
 
   // host::snapshot integration (DESIGN.md §12): kind 1 = static random
   // graph. Links are encoded per node in sorted id order, each node's
@@ -56,13 +51,13 @@ class StaticRandomOverlay final : public Overlay {
 
  private:
   struct Links {
-    std::vector<NodeId> out;
+    std::vector<host::NodeId> out;
   };
 
-  void link(NodeId a, NodeId b);
+  void link(host::NodeId a, host::NodeId b);
 
   std::size_t degree_;
-  std::unordered_map<NodeId, Links> links_;
+  std::unordered_map<host::NodeId, Links> links_;
 };
 
 }  // namespace adam2::sim

@@ -13,23 +13,24 @@ namespace {
 
 /// Same push-pull averaging test double as in sim_test, here exercised over
 /// asynchronous exchanges with latency.
-class AveragingAgent final : public NodeAgent {
+class AveragingAgent final : public host::NodeAgent {
  public:
   explicit AveragingAgent(double initial) : value_(initial) {}
   [[nodiscard]] double value() const { return value_; }
 
-  std::span<const std::byte> make_request(AgentContext&) override {
+  std::span<const std::byte> make_request(host::AgentContext&) override {
     scratch_ = encode(value_);
     return scratch_;
   }
   std::span<const std::byte> handle_request(
-      AgentContext&, std::span<const std::byte> req) override {
+      host::AgentContext&, std::span<const std::byte> req) override {
     const double theirs = decode(req);
     scratch_ = encode(value_);
     value_ = (value_ + theirs) / 2.0;
     return scratch_;
   }
-  void handle_response(AgentContext&, std::span<const std::byte> resp) override {
+  void handle_response(host::AgentContext&,
+                       std::span<const std::byte> resp) override {
     value_ = (value_ + decode(resp)) / 2.0;
   }
 
@@ -59,8 +60,8 @@ AsyncConfig base_config(std::uint64_t seed) {
   return config;
 }
 
-AgentFactory averaging_factory() {
-  return [](const AgentContext& ctx) {
+host::AgentFactory averaging_factory() {
+  return [](const host::AgentContext& ctx) {
     return std::make_unique<AveragingAgent>(static_cast<double>(ctx.attribute));
   };
 }
@@ -82,7 +83,7 @@ TEST(AsyncEngineTest, AveragingConvergesWithoutRoundSynchrony) {
                      averaging_factory(), nullptr);
   engine.run_until(60.0);  // ~60 gossip periods.
   const double mean = (static_cast<double>(n) - 1.0) / 2.0;
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     const auto& agent = dynamic_cast<const AveragingAgent&>(engine.agent(id));
     EXPECT_NEAR(agent.value(), mean, 1e-6);
   }
@@ -98,7 +99,7 @@ TEST(AsyncEngineTest, InFlightResponsesBreakMassOnlyTransiently) {
                      averaging_factory(), nullptr);
   engine.run_until(80.0);
   double total = 0.0;
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     total += dynamic_cast<const AveragingAgent&>(engine.agent(id)).value();
   }
   const double expected = static_cast<double>(n * (n - 1)) / 2.0;
@@ -112,7 +113,7 @@ TEST(AsyncEngineTest, DeterministicForSameSeed) {
                        averaging_factory(), nullptr);
     engine.run_until(10.0);
     std::vector<double> values;
-    for (NodeId id : engine.live_ids()) {
+    for (host::NodeId id : engine.live_ids()) {
       values.push_back(
           dynamic_cast<const AveragingAgent&>(engine.agent(id)).value());
     }
@@ -127,7 +128,7 @@ TEST(AsyncEngineTest, TrafficIsAccounted) {
                      std::make_unique<StaticRandomOverlay>(6),
                      averaging_factory(), nullptr);
   engine.run_until(5.0);
-  const auto& agg = engine.total_traffic().on(Channel::kAggregation);
+  const auto& agg = engine.total_traffic().on(host::Channel::kAggregation);
   EXPECT_GT(agg.messages_sent, 100u);  // ~50 nodes x 5 ticks x 2 messages.
   EXPECT_LT(agg.messages_sent, 600u);
   EXPECT_EQ(agg.bytes_sent, agg.messages_sent * 8);
@@ -135,7 +136,7 @@ TEST(AsyncEngineTest, TrafficIsAccounted) {
 
 TEST(AsyncEngineTest, MessageLossDropsTraffic) {
   AsyncConfig config = base_config(5);
-  config.message_loss = 0.4;
+  config.faults.drop_rate = 0.4;
   AsyncEngine engine(config, iota_values(100),
                      std::make_unique<StaticRandomOverlay>(6),
                      averaging_factory(), nullptr);
@@ -154,7 +155,7 @@ TEST(AsyncEngineTest, ChurnReplacesNodes) {
   engine.run_until(30.0);
   EXPECT_EQ(engine.live_count(), 200u);
   bool any_new = false;
-  for (NodeId id : engine.live_ids()) any_new |= (id >= 200);
+  for (host::NodeId id : engine.live_ids()) any_new |= (id >= 200);
   EXPECT_TRUE(any_new);
 }
 
@@ -167,19 +168,19 @@ TEST(AsyncEngineTest, Adam2ConvergesOverAsynchronousGossip) {
   AsyncEngine engine(
       base_config(7), iota_values(300),
       std::make_unique<StaticRandomOverlay>(8),
-      [protocol](const AgentContext&) {
+      [protocol](const host::AgentContext&) {
         return std::make_unique<core::Adam2Agent>(protocol);
       },
       nullptr);
 
   engine.run_until(1.0);
-  const NodeId initiator = engine.random_live_node();
+  const host::NodeId initiator = engine.random_live_node();
   auto ctx = engine.context_for(initiator);
   dynamic_cast<core::Adam2Agent&>(engine.agent(initiator)).start_instance(ctx);
   engine.run_until(1.0 + 55.0);  // ttl periods plus slack.
 
   std::size_t with_estimate = 0;
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     const auto& agent = dynamic_cast<const core::Adam2Agent&>(engine.agent(id));
     if (!agent.estimate()) continue;
     ++with_estimate;
@@ -201,13 +202,13 @@ TEST(AsyncEngineTest, Adam2ProbabilisticModeRunsAutonomously) {
   AsyncEngine engine(
       base_config(8), iota_values(200),
       std::make_unique<StaticRandomOverlay>(8),
-      [protocol](const AgentContext&) {
+      [protocol](const host::AgentContext&) {
         return std::make_unique<core::Adam2Agent>(protocol);
       },
       nullptr);
   engine.run_until(120.0);
   std::size_t with_estimate = 0;
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     const auto& agent = dynamic_cast<const core::Adam2Agent&>(engine.agent(id));
     if (agent.estimate()) ++with_estimate;
   }

@@ -12,7 +12,8 @@
 //  * accuracy (Errm / Erra against ground truth) degrades monotonically as
 //    the loss rate rises — faults hurt, they must not corrupt;
 //  * fault schedules replay bit-identically, serial or sharded;
-//  * an all-zero plan is golden: bit-identical to a run with no fault layer.
+//  * an all-zero plan is golden: bit-identical to a run with no fault layer;
+//  * a crash-restart is warm or cold as the plan says, on every substrate.
 //
 // Tests here carry the `chaos` ctest label so CI can run the matrix under
 // sanitizers: ctest -L chaos.
@@ -30,6 +31,7 @@
 #include "runtime/cluster.hpp"
 #include "runtime/udp.hpp"
 #include "sim/async_engine.hpp"
+#include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
 
 namespace adam2 {
@@ -314,7 +316,6 @@ TEST(ChaosTest, AsyncZeroRatePlanIsGoldenIdentical) {
   const auto run = [](const host::FaultPlan& faults) {
     sim::AsyncConfig config;
     config.seed = 0x9a7;
-    config.message_loss = 0.02;
     config.faults = faults;
     core::Adam2Config protocol;
     protocol.lambda = 10;
@@ -566,6 +567,129 @@ TEST(ChaosTest, UdpWarmRestartRejoinsUnderFaults) {
   EXPECT_GT(traffic.dropped_messages, 0u);
   EXPECT_GT(traffic.duplicated_messages, 0u);
   EXPECT_GT(traffic.corrupted_messages, 0u);
+}
+
+// -- Crash-restart on the simulators (host::restart_agent) -------------------
+// Two scripted instances whose TTL outlives the run, so a node's instance
+// state only grows and a crash is the only way to lose it. Each step notes
+// every node's birth round, active instances and crash count; a node whose
+// crash_restarts rose during the step crashed in it. Warm: the node keeps
+// its birth round and its instances. Cold: its birth round becomes the
+// crash round + 1 and it holds no instance.
+
+struct CrashMark {
+  host::Round birth_round = 0;
+  std::size_t instances = 0;
+  std::uint64_t crashes = 0;
+};
+
+host::AgentFactory long_lived_adam2() {
+  core::Adam2Config protocol;
+  protocol.lambda = 8;
+  protocol.instance_ttl = 1000;
+  return [protocol](const host::AgentContext&) {
+    return std::make_unique<core::Adam2Agent>(protocol);
+  };
+}
+
+host::FaultPlan crash_plan(bool warm) {
+  host::FaultPlan plan;
+  plan.crash_rate = 0.03;
+  plan.seed = 0xc4a5;
+  plan.warm_restart = warm;
+  return plan;
+}
+
+template <typename EngineT>
+std::vector<CrashMark> crash_marks(EngineT& engine) {
+  std::vector<CrashMark> marks;
+  for (host::NodeId id : engine.live_ids()) {  // No churn: ids are 0..n-1.
+    const host::Node& node = engine.node(id);
+    marks.push_back(
+        {node.birth_round,
+         dynamic_cast<core::Adam2Agent&>(engine.agent(id))
+             .active_instance_count(),
+         node.traffic.crash_restarts});
+  }
+  return marks;
+}
+
+/// Checks the nodes that crashed since `before` (in round `crash_round`) and
+/// returns how many of them held an instance going in, so callers can tell
+/// the check from a vacuous one.
+template <typename EngineT>
+std::size_t check_crashed(EngineT& engine, const std::vector<CrashMark>& before,
+                          bool warm, host::Round crash_round) {
+  std::size_t held = 0;
+  const std::vector<CrashMark> after = crash_marks(engine);
+  for (std::size_t id = 0; id < after.size(); ++id) {
+    if (after[id].crashes == before[id].crashes) continue;
+    if (before[id].instances > 0) ++held;
+    if (warm) {
+      EXPECT_EQ(after[id].birth_round, before[id].birth_round) << "node " << id;
+      EXPECT_GE(after[id].instances, before[id].instances) << "node " << id;
+    } else {
+      EXPECT_EQ(after[id].birth_round, crash_round + 1) << "node " << id;
+      EXPECT_EQ(after[id].instances, 0u) << "node " << id;
+    }
+  }
+  return held;
+}
+
+template <typename EngineT>
+void start_two_instances(EngineT& engine) {
+  for (host::NodeId id : {host::NodeId{0}, host::NodeId{7}}) {
+    host::AgentContext ctx = engine.context_for(id);
+    (void)dynamic_cast<core::Adam2Agent&>(engine.agent(id))
+        .start_instance(ctx);
+  }
+}
+
+TEST(ChaosTest, CycleCrashRestartIsWarmOrCold) {
+  for (bool warm : {true, false}) {
+    std::uint64_t crashes_at_one_thread = 0;
+    for (std::size_t threads : {1u, 8u}) {
+      sim::EngineConfig config;
+      config.seed = 0xc4a5;
+      config.faults = crash_plan(warm);
+      sim::CycleEngine engine(config, iota_values(60),
+                              std::make_unique<sim::StaticRandomOverlay>(6),
+                              long_lived_adam2(), nullptr, threads);
+      start_two_instances(engine);
+      std::size_t held = 0;
+      for (int step = 0; step < 20; ++step) {
+        const std::vector<CrashMark> before = crash_marks(engine);
+        const host::Round crash_round = engine.round();
+        engine.run_round();
+        held += check_crashed(engine, before, warm, crash_round);
+      }
+      EXPECT_GT(held, 0u) << "warm=" << warm << " threads=" << threads;
+      const std::uint64_t crashes = engine.total_traffic().crash_restarts;
+      if (threads == 1) crashes_at_one_thread = crashes;
+      EXPECT_EQ(crashes, crashes_at_one_thread) << "warm=" << warm;
+    }
+  }
+}
+
+TEST(ChaosTest, AsyncCrashRestartIsWarmOrCold) {
+  for (bool warm : {true, false}) {
+    sim::AsyncConfig config;
+    config.seed = 0xc4a5;
+    config.faults = crash_plan(warm);
+    sim::AsyncEngine engine(config, iota_values(60),
+                            std::make_unique<sim::StaticRandomOverlay>(6),
+                            long_lived_adam2(), nullptr);
+    start_two_instances(engine);
+    std::size_t held = 0;
+    // Crashes happen at the maintenance event of each whole second k (the
+    // gossip period), i.e. in round k.
+    for (host::Round k = 1; k <= 20; ++k) {
+      const std::vector<CrashMark> before = crash_marks(engine);
+      engine.run_until(static_cast<double>(k) + 0.5);
+      held += check_crashed(engine, before, warm, k);
+    }
+    EXPECT_GT(held, 0u) << "warm=" << warm;
+  }
 }
 
 }  // namespace

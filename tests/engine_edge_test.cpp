@@ -10,17 +10,21 @@
 namespace adam2::sim {
 namespace {
 
-class SilentAgent final : public NodeAgent {
+class SilentAgent final : public host::NodeAgent {
  public:
-  std::span<const std::byte> make_request(AgentContext&) override { return {}; }
-  std::span<const std::byte> handle_request(AgentContext&,
+  std::span<const std::byte> make_request(host::AgentContext&) override {
+    return {};
+  }
+  std::span<const std::byte> handle_request(host::AgentContext&,
                                             std::span<const std::byte>) override {
     return {};
   }
 };
 
-AgentFactory silent_factory() {
-  return [](const AgentContext&) { return std::make_unique<SilentAgent>(); };
+host::AgentFactory silent_factory() {
+  return [](const host::AgentContext&) {
+    return std::make_unique<SilentAgent>();
+  };
 }
 
 TEST(EngineEdgeTest, EmptyPopulationRunsHarmlessly) {
@@ -36,13 +40,13 @@ TEST(EngineEdgeTest, SingleNodeCannotGossip) {
   core::SystemConfig config;
   config.overlay = core::OverlayKind::kStaticRandom;
   core::Adam2System system(config, {42});
-  system.start_instance(NodeId{0});
+  system.start_instance(host::NodeId{0});
   system.run_rounds(3);
   // No neighbour exists: every attempted exchange is a failed contact.
   EXPECT_GT(system.engine().total_traffic().failed_contacts, 0u);
   EXPECT_EQ(system.engine()
                 .total_traffic()
-                .on(Channel::kAggregation)
+                .on(host::Channel::kAggregation)
                 .messages_sent,
             0u);
 }
@@ -51,7 +55,7 @@ TEST(EngineEdgeTest, SingleNodeInstanceStillFinalises) {
   core::SystemConfig config;
   config.protocol.instance_ttl = 5;
   core::Adam2System system(config, {42});
-  system.run_instance(NodeId{0});
+  system.run_instance(host::NodeId{0});
   const auto& est = system.agent_of(0).estimate();
   ASSERT_TRUE(est.has_value());
   EXPECT_DOUBLE_EQ(est->n_estimate, 1.0);  // Weight never diluted.
@@ -66,8 +70,8 @@ TEST(EngineEdgeTest, TwoNodeSystemConverges) {
   config.overlay = core::OverlayKind::kStaticRandom;
   config.overlay_degree = 1;
   core::Adam2System system(config, {10, 20});
-  system.run_instance(NodeId{0});
-  for (NodeId id : {NodeId{0}, NodeId{1}}) {
+  system.run_instance(host::NodeId{0});
+  for (host::NodeId id : {host::NodeId{0}, host::NodeId{1}}) {
     const auto& est = system.agent_of(id).estimate();
     ASSERT_TRUE(est.has_value());
     EXPECT_NEAR(est->n_estimate, 2.0, 1e-6);
@@ -95,7 +99,7 @@ TEST(EngineEdgeTest, ChurnCountClampsToPopulation) {
                      [](rng::Rng&) { return stats::Value{9}; });
   engine.churn_nodes(100);  // More than exist.
   EXPECT_EQ(engine.live_count(), 3u);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     EXPECT_EQ(engine.attribute_of(id), 9);
   }
 }
@@ -112,7 +116,7 @@ TEST(EngineEdgeTest, ObserverSeesConsistentStateDuringChurn) {
   for (int round = 0; round < 10; ++round) {
     engine.run_round();
     // Live ids must always reference live nodes with agents.
-    for (NodeId id : engine.live_ids()) {
+    for (host::NodeId id : engine.live_ids()) {
       EXPECT_TRUE(engine.is_live(id));
       (void)engine.agent(id);
     }
@@ -128,7 +132,7 @@ TEST(EngineEdgeTest, CyclonWithMinimalView) {
                      std::make_unique<CyclonOverlay>(config), silent_factory(),
                      nullptr);
   engine.run_rounds(10);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     EXPECT_LE(engine.overlay().neighbors(id).size(), 1u);
   }
 }
@@ -157,7 +161,7 @@ TEST(EngineEdgeTest, FullChurnReplacesEveryNodeEachRound) {
   // Population size is preserved; every survivor is a replacement.
   EXPECT_EQ(engine.live_count(), 5u);
   EXPECT_EQ(engine.nodes_ever(), 5u + 4u * 5u);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     EXPECT_GE(id, 5u * 4u);  // All original ids churned out long ago.
     EXPECT_EQ(engine.attribute_of(id), 77);
   }
@@ -180,7 +184,7 @@ TEST(EngineEdgeTest, ChurnRateAboveOneIsClampedToLivePopulation) {
   // nor grows, and exactly live_count() nodes churn each round.
   EXPECT_EQ(engine.live_count(), 5u);
   EXPECT_EQ(engine.nodes_ever(), 5u + 6u * 5u);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     EXPECT_EQ(engine.attribute_of(id), 31);
   }
 }
@@ -194,7 +198,8 @@ TEST(EngineEdgeTest, BootstrapWithAllContactsDeadCountsFailedContacts) {
   config.overlay_degree = 3;
   core::Adam2System system(config, {1, 2, 3, 4},
                            [](rng::Rng&) { return stats::Value{5}; });
-  system.run_instance(NodeId{0});  // Give the nodes state worth transferring.
+  // Give the nodes state worth transferring.
+  system.run_instance(host::NodeId{0});
   while (system.engine().live_count() > 1) {
     system.engine().kill_node(system.engine().live_ids().front());
   }
@@ -204,7 +209,7 @@ TEST(EngineEdgeTest, BootstrapWithAllContactsDeadCountsFailedContacts) {
   system.engine().churn_nodes(1);
   EXPECT_EQ(system.engine().live_count(), 1u);
   EXPECT_GT(system.engine().total_traffic().failed_contacts, failed_before);
-  const NodeId joiner = system.engine().live_ids().front();
+  const host::NodeId joiner = system.engine().live_ids().front();
   // No live contact existed, so no estimate could be inherited.
   EXPECT_FALSE(system.agent_of(joiner).estimate().has_value());
 }
@@ -222,7 +227,7 @@ TEST(EngineEdgeTest, AttributeSourceReceivesWorkingRng) {
                      });
   engine.run_rounds(3);
   EXPECT_TRUE(called);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     if (id >= 4) {
       EXPECT_GE(engine.attribute_of(id), 5);
       EXPECT_LE(engine.attribute_of(id), 10);

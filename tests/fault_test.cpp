@@ -4,15 +4,21 @@
 // replayability of fault schedules from (plan seed, node id), a draw count
 // that never depends on the outcome, zero stream consumption when disabled
 // (the golden-replay guarantee), corruption that never returns the original
-// bytes, and partitions that are stable, stateless, and heal on schedule.
+// bytes, partitions that are stable, stateless, and heal on schedule, and
+// the crash-restart agent swap every substrate shares (restart_agent).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "host/fault.hpp"
 #include "rng/rng.hpp"
+#include "sim/cycle_engine.hpp"
+#include "sim/overlay.hpp"
+#include "wire/buffer.hpp"
 
 namespace adam2::host {
 namespace {
@@ -226,6 +232,77 @@ TEST(FaultInjectorTest, ExtraDelayIsBoundedAndZeroWhenDisabled) {
   }
   const FaultInjector disabled;
   EXPECT_EQ(disabled.extra_delay(stream), 0.0);
+}
+
+// ------------------------------------------------------------ restart_agent
+
+/// Agent whose whole state is one byte; `accepts` decides whether
+/// restore_state takes a saved blob back.
+class BlobAgent final : public NodeAgent {
+ public:
+  explicit BlobAgent(bool accepts) : accepts_(accepts) {}
+
+  std::span<const std::byte> make_request(AgentContext&) override {
+    return {};
+  }
+  std::span<const std::byte> handle_request(
+      AgentContext&, std::span<const std::byte>) override {
+    return {};
+  }
+  [[nodiscard]] bool save_state(wire::Writer& out) const override {
+    out.u8(1);
+    return true;
+  }
+  [[nodiscard]] bool restore_state(wire::Reader& in) override {
+    (void)in.u8();
+    return accepts_;
+  }
+
+ private:
+  bool accepts_;
+};
+
+AgentFactory blob_factory(bool accepts) {
+  return [accepts](const AgentContext&) {
+    return std::make_unique<BlobAgent>(accepts);
+  };
+}
+
+/// restart_agent only needs a context to hand the factory; a two-node
+/// engine supplies one.
+sim::CycleEngine context_engine() {
+  return sim::CycleEngine({}, {1, 2},
+                          std::make_unique<sim::StaticRandomOverlay>(1),
+                          blob_factory(true), nullptr);
+}
+
+TEST(RestartAgentTest, ThrowsWhenTheFactoryReturnsNull) {
+  sim::CycleEngine engine = context_engine();
+  const auto context = [&](bool) { return engine.context_for(0); };
+  const AgentFactory null_factory = [](const AgentContext&) {
+    return std::unique_ptr<NodeAgent>{};
+  };
+  for (bool warm : {false, true}) {
+    std::unique_ptr<NodeAgent> agent = std::make_unique<BlobAgent>(true);
+    const NodeAgent* crashed = agent.get();
+    EXPECT_THROW(restart_agent(agent, warm, null_factory, context),
+                 std::runtime_error)
+        << "warm=" << warm;
+    EXPECT_EQ(agent.get(), crashed) << "warm=" << warm;  // Left in place.
+  }
+}
+
+TEST(RestartAgentTest, ThrowsWhenAnAgentRejectsItsOwnBlob) {
+  sim::CycleEngine engine = context_engine();
+  const auto context = [&](bool) { return engine.context_for(0); };
+  std::unique_ptr<NodeAgent> agent = std::make_unique<BlobAgent>(false);
+  const NodeAgent* crashed = agent.get();
+  EXPECT_THROW(restart_agent(agent, true, blob_factory(false), context),
+               std::runtime_error);
+  EXPECT_EQ(agent.get(), crashed);
+  // A cold restart restores nothing, so the same agent type restarts fine.
+  restart_agent(agent, false, blob_factory(false), context);
+  EXPECT_NE(agent.get(), crashed);
 }
 
 }  // namespace

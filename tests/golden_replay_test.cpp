@@ -1,9 +1,10 @@
 // Golden determinism fixtures: seeded small-N runs whose end-state digest
 // (agent bytes + per-node and global traffic totals) is pinned to constants
-// checked in here. The digests were captured from the pre-exchange-fabric
-// engines, so any refactor that silently perturbs draw order, stream
-// assignment, or exchange semantics fails these tests loudly instead of only
-// showing up in replay-pair comparisons (which would drift together).
+// checked in here. A pinned value moves only in a deliberate, documented
+// re-capture (DESIGN.md §9.3 lists each one and why), so any refactor that
+// silently perturbs draw order, stream assignment, or exchange semantics
+// fails these tests loudly instead of only showing up in replay-pair
+// comparisons (which would drift together).
 //
 // The digest covers everything the replay-pair tests compare — live
 // membership, attributes, bitwise agent state, per-node traffic, global
@@ -46,7 +47,7 @@ void mix(std::uint64_t& h, std::uint64_t v) {
 
 void mix(std::uint64_t& h, double v) { mix(h, std::bit_cast<std::uint64_t>(v)); }
 
-void mix_traffic(std::uint64_t& h, const TrafficStats& t) {
+void mix_traffic(std::uint64_t& h, const host::TrafficStats& t) {
   for (std::size_t c = 0; c < host::kChannelCount; ++c) {
     const auto& ch = t.channels[c];
     mix(h, ch.messages_sent);
@@ -70,20 +71,20 @@ void mix_traffic(std::uint64_t& h, const TrafficStats& t) {
 /// Fault-tolerant push-pull averaging agent: validates payloads before
 /// merging, so digests stay finite under corruption while still exposing any
 /// divergence in exchange order, loss draws, or churn trajectories.
-class DigestAgent final : public NodeAgent {
+class DigestAgent final : public host::NodeAgent {
  public:
   explicit DigestAgent(double initial) : value_(initial) {}
 
   [[nodiscard]] double value() const { return value_; }
 
-  std::span<const std::byte> make_request(AgentContext& ctx) override {
+  std::span<const std::byte> make_request(host::AgentContext& ctx) override {
     jitter_ = ctx.rng.uniform(0.0, 1e-12);  // Exercises the agent stream.
     scratch_ = encode(value_ + jitter_);
     return scratch_;
   }
 
   std::span<const std::byte> handle_request(
-      AgentContext&, std::span<const std::byte> req) override {
+      host::AgentContext&, std::span<const std::byte> req) override {
     const auto theirs = decode(req);
     if (!theirs) return {};  // Corrupted request: no merge, no reply.
     scratch_ = encode(value_);
@@ -91,7 +92,8 @@ class DigestAgent final : public NodeAgent {
     return scratch_;
   }
 
-  void handle_response(AgentContext&, std::span<const std::byte> resp) override {
+  void handle_response(host::AgentContext&,
+                       std::span<const std::byte> resp) override {
     const auto theirs = decode(resp);
     if (!theirs) return;
     value_ = (value_ + *theirs) / 2.0;
@@ -128,13 +130,13 @@ class DigestAgent final : public NodeAgent {
   std::vector<std::byte> scratch_;  ///< Backs the returned spans.
 };
 
-AgentFactory digest_factory() {
-  return [](const AgentContext& ctx) {
+host::AgentFactory digest_factory() {
+  return [](const host::AgentContext& ctx) {
     return std::make_unique<DigestAgent>(static_cast<double>(ctx.attribute));
   };
 }
 
-AttributeSource churn_values() {
+host::AttributeSource churn_values() {
   return [](rng::Rng& rng) { return static_cast<stats::Value>(rng.below(1000)); };
 }
 
@@ -144,7 +146,7 @@ std::vector<stats::Value> iota_values(std::size_t n) {
   return values;
 }
 
-std::unique_ptr<Overlay> cyclon() {
+std::unique_ptr<host::Overlay> cyclon() {
   CyclonConfig config;
   config.view_size = 8;
   config.shuffle_size = 4;
@@ -169,8 +171,8 @@ template <typename EngineT>
 std::uint64_t digest(EngineT& engine) {
   std::uint64_t h = kFnvOffset;
   mix(h, static_cast<std::uint64_t>(engine.live_count()));
-  for (NodeId id : engine.live_ids()) {
-    const Node& node = engine.node(id);
+  for (host::NodeId id : engine.live_ids()) {
+    const host::Node& node = engine.node(id);
     mix(h, static_cast<std::uint64_t>(id));
     mix(h, static_cast<double>(node.attribute));
     const auto* agent = dynamic_cast<const DigestAgent*>(node.agent.get());
@@ -185,7 +187,6 @@ EngineConfig cycle_config(bool faults) {
   EngineConfig config;
   config.seed = 0x90de;
   config.churn_rate = 0.02;
-  config.message_loss = 0.05;
   if (faults) config.faults = nontrivial_plan();
   return config;
 }
@@ -221,7 +222,6 @@ std::uint64_t run_cycle_resumed(std::size_t source_threads,
 AsyncConfig async_config(bool faults) {
   AsyncConfig config;
   config.seed = 0x90de;
-  config.message_loss = 0.02;
   config.churn_per_second = 0.005;
   if (faults) {
     config.faults = nontrivial_plan();
@@ -290,14 +290,16 @@ TracedRun run_cycle_traced(std::size_t threads, bool faults) {
 }
 
 // -- Fixtures ----------------------------------------------------------------
-// Captured from the pre-exchange-fabric engines (PR 5 tree). A mismatch means
-// the exchange pipeline consumed different draws, from different streams, or
-// delivered differently — NOT a harmless implementation detail.
+// Re-captured when the fault plan's drop_rate became the one loss mechanism
+// (these fixtures no longer set a separate loss rate; DESIGN.md §9.3). A
+// mismatch means the exchange pipeline consumed different draws, from
+// different streams, or delivered differently — NOT a harmless
+// implementation detail.
 
-constexpr std::uint64_t kCycleGolden = 17558608976957334404ULL;
-constexpr std::uint64_t kCycleFaultsGolden = 18320294890855426988ULL;
-constexpr std::uint64_t kAsyncGolden = 16779096996820981177ULL;
-constexpr std::uint64_t kAsyncFaultsGolden = 1727619430864257484ULL;
+constexpr std::uint64_t kCycleGolden = 11118879970955425756ULL;
+constexpr std::uint64_t kCycleFaultsGolden = 1986664401959453768ULL;
+constexpr std::uint64_t kAsyncGolden = 11663304154367937677ULL;
+constexpr std::uint64_t kAsyncFaultsGolden = 15131104098977902495ULL;
 
 TEST(GoldenReplayTest, SerialEngineMatchesCheckedInDigest) {
   EXPECT_EQ(run_cycle(0, false), kCycleGolden);

@@ -1,10 +1,14 @@
 // Unit tests for the shared host substrate: node registry, bootstrap
 // policy, churn arithmetic, the exchange-atomicity session, the thread-safe
-// traffic ledger, and the worker pool's claim counter and unit gate.
+// traffic ledger, and the worker pool's claim counter, unit gate and
+// exception forwarding.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,6 +212,56 @@ TEST(WorkerPoolTest, GatedUnitsRunOnceInPlanOrderPerSlot) {
           << workers << " workers, plan " << plan;
       EXPECT_EQ(seen, expected) << workers << " workers, plan " << plan;
     }
+  }
+}
+
+TEST(WorkerPoolTest, TaskExceptionReachesCaller) {
+  // Units chained through shared slots: once unit 3 throws, every later
+  // unit waits on it, so a gate that did not release its waiters would
+  // hang the workers instead of failing the call.
+  constexpr std::size_t kUnits = 200;
+  constexpr std::uint32_t kSlots = 8;
+  std::vector<std::uint32_t> unit_slots(2 * kUnits);
+  for (std::uint32_t u = 0; u < kUnits; ++u) {
+    unit_slots[2 * u] = u % kSlots;
+    unit_slots[2 * u + 1] = (u + 1) % kSlots;
+  }
+  const auto throw_at = [](std::size_t bad) {
+    return [bad](std::size_t i, std::size_t) {
+      if (i == bad) throw std::runtime_error("task " + std::to_string(i));
+    };
+  };
+  const auto message_of = [](const std::function<void()>& call) {
+    try {
+      call();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no exception");
+  };
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    WorkerPool pool(workers);
+    EXPECT_EQ(message_of([&] { pool.run_indexed(kUnits, throw_at(150)); }),
+              "task 150")
+        << workers << " workers";
+    EXPECT_EQ(
+        message_of([&] { pool.run_gated(unit_slots, kSlots, throw_at(3)); }),
+        "task 3")
+        << workers << " workers";
+    // Every task throwing still yields one exception on the caller.
+    EXPECT_THROW(pool.run_indexed(kUnits,
+                                  [](std::size_t, std::size_t) {
+                                    throw std::logic_error("every task");
+                                  }),
+                 std::logic_error)
+        << workers << " workers";
+
+    // The same pool then completes normal calls.
+    std::vector<int> runs(kUnits, 0);
+    pool.run_indexed(kUnits, [&](std::size_t i, std::size_t) { ++runs[i]; });
+    pool.run_gated(unit_slots, kSlots,
+                   [&](std::size_t u, std::size_t) { ++runs[u]; });
+    EXPECT_EQ(runs, std::vector<int>(kUnits, 2)) << workers << " workers";
   }
 }
 

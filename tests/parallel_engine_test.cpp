@@ -24,13 +24,13 @@ namespace {
 
 /// Push-pull averaging agent: enough state to expose any divergence in
 /// exchange order, loss draws, or churn trajectories.
-class AveragingAgent final : public NodeAgent {
+class AveragingAgent final : public host::NodeAgent {
  public:
   explicit AveragingAgent(double initial) : value_(initial) {}
 
   [[nodiscard]] double value() const { return value_; }
 
-  std::span<const std::byte> make_request(AgentContext& ctx) override {
+  std::span<const std::byte> make_request(host::AgentContext& ctx) override {
     // Consume the agent stream so stream separation is exercised too.
     jitter_ = ctx.rng.uniform(0.0, 1e-12);
     scratch_ = encode(value_ + jitter_);
@@ -38,14 +38,15 @@ class AveragingAgent final : public NodeAgent {
   }
 
   std::span<const std::byte> handle_request(
-      AgentContext&, std::span<const std::byte> req) override {
+      host::AgentContext&, std::span<const std::byte> req) override {
     const double theirs = decode(req);
     scratch_ = encode(value_);
     value_ = (value_ + theirs) / 2.0;
     return scratch_;
   }
 
-  void handle_response(AgentContext&, std::span<const std::byte> resp) override {
+  void handle_response(host::AgentContext&,
+                       std::span<const std::byte> resp) override {
     value_ = (value_ + decode(resp)) / 2.0;
   }
 
@@ -68,20 +69,20 @@ class AveragingAgent final : public NodeAgent {
 /// Fault-hardened variant: tolerates corrupted/truncated payloads the way a
 /// real protocol agent does — validate, then drop. Values merged under
 /// faults stay finite, so serial/parallel comparisons remain bitwise.
-class HardenedAgent final : public NodeAgent {
+class HardenedAgent final : public host::NodeAgent {
  public:
   explicit HardenedAgent(double initial) : value_(initial) {}
 
   [[nodiscard]] double value() const { return value_; }
 
-  std::span<const std::byte> make_request(AgentContext& ctx) override {
+  std::span<const std::byte> make_request(host::AgentContext& ctx) override {
     jitter_ = ctx.rng.uniform(0.0, 1e-12);
     scratch_ = encode(value_ + jitter_);
     return scratch_;
   }
 
   std::span<const std::byte> handle_request(
-      AgentContext&, std::span<const std::byte> req) override {
+      host::AgentContext&, std::span<const std::byte> req) override {
     const auto theirs = decode(req);
     if (!theirs) return {};  // Corrupted request: no merge, no reply.
     scratch_ = encode(value_);
@@ -89,7 +90,8 @@ class HardenedAgent final : public NodeAgent {
     return scratch_;
   }
 
-  void handle_response(AgentContext&, std::span<const std::byte> resp) override {
+  void handle_response(host::AgentContext&,
+                       std::span<const std::byte> resp) override {
     const auto theirs = decode(resp);
     if (!theirs) return;
     value_ = (value_ + *theirs) / 2.0;
@@ -115,14 +117,14 @@ class HardenedAgent final : public NodeAgent {
   std::vector<std::byte> scratch_;  ///< Backs the returned spans.
 };
 
-AgentFactory hardened_factory() {
-  return [](const AgentContext& ctx) {
+host::AgentFactory hardened_factory() {
+  return [](const host::AgentContext& ctx) {
     return std::make_unique<HardenedAgent>(static_cast<double>(ctx.attribute));
   };
 }
 
-AgentFactory averaging_factory() {
-  return [](const AgentContext& ctx) {
+host::AgentFactory averaging_factory() {
+  return [](const host::AgentContext& ctx) {
     return std::make_unique<AveragingAgent>(static_cast<double>(ctx.attribute));
   };
 }
@@ -137,18 +139,18 @@ EngineConfig stress_config() {
   EngineConfig config;
   config.seed = 0xfeed;
   config.churn_rate = 0.02;
-  config.message_loss = 0.05;
+  config.faults.drop_rate = 0.05;
   return config;
 }
 
-std::unique_ptr<Overlay> cyclon(std::size_t view = 8) {
+std::unique_ptr<host::Overlay> cyclon(std::size_t view = 8) {
   CyclonConfig config;
   config.view_size = view;
   config.shuffle_size = view / 2;
   return std::make_unique<CyclonOverlay>(config);
 }
 
-AttributeSource churn_values() {
+host::AttributeSource churn_values() {
   return [](rng::Rng& rng) { return static_cast<stats::Value>(rng.below(1000)); };
 }
 
@@ -160,7 +162,7 @@ void expect_identical(CycleEngine& a, CycleEngine& b) {
   const auto live_b = b.live_ids();
   ASSERT_TRUE(std::equal(live_a.begin(), live_a.end(), live_b.begin(),
                          live_b.end()));
-  for (NodeId id : live_a) {
+  for (host::NodeId id : live_a) {
     EXPECT_EQ(a.attribute_of(id), b.attribute_of(id));
     const auto* agent_a = dynamic_cast<AgentT*>(&a.agent(id));
     const auto* agent_b = dynamic_cast<AgentT*>(&b.agent(id));
@@ -170,10 +172,10 @@ void expect_identical(CycleEngine& a, CycleEngine& b) {
     // as a ULP-level difference in the averaged value.
     EXPECT_EQ(agent_a->value(), agent_b->value()) << "node " << id;
   }
-  const TrafficStats& ta = a.total_traffic();
-  const TrafficStats& tb = b.total_traffic();
+  const host::TrafficStats& ta = a.total_traffic();
+  const host::TrafficStats& tb = b.total_traffic();
   for (std::size_t c = 0; c < host::kChannelCount; ++c) {
-    const auto ch = static_cast<Channel>(c);
+    const auto ch = static_cast<host::Channel>(c);
     EXPECT_EQ(ta.on(ch).messages_sent, tb.on(ch).messages_sent);
     EXPECT_EQ(ta.on(ch).bytes_sent, tb.on(ch).bytes_sent);
     EXPECT_EQ(ta.on(ch).messages_received, tb.on(ch).messages_received);

@@ -457,7 +457,7 @@ TEST(ProtocolTest, SurvivesInitiatorDeath) {
 
 TEST(ProtocolTest, ToleratesMessageLoss) {
   SystemConfig config = small_system(23);
-  config.engine.message_loss = 0.1;
+  config.engine.faults.drop_rate = 0.1;
   config.protocol.instance_ttl = 40;
   Adam2System system(config, iota_values(300));
   const stats::EmpiricalCdf truth{iota_values(300)};

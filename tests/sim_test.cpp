@@ -18,28 +18,29 @@ namespace {
 /// mediation independent of the Adam2 protocol: each node starts with its
 /// attribute value and the population should converge to the global mean
 /// with total mass conserved exactly.
-class AveragingAgent final : public NodeAgent {
+class AveragingAgent final : public host::NodeAgent {
  public:
   explicit AveragingAgent(double initial) : value_(initial) {}
 
   [[nodiscard]] double value() const { return value_; }
 
-  void on_round_start(AgentContext&) override {}
+  void on_round_start(host::AgentContext&) override {}
 
-  std::span<const std::byte> make_request(AgentContext&) override {
+  std::span<const std::byte> make_request(host::AgentContext&) override {
     scratch_ = encode(value_);
     return scratch_;
   }
 
   std::span<const std::byte> handle_request(
-      AgentContext&, std::span<const std::byte> req) override {
+      host::AgentContext&, std::span<const std::byte> req) override {
     const double theirs = decode(req);
     scratch_ = encode(value_);  // Pre-merge value (symmetric).
     value_ = (value_ + theirs) / 2.0;
     return scratch_;
   }
 
-  void handle_response(AgentContext&, std::span<const std::byte> resp) override {
+  void handle_response(host::AgentContext&,
+                       std::span<const std::byte> resp) override {
     value_ = (value_ + decode(resp)) / 2.0;
   }
 
@@ -58,24 +59,28 @@ class AveragingAgent final : public NodeAgent {
   std::vector<std::byte> scratch_;  ///< Backs the returned spans.
 };
 
-AgentFactory averaging_factory() {
-  return [](const AgentContext& ctx) {
+host::AgentFactory averaging_factory() {
+  return [](const host::AgentContext& ctx) {
     return std::make_unique<AveragingAgent>(static_cast<double>(ctx.attribute));
   };
 }
 
 /// Agent that never gossips; used for pure substrate tests.
-class SilentAgent final : public NodeAgent {
+class SilentAgent final : public host::NodeAgent {
  public:
-  std::span<const std::byte> make_request(AgentContext&) override { return {}; }
-  std::span<const std::byte> handle_request(AgentContext&,
+  std::span<const std::byte> make_request(host::AgentContext&) override {
+    return {};
+  }
+  std::span<const std::byte> handle_request(host::AgentContext&,
                                             std::span<const std::byte>) override {
     return {};
   }
 };
 
-AgentFactory silent_factory() {
-  return [](const AgentContext&) { return std::make_unique<SilentAgent>(); };
+host::AgentFactory silent_factory() {
+  return [](const host::AgentContext&) {
+    return std::make_unique<SilentAgent>();
+  };
 }
 
 std::vector<stats::Value> iota_values(std::size_t n) {
@@ -125,7 +130,7 @@ TEST(EngineTest, AveragingConvergesToGlobalMean) {
                      averaging_factory(), nullptr);
   engine.run_rounds(60);
   const double mean = (static_cast<double>(n) - 1.0) / 2.0;
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     const auto& agent = dynamic_cast<const AveragingAgent&>(engine.agent(id));
     EXPECT_NEAR(agent.value(), mean, 1e-8);
   }
@@ -138,7 +143,7 @@ TEST(EngineTest, AveragingConservesMassExactly) {
                      averaging_factory(), nullptr);
   auto total = [&] {
     double sum = 0.0;
-    for (NodeId id : engine.live_ids()) {
+    for (host::NodeId id : engine.live_ids()) {
       sum += dynamic_cast<const AveragingAgent&>(engine.agent(id)).value();
     }
     return sum;
@@ -155,7 +160,7 @@ TEST(EngineTest, DeterministicAcrossRuns) {
                        averaging_factory(), nullptr);
     engine.run_rounds(5);
     std::vector<double> values;
-    for (NodeId id : engine.live_ids()) {
+    for (host::NodeId id : engine.live_ids()) {
       values.push_back(
           dynamic_cast<const AveragingAgent&>(engine.agent(id)).value());
     }
@@ -171,7 +176,7 @@ TEST(EngineTest, TrafficIsAccountedPerChannelAndGlobally) {
                      averaging_factory(), nullptr);
   engine.run_rounds(3);
   const auto& total = engine.total_traffic();
-  const auto& agg = total.on(Channel::kAggregation);
+  const auto& agg = total.on(host::Channel::kAggregation);
   // Every successful exchange = 2 messages (request + response) of 8 bytes.
   EXPECT_GT(agg.messages_sent, 0u);
   EXPECT_EQ(agg.bytes_sent, agg.messages_sent * 8);
@@ -179,8 +184,9 @@ TEST(EngineTest, TrafficIsAccountedPerChannelAndGlobally) {
 
   // Per-node totals sum to the global ones.
   std::uint64_t per_node = 0;
-  for (NodeId id : engine.live_ids()) {
-    per_node += engine.node(id).traffic.on(Channel::kAggregation).bytes_sent;
+  for (host::NodeId id : engine.live_ids()) {
+    per_node +=
+        engine.node(id).traffic.on(host::Channel::kAggregation).bytes_sent;
   }
   EXPECT_EQ(per_node, agg.bytes_sent);
 }
@@ -218,10 +224,10 @@ TEST(EngineTest, ChurnedInNodesGetFreshIdsAndBirthRounds) {
                      std::make_unique<StaticRandomOverlay>(6), silent_factory(),
                      [](rng::Rng&) { return stats::Value{7}; });
   engine.run_rounds(5);
-  std::set<NodeId> seen;
-  for (NodeId id : engine.live_ids()) {
+  std::set<host::NodeId> seen;
+  for (host::NodeId id : engine.live_ids()) {
     EXPECT_TRUE(seen.insert(id).second);  // No duplicates.
-    const Node& node = engine.node(id);
+    const host::Node& node = engine.node(id);
     if (id >= 50) {
       EXPECT_GT(node.birth_round, 0u);
       EXPECT_EQ(node.attribute, 7);
@@ -240,7 +246,7 @@ TEST(EngineTest, ChurnRequiresAttributeSource) {
 
 TEST(EngineTest, MessageLossDropsTraffic) {
   EngineConfig lossy = config_with_seed(12);
-  lossy.message_loss = 0.5;
+  lossy.faults.drop_rate = 0.5;
   CycleEngine engine(lossy, iota_values(100),
                      std::make_unique<StaticRandomOverlay>(8),
                      averaging_factory(), nullptr);
@@ -252,13 +258,13 @@ TEST(EngineTest, MessageLossBreaksExactMassConservation) {
   // A dropped response leaves the responder merged but not the requester —
   // the asymmetry a real deployment would see.
   EngineConfig lossy = config_with_seed(13);
-  lossy.message_loss = 0.3;
+  lossy.faults.drop_rate = 0.3;
   CycleEngine engine(lossy, iota_values(64),
                      std::make_unique<StaticRandomOverlay>(8),
                      averaging_factory(), nullptr);
   auto total = [&] {
     double sum = 0.0;
-    for (NodeId id : engine.live_ids()) {
+    for (host::NodeId id : engine.live_ids()) {
       sum += dynamic_cast<const AveragingAgent&>(engine.agent(id)).value();
     }
     return sum;
@@ -293,13 +299,13 @@ TEST(StaticOverlayTest, InitialGraphIsConnected) {
                      std::make_unique<StaticRandomOverlay>(8), silent_factory(),
                      nullptr);
   // BFS over neighbour lists from node 0.
-  std::set<NodeId> visited{0};
-  std::queue<NodeId> frontier;
+  std::set<host::NodeId> visited{0};
+  std::queue<host::NodeId> frontier;
   frontier.push(0);
   while (!frontier.empty()) {
-    const NodeId current = frontier.front();
+    const host::NodeId current = frontier.front();
     frontier.pop();
-    for (NodeId next : engine.overlay().neighbors(current)) {
+    for (host::NodeId next : engine.overlay().neighbors(current)) {
       if (visited.insert(next).second) frontier.push(next);
     }
   }
@@ -311,7 +317,7 @@ TEST(StaticOverlayTest, DegreesAreNearTarget) {
                      std::make_unique<StaticRandomOverlay>(10),
                      silent_factory(), nullptr);
   double total_degree = 0.0;
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     total_degree += static_cast<double>(engine.overlay().neighbors(id).size());
   }
   EXPECT_NEAR(total_degree / 1000.0, 10.0, 2.5);
@@ -322,7 +328,8 @@ TEST(StaticOverlayTest, PickGossipTargetReturnsNeighbour) {
                      std::make_unique<StaticRandomOverlay>(6), silent_factory(),
                      nullptr);
   rng::Rng rng(1);
-  for (NodeId id : {NodeId{0}, NodeId{50}, NodeId{99}}) {
+  for (host::NodeId id :
+       {host::NodeId{0}, host::NodeId{50}, host::NodeId{99}}) {
     const auto neighbors = engine.overlay().neighbors(id);
     for (int i = 0; i < 20; ++i) {
       const auto target = engine.overlay().pick_gossip_target(id, rng);
@@ -340,7 +347,7 @@ TEST(StaticOverlayTest, RemoveNodeDropsReverseLinks) {
                      nullptr);
   const auto victims = engine.overlay().neighbors(0);
   ASSERT_FALSE(victims.empty());
-  const NodeId victim = victims.front();
+  const host::NodeId victim = victims.front();
   engine.kill_node(victim);
   const auto after = engine.overlay().neighbors(0);
   EXPECT_EQ(std::count(after.begin(), after.end(), victim), 0);
@@ -372,7 +379,7 @@ TEST(CyclonTest, ViewsRespectCapacity) {
   CycleEngine engine(config_with_seed(21), iota_values(200), make_cyclon(),
                      silent_factory(), nullptr);
   engine.run_rounds(10);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     EXPECT_LE(engine.overlay().neighbors(id).size(), 8u);
     EXPECT_GE(engine.overlay().neighbors(id).size(), 1u);
   }
@@ -382,9 +389,9 @@ TEST(CyclonTest, ViewsContainNoSelfOrDuplicates) {
   CycleEngine engine(config_with_seed(22), iota_values(100), make_cyclon(),
                      silent_factory(), nullptr);
   engine.run_rounds(15);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     const auto neighbors = engine.overlay().neighbors(id);
-    const std::set<NodeId> unique(neighbors.begin(), neighbors.end());
+    const std::set<host::NodeId> unique(neighbors.begin(), neighbors.end());
     EXPECT_EQ(unique.size(), neighbors.size());
     EXPECT_EQ(unique.count(id), 0u);
   }
@@ -398,7 +405,7 @@ TEST(CyclonTest, ShufflingMixesViews) {
   const auto after = engine.overlay().neighbors(0);
   // After 20 shuffles the view should have turned over substantially.
   std::size_t kept = 0;
-  for (NodeId id : after) {
+  for (host::NodeId id : after) {
     kept += std::count(before.begin(), before.end(), id);
   }
   EXPECT_LT(kept, before.size());
@@ -414,22 +421,22 @@ TEST(CyclonTest, GraphStaysConnectedUnderChurn) {
                      });
   engine.run_rounds(50);
   // BFS over the (directed) views, treating edges as undirected.
-  std::map<NodeId, std::vector<NodeId>> undirected;
-  for (NodeId id : engine.live_ids()) {
-    for (NodeId peer : engine.overlay().neighbors(id)) {
+  std::map<host::NodeId, std::vector<host::NodeId>> undirected;
+  for (host::NodeId id : engine.live_ids()) {
+    for (host::NodeId peer : engine.overlay().neighbors(id)) {
       if (!engine.is_live(peer)) continue;
       undirected[id].push_back(peer);
       undirected[peer].push_back(id);
     }
   }
-  const NodeId start = engine.live_ids().front();
-  std::set<NodeId> visited{start};
-  std::queue<NodeId> frontier;
+  const host::NodeId start = engine.live_ids().front();
+  std::set<host::NodeId> visited{start};
+  std::queue<host::NodeId> frontier;
   frontier.push(start);
   while (!frontier.empty()) {
-    const NodeId current = frontier.front();
+    const host::NodeId current = frontier.front();
     frontier.pop();
-    for (NodeId next : undirected[current]) {
+    for (host::NodeId next : undirected[current]) {
       if (visited.insert(next).second) frontier.push(next);
     }
   }
@@ -443,9 +450,10 @@ TEST(CyclonTest, DeadEntriesAreEventuallyEvicted) {
   engine.run_rounds(5);
   engine.kill_node(42);
   engine.run_rounds(30);
-  for (NodeId id : engine.live_ids()) {
+  for (host::NodeId id : engine.live_ids()) {
     const auto neighbors = engine.overlay().neighbors(id);
-    EXPECT_EQ(std::count(neighbors.begin(), neighbors.end(), NodeId{42}), 0)
+    EXPECT_EQ(
+        std::count(neighbors.begin(), neighbors.end(), host::NodeId{42}), 0)
         << "node " << id << " still references the dead node";
   }
 }
@@ -466,9 +474,12 @@ TEST(CyclonTest, ShuffleTrafficIsAccountedOnOverlayChannel) {
   CycleEngine engine(config_with_seed(27), iota_values(50), make_cyclon(),
                      silent_factory(), nullptr);
   engine.run_rounds(3);
-  const auto& overlay_traffic = engine.total_traffic().on(Channel::kOverlay);
+  const auto& overlay_traffic =
+      engine.total_traffic().on(host::Channel::kOverlay);
   EXPECT_GT(overlay_traffic.messages_sent, 0u);
-  EXPECT_EQ(engine.total_traffic().on(Channel::kAggregation).messages_sent, 0u);
+  EXPECT_EQ(
+      engine.total_traffic().on(host::Channel::kAggregation).messages_sent,
+      0u);
 }
 
 }  // namespace

@@ -22,10 +22,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "host/snapshot.hpp"
@@ -47,18 +49,18 @@ namespace snap = host::snapshot;
 /// persistent state, re-encoded bit-exactly (jitter and scratch are
 /// per-exchange and deliberately excluded — the save/restore contract covers
 /// persistent protocol state only).
-class SnapAgent final : public NodeAgent {
+class SnapAgent final : public host::NodeAgent {
  public:
   explicit SnapAgent(double initial) : value_(initial) {}
 
-  std::span<const std::byte> make_request(AgentContext& ctx) override {
+  std::span<const std::byte> make_request(host::AgentContext& ctx) override {
     const double jitter = ctx.rng.uniform(0.0, 1e-12);
     scratch_ = encode(value_ + jitter);
     return scratch_;
   }
 
   std::span<const std::byte> handle_request(
-      AgentContext&, std::span<const std::byte> req) override {
+      host::AgentContext&, std::span<const std::byte> req) override {
     const auto theirs = decode(req);
     if (!theirs) return {};
     scratch_ = encode(value_);
@@ -66,7 +68,8 @@ class SnapAgent final : public NodeAgent {
     return scratch_;
   }
 
-  void handle_response(AgentContext&, std::span<const std::byte> resp) override {
+  void handle_response(host::AgentContext&,
+                       std::span<const std::byte> resp) override {
     const auto theirs = decode(resp);
     if (theirs) value_ = (value_ + *theirs) / 2.0;
   }
@@ -99,24 +102,24 @@ class SnapAgent final : public NodeAgent {
 
 /// Minimal agent WITHOUT snapshot hooks: saving an engine hosting one must
 /// fail loudly with SnapshotError, never silently drop state.
-class OpaqueAgent final : public NodeAgent {
+class OpaqueAgent final : public host::NodeAgent {
  public:
-  std::span<const std::byte> make_request(AgentContext&) override {
+  std::span<const std::byte> make_request(host::AgentContext&) override {
     return {};
   }
-  std::span<const std::byte> handle_request(AgentContext&,
+  std::span<const std::byte> handle_request(host::AgentContext&,
                                             std::span<const std::byte>) override {
     return {};
   }
 };
 
-AgentFactory snap_factory() {
-  return [](const AgentContext& ctx) {
+host::AgentFactory snap_factory() {
+  return [](const host::AgentContext& ctx) {
     return std::make_unique<SnapAgent>(static_cast<double>(ctx.attribute));
   };
 }
 
-AttributeSource churn_values() {
+host::AttributeSource churn_values() {
   return [](rng::Rng& rng) { return static_cast<stats::Value>(rng.below(1000)); };
 }
 
@@ -126,7 +129,7 @@ std::vector<stats::Value> iota_values(std::size_t n) {
   return values;
 }
 
-std::unique_ptr<Overlay> cyclon() {
+std::unique_ptr<host::Overlay> cyclon() {
   CyclonConfig config;
   config.view_size = 6;
   config.shuffle_size = 3;
@@ -140,7 +143,6 @@ EngineConfig cycle_config() {
   EngineConfig config;
   config.seed = 0x5eed;
   config.churn_rate = 0.03;
-  config.message_loss = 0.05;
   config.faults.drop_rate = 0.05;
   config.faults.crash_rate = 0.01;
   config.faults.seed = 0x5eed;
@@ -155,7 +157,7 @@ CycleEngine make_cycle_engine() {
 AsyncConfig async_config() {
   AsyncConfig config;
   config.seed = 0x5eed;
-  config.message_loss = 0.02;
+  config.faults.drop_rate = 0.02;
   config.churn_per_second = 0.01;
   return config;
 }
@@ -226,7 +228,7 @@ TEST(SnapshotRoundTripTest, FreshEngineSnapshotRestoresBeforeAnyRound) {
 
 TEST(SnapshotEncodeTest, UnsupportedAgentTypeThrowsSnapshotError) {
   CycleEngine engine(cycle_config(), iota_values(8), cyclon(),
-                     [](const AgentContext&) {
+                     [](const host::AgentContext&) {
                        return std::make_unique<OpaqueAgent>();
                      },
                      churn_values());
@@ -316,18 +318,80 @@ TEST(SnapshotContainerTest, RejectsTrailingGarbage) {
   expect_rejected(bytes, "8 garbage bytes appended");
 }
 
-TEST(SnapshotContainerTest, RejectsConfigMismatch) {
-  CycleEngine engine = make_cycle_engine();
-  engine.run_rounds(2);
-  const std::vector<std::byte> bytes = engine.save_snapshot();
+/// Named edits that each move one config field off the test configs' value.
+template <typename ConfigT>
+using ConfigEdits =
+    std::vector<std::pair<std::string, std::function<void(ConfigT&)>>>;
 
-  EngineConfig other = cycle_config();
-  other.seed = 0xbad;  // Any config divergence must reject, not diverge.
-  CycleEngine mismatched(other, iota_values(24), cyclon(), snap_factory(),
-                         churn_values());
-  const std::vector<std::byte> before = mismatched.save_snapshot();
-  EXPECT_THROW(mismatched.restore_snapshot(bytes), wire::DecodeError);
-  EXPECT_EQ(mismatched.save_snapshot(), before);
+/// `edits` plus one edit per FaultPlan field of the config's `faults`.
+template <typename ConfigT>
+ConfigEdits<ConfigT> with_plan_edits(ConfigEdits<ConfigT> edits) {
+  const ConfigEdits<host::FaultPlan> plan_edits = {
+      {"drop_rate", [](host::FaultPlan& p) { p.drop_rate += 0.01; }},
+      {"duplicate_rate", [](host::FaultPlan& p) { p.duplicate_rate += 0.01; }},
+      {"corrupt_rate", [](host::FaultPlan& p) { p.corrupt_rate += 0.01; }},
+      {"delay_rate", [](host::FaultPlan& p) { p.delay_rate += 0.01; }},
+      {"max_delay", [](host::FaultPlan& p) { p.max_delay += 0.01; }},
+      {"crash_rate", [](host::FaultPlan& p) { p.crash_rate += 0.01; }},
+      {"partition_count", [](host::FaultPlan& p) { p.partition_count += 2; }},
+      {"partition_start", [](host::FaultPlan& p) { ++p.partition_start; }},
+      {"partition_heal_after",
+       [](host::FaultPlan& p) { ++p.partition_heal_after; }},
+      {"seed", [](host::FaultPlan& p) { ++p.seed; }},
+      {"warm_restart",
+       [](host::FaultPlan& p) { p.warm_restart = !p.warm_restart; }},
+  };
+  for (const auto& entry : plan_edits) {
+    const auto& edit = entry.second;
+    edits.emplace_back("faults." + entry.first,
+                       [edit](ConfigT& config) { edit(config.faults); });
+  }
+  return edits;
+}
+
+TEST(SnapshotContainerTest, RejectsConfigMismatch) {
+  // A snapshot resumes only under the exact configuration that saved it, so
+  // a change to any engine-config or fault-plan field must reject (not
+  // silently change the replayed schedule) and leave the engine untouched.
+  CycleEngine cycle = make_cycle_engine();
+  cycle.run_rounds(2);
+  const std::vector<std::byte> cycle_bytes = cycle.save_snapshot();
+  for (const auto& [field, edit] : with_plan_edits<EngineConfig>({
+           {"churn_rate", [](EngineConfig& c) { c.churn_rate += 0.01; }},
+           {"seed", [](EngineConfig& c) { ++c.seed; }},
+       })) {
+    EngineConfig other = cycle_config();
+    edit(other);
+    CycleEngine mismatched(other, iota_values(24), cyclon(), snap_factory(),
+                           churn_values());
+    const std::vector<std::byte> before = mismatched.save_snapshot();
+    EXPECT_THROW(mismatched.restore_snapshot(cycle_bytes), wire::DecodeError)
+        << field;
+    EXPECT_EQ(mismatched.save_snapshot(), before) << field;
+  }
+
+  AsyncEngine async = make_async_engine();
+  async.run_until(3.0);
+  const std::vector<std::byte> async_bytes = async.save_snapshot();
+  for (const auto& [field, edit] : with_plan_edits<AsyncConfig>({
+           {"gossip_period", [](AsyncConfig& c) { c.gossip_period += 0.1; }},
+           {"period_jitter", [](AsyncConfig& c) { c.period_jitter += 0.01; }},
+           {"latency_min", [](AsyncConfig& c) { c.latency_min += 0.001; }},
+           {"latency_max", [](AsyncConfig& c) { c.latency_max += 0.01; }},
+           {"churn_per_second",
+            [](AsyncConfig& c) { c.churn_per_second += 0.01; }},
+           {"seed", [](AsyncConfig& c) { ++c.seed; }},
+       })) {
+    AsyncConfig other = async_config();
+    edit(other);
+    AsyncEngine mismatched(other, iota_values(24),
+                           std::make_unique<StaticRandomOverlay>(5),
+                           snap_factory(), churn_values());
+    const std::vector<std::byte> before = mismatched.save_snapshot();
+    EXPECT_THROW(mismatched.restore_snapshot(async_bytes), wire::DecodeError)
+        << field;
+    EXPECT_EQ(mismatched.save_snapshot(), before) << field;
+  }
 }
 
 // -- Mutant corpus -----------------------------------------------------------

@@ -50,10 +50,10 @@ substrate:
   --overlay O          cyclon | static (default cyclon)
   --degree D           overlay degree / view size (default 20)
   --churn C            fraction of nodes replaced per round (default 0)
-  --loss P             message loss probability (default 0)
 
 faults (deterministic injection, DESIGN.md §8; all default 0 = off):
-  --fault-drop P       drop each message with probability P
+  --fault-drop P       drop each message with probability P (the one
+                       message-loss knob)
   --fault-duplicate P  deliver each message twice with probability P
   --fault-corrupt P    truncate/byte-flip the payload with probability P
   --fault-crash P      per-node crash-restart (state loss) per round
@@ -170,7 +170,6 @@ int run(const tools::Options& flags) {
   core::SystemConfig config;
   config.engine.seed = seed;
   config.engine.churn_rate = flags.get_double("churn", 0.0);
-  config.engine.message_loss = flags.get_double("loss", 0.0);
   config.protocol.lambda =
       static_cast<std::size_t>(flags.get_int("lambda", 50));
   config.protocol.instance_ttl =
@@ -228,7 +227,6 @@ int run(const tools::Options& flags) {
     async_config.seed = seed;
     async_config.latency_max = latency_max;
     async_config.churn_per_second = config.engine.churn_rate;
-    async_config.message_loss = config.engine.message_loss;
     async_config.faults = config.engine.faults;
     const core::Adam2Config protocol = config.protocol;
     sim::AsyncEngine engine(
@@ -250,7 +248,6 @@ int run(const tools::Options& flags) {
                                static_cast<std::uint64_t>(values.size()));
       recorder->manifest().set("churn_per_second",
                                async_config.churn_per_second);
-      recorder->manifest().set("message_loss", async_config.message_loss);
     }
     // Resume replaces the warm-up: the snapshot already holds the warmed
     // state, and run_until is a no-op once simulated time has passed 5 s.
