@@ -7,8 +7,8 @@
 //                  aggregation and estimate evaluation;
 //   * sim/       — the cycle-driven (serial or sharded) and event-driven
 //                  simulation substrates plus the overlay implementations;
-//   * runtime/   — the wall-clock deployments (thread-per-node Cluster,
-//                  loopback-UDP peers);
+//   * runtime/   — the wall-clock runtime: runtime::Peer over an
+//                  in-process (Cluster) or loopback-UDP endpoint;
 //   * obs/       — the observability layer: obs::Recorder with its metrics
 //                  registry, deterministic trace and run-manifest exporters;
 //   * data/      — synthetic BOINC-style populations and host-trace loading;
@@ -32,6 +32,7 @@
 #include "sim/overlay.hpp"
 
 #include "runtime/cluster.hpp"
+#include "runtime/peer.hpp"
 #include "runtime/udp.hpp"
 
 #include "obs/export.hpp"

@@ -156,7 +156,7 @@ SessionedPort::Initiate SessionedPort::initiate(
   if (request.empty()) return Initiate::kSilent;
   const auto target = pick_target();
   if (!target) return Initiate::kNoTarget;
-  transport_.record_gossip_sent(*target, request.size());
+  counters_.on(Channel::kAggregation).add_send(request.size());
   const std::uint64_t token = session_.next_token();
   if (!send_copies(/*is_request=*/true, *target, token, request)) {
     return Initiate::kSendFailed;
@@ -177,16 +177,16 @@ bool SessionedPort::on_request(NodeAgent& agent, AgentContext& ctx,
     transport_.send_busy(from, token);
     return false;
   }
-  transport_.record_gossip_received(from, payload.size());
+  counters_.on(Channel::kAggregation).add_receive(payload.size());
   auto response = agent.handle_request(ctx, payload);
   if (response.empty()) return true;
-  transport_.record_gossip_sent(from, response.size());
+  counters_.on(Channel::kAggregation).add_send(response.size());
   send_copies(/*is_request=*/false, from, token, response);
   return true;
 }
 
 bool SessionedPort::on_response(NodeAgent& agent, AgentContext& ctx,
-                                NodeId from, std::uint64_t token,
+                                std::uint64_t token,
                                 std::span<const std::byte> payload) {
   if (!session_.close_if_current(token)) {
     // Stale: we already gave up on that exchange. Merging it now would
@@ -194,7 +194,7 @@ bool SessionedPort::on_response(NodeAgent& agent, AgentContext& ctx,
     ++counters_.dropped_messages;
     return false;
   }
-  transport_.record_gossip_received(from, payload.size());
+  counters_.on(Channel::kAggregation).add_receive(payload.size());
   agent.handle_response(ctx, payload);
   return true;
 }

@@ -18,10 +18,9 @@
 //    agent scratch end to end: the steady-state exchange allocates nothing
 //    (bench/micro_core pins this).
 //  * `SessionedPort` is the request→response state machine of the wall-clock
-//    runtimes: busy lock, NACK, token matching, stale-response rejection,
-//    faulty multi-copy sends — parameterised by a `Transport` adapter that
-//    knows only how to move an envelope and record gossip bytes. Adding a
-//    transport (e.g. TCP) means implementing that adapter, nothing else.
+//    runtime: busy lock, NACK, token matching, stale-response rejection,
+//    faulty multi-copy sends, gossip-byte counters — parameterised by a
+//    `Transport` adapter that knows only how to move an envelope.
 //
 // `ExchangeSession` (below) is the raw atomicity lock `SessionedPort` builds
 // on; the event-driven simulator keeps its own virtual-time busy set but
@@ -173,10 +172,10 @@ class Conduit {
   FaultInjector faults_;
 };
 
-/// The wall-clock runtimes' request→response state machine, shared by the
-/// threaded Cluster and the UDP peers. Owns the busy lock, token discipline,
-/// NACKs, stale-response rejection and faulty multi-copy sends; a `Transport`
-/// adapter supplies the envelope moves and gossip-byte recording.
+/// The wall-clock runtime's request→response state machine (runtime::Peer,
+/// over any datagram endpoint). Owns the busy lock, token discipline, NACKs,
+/// stale-response rejection, faulty multi-copy sends and the gossip-byte
+/// counters; a `Transport` adapter supplies the envelope moves.
 ///
 /// Driven from the owning node's (single) thread; not itself thread-safe.
 class SessionedPort {
@@ -192,14 +191,13 @@ class SessionedPort {
     virtual bool send_response(NodeId to, std::uint64_t token,
                                std::span<const std::byte> payload) = 0;
     virtual void send_busy(NodeId to, std::uint64_t token) = 0;
-    /// Gossip-byte accounting hooks (per-node counters or a shared ledger —
-    /// the port does not care which).
-    virtual void record_gossip_sent(NodeId peer, std::size_t bytes) = 0;
-    virtual void record_gossip_received(NodeId peer, std::size_t bytes) = 0;
   };
 
   /// `conduit`, `transport`, `fault_stream` and `counters` must outlive the
-  /// port (they live in the owning node).
+  /// port (they live in the owning node). The port records into `counters`
+  /// the aggregation bytes it sends (once per logical send, whatever the
+  /// fault fate) and receives (each request it answers, each response it
+  /// merges), plus its fault, busy and stale-response counts.
   SessionedPort(const Conduit& conduit, Transport& transport,
                 rng::Rng& fault_stream, TrafficStats& counters)
       : conduit_(conduit),
@@ -232,8 +230,8 @@ class SessionedPort {
   /// already abandoned — merging would violate atomicity; counted as a
   /// dropped message). Duplicated responses merge once: the first copy
   /// closes the session, the second is stale by construction.
-  bool on_response(NodeAgent& agent, AgentContext& ctx, NodeId from,
-                   std::uint64_t token, std::span<const std::byte> payload);
+  bool on_response(NodeAgent& agent, AgentContext& ctx, std::uint64_t token,
+                   std::span<const std::byte> payload);
 
   /// Handles a busy-NACK: unlocks if it answers the open exchange.
   void on_busy(std::uint64_t token) { (void)session_.close_if_current(token); }

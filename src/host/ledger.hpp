@@ -1,5 +1,5 @@
-// Thread-safe traffic ledger for the threaded runtimes (Cluster, UDP peers),
-// where many node threads record traffic concurrently.
+// Thread-safe traffic ledger for the wall-clock runtime (runtime::Directory),
+// where many peer threads add their counters concurrently.
 #pragma once
 
 #include <cstddef>
@@ -18,21 +18,6 @@ class SharedTrafficLedger {
     std::lock_guard lock(mutex_);
     totals_.on(channel).add_send(bytes);
     totals_.on(channel).add_receive(bytes);
-  }
-
-  void count_failed_contact() {
-    std::lock_guard lock(mutex_);
-    ++totals_.failed_contacts;
-  }
-
-  void count_dropped_message() {
-    std::lock_guard lock(mutex_);
-    ++totals_.dropped_messages;
-  }
-
-  void count_busy_rejection() {
-    std::lock_guard lock(mutex_);
-    ++totals_.busy_rejections;
   }
 
   /// Merges a batch of per-node counters (e.g. on node shutdown).

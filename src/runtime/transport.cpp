@@ -1,7 +1,5 @@
 #include "runtime/transport.hpp"
 
-#include <chrono>
-
 namespace adam2::runtime {
 
 void Mailbox::push(Envelope envelope) {
@@ -13,8 +11,7 @@ void Mailbox::push(Envelope envelope) {
   ready_.notify_one();
 }
 
-std::optional<Envelope> Mailbox::wait_pop(
-    std::chrono::steady_clock::time_point deadline) {
+std::optional<Envelope> Mailbox::wait_pop(Clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
   ready_.wait_until(lock, deadline,
                     [this] { return !queue_.empty() || closed_; });
@@ -48,11 +45,6 @@ std::size_t Mailbox::size() const {
 void Network::attach(host::NodeId id, Mailbox* mailbox) {
   const std::lock_guard<std::mutex> lock(mutex_);
   endpoints_[id] = mailbox;
-}
-
-void Network::detach(host::NodeId id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  endpoints_.erase(id);
 }
 
 bool Network::send(host::NodeId to, Envelope envelope) {

@@ -1,12 +1,16 @@
-// In-process datagram transport for the threaded runtime.
+// The datagram endpoint a runtime::Peer gossips through, and its in-process
+// implementation.
 //
-// Every node owns a Mailbox; the shared Network routes envelopes between
-// mailboxes. Envelopes carry a kind tag (gossip request/response, bootstrap
-// request/response) plus the sender id, so a receiving node knows which
-// agent callback to invoke — exactly the framing a UDP deployment would put
-// in front of the protocol payload.
+// An Envelope carries a kind tag (gossip request/response, busy-NACK,
+// wakeup) plus the sender id and exchange token, so a receiving peer knows
+// which port callback to invoke — exactly the framing a socket deployment
+// puts in front of the protocol payload. An Endpoint moves envelopes: send
+// one to a node id, or wait for one until a deadline. Two implementations
+// exist: NetworkEndpoint (a Mailbox on the in-process Network) and
+// UdpEndpoint (runtime/udp.hpp).
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -19,13 +23,13 @@
 
 namespace adam2::runtime {
 
+using Clock = std::chrono::steady_clock;
+
 enum class EnvelopeKind : std::uint8_t {
   kGossipRequest = 1,
   kGossipResponse = 2,
-  kBootstrapRequest = 3,
-  kBootstrapResponse = 4,
-  kWakeup = 5,  ///< Empty self-notification (task queue poke).
-  kGossipBusy = 6,  ///< NACK: responder is mid-exchange; requester unlocks.
+  kGossipBusy = 3,  ///< NACK: responder is mid-exchange; requester unlocks.
+  kWakeup = 4,      ///< Empty self-notification (posted task or stop).
 };
 
 struct Envelope {
@@ -38,6 +42,27 @@ struct Envelope {
   std::vector<std::byte> payload;
 };
 
+/// One node's datagram socket. A Peer calls `receive` only from its own
+/// thread; `send` may also come from the thread that controls the peer
+/// (wakeups), so implementations must allow a send concurrent with a
+/// receive.
+class Endpoint {
+ public:
+  virtual ~Endpoint() = default;
+
+  /// Sends `envelope` to node `to`. False when `to` is unroutable.
+  virtual bool send(host::NodeId to, Envelope envelope) = 0;
+
+  /// Waits until `deadline` for one envelope; nullopt on timeout or when
+  /// the frame that arrived could not be decoded.
+  [[nodiscard]] virtual std::optional<Envelope> receive(
+      Clock::time_point deadline) = 0;
+
+  /// Frames discarded as undecodable since construction (truncated or
+  /// with an invalid kind byte). Safe to read from any thread.
+  [[nodiscard]] virtual std::uint64_t rejected_frames() const { return 0; }
+};
+
 /// A node's inbound queue. Threads block on `wait_pop` with a deadline so
 /// the node loop wakes for whichever comes first: a message or its next
 /// gossip tick.
@@ -47,8 +72,7 @@ class Mailbox {
 
   /// Pops the oldest envelope, waiting at most until `deadline`.
   /// Returns nullopt on timeout or when the mailbox is closed and empty.
-  [[nodiscard]] std::optional<Envelope> wait_pop(
-      std::chrono::steady_clock::time_point deadline);
+  [[nodiscard]] std::optional<Envelope> wait_pop(Clock::time_point deadline);
 
   /// Non-blocking pop.
   [[nodiscard]] std::optional<Envelope> try_pop();
@@ -70,9 +94,8 @@ class Mailbox {
 class Network {
  public:
   /// Registers `mailbox` as the endpoint for `id`. The mailbox must outlive
-  /// the network or be deregistered first.
+  /// every later send.
   void attach(host::NodeId id, Mailbox* mailbox);
-  void detach(host::NodeId id);
 
   /// Routes an envelope; returns false (and drops it) when the destination
   /// is not attached.
@@ -88,6 +111,27 @@ class Network {
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;
+};
+
+/// Node `id`'s endpoint on a Network: its own mailbox, attached on
+/// construction. Must outlive every send the network routes to it.
+class NetworkEndpoint final : public Endpoint {
+ public:
+  NetworkEndpoint(Network& network, host::NodeId id) : network_(network) {
+    network_.attach(id, &mailbox_);
+  }
+
+  bool send(host::NodeId to, Envelope envelope) override {
+    return network_.send(to, std::move(envelope));
+  }
+  [[nodiscard]] std::optional<Envelope> receive(
+      Clock::time_point deadline) override {
+    return mailbox_.wait_pop(deadline);
+  }
+
+ private:
+  Network& network_;
+  Mailbox mailbox_;
 };
 
 }  // namespace adam2::runtime

@@ -29,6 +29,7 @@
 #include "core/system.hpp"
 #include "host/fault.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/peer.hpp"
 #include "runtime/udp.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/cycle_engine.hpp"
@@ -387,12 +388,12 @@ TEST(ChaosTest, UdpPeersSurviveCorruptDatagrams) {
     endpoints.push_back(std::make_unique<runtime::UdpEndpoint>());
     ports.push_back(endpoints.back()->port());
   }
-  runtime::UdpDirectory directory(values, ports);
+  runtime::Directory directory(values);
 
   core::Adam2Config protocol;
   protocol.lambda = 5;
   protocol.instance_ttl = 50;
-  runtime::UdpPeerConfig config;
+  runtime::ClusterConfig config;
   config.gossip_period = 2ms;
   config.response_timeout = 20ms;
   config.seed = 5;
@@ -400,11 +401,14 @@ TEST(ChaosTest, UdpPeersSurviveCorruptDatagrams) {
   config.faults.duplicate_rate = 0.2;
   config.faults.corrupt_rate = 0.4;
 
-  std::vector<std::unique_ptr<runtime::UdpPeer>> peers;
+  std::vector<std::unique_ptr<runtime::Peer>> peers;
   for (std::size_t i = 0; i < kPeers; ++i) {
-    peers.push_back(std::make_unique<runtime::UdpPeer>(
+    endpoints[i]->connect(directory, ports);
+    peers.push_back(std::make_unique<runtime::Peer>(
         config, static_cast<host::NodeId>(i), directory, *endpoints[i],
-        std::make_unique<core::Adam2Agent>(protocol)));
+        [protocol](const host::AgentContext&) {
+          return std::make_unique<core::Adam2Agent>(protocol);
+        }));
   }
   for (auto& peer : peers) peer->start();
   peers[0]->run_on_peer([](host::NodeAgent& agent, host::AgentContext& ctx) {
@@ -502,12 +506,12 @@ TEST(ChaosTest, UdpWarmRestartRejoinsUnderFaults) {
     endpoints.push_back(std::make_unique<runtime::UdpEndpoint>());
     ports.push_back(endpoints.back()->port());
   }
-  runtime::UdpDirectory directory(values, ports);
+  runtime::Directory directory(values);
 
   core::Adam2Config protocol;
   protocol.lambda = 5;
   protocol.instance_ttl = 5000;
-  runtime::UdpPeerConfig config;
+  runtime::ClusterConfig config;
   config.gossip_period = 2ms;
   config.response_timeout = 20ms;
   config.seed = 7;
@@ -519,11 +523,12 @@ TEST(ChaosTest, UdpWarmRestartRejoinsUnderFaults) {
   const host::AgentFactory factory = [protocol](const host::AgentContext&) {
     return std::make_unique<core::Adam2Agent>(protocol);
   };
-  std::vector<std::unique_ptr<runtime::UdpPeer>> peers;
+  std::vector<std::unique_ptr<runtime::Peer>> peers;
   for (std::size_t i = 0; i < kPeers; ++i) {
-    peers.push_back(std::make_unique<runtime::UdpPeer>(
+    endpoints[i]->connect(directory, ports);
+    peers.push_back(std::make_unique<runtime::Peer>(
         config, static_cast<host::NodeId>(i), directory, *endpoints[i],
-        std::make_unique<core::Adam2Agent>(protocol)));
+        factory));
   }
   for (auto& peer : peers) peer->start();
   peers[0]->run_on_peer([](host::NodeAgent& agent, host::AgentContext& ctx) {
@@ -551,7 +556,7 @@ TEST(ChaosTest, UdpWarmRestartRejoinsUnderFaults) {
   // warm restart preserves its membership.
   ASSERT_TRUE(wait_for_instances(2, 1));
   const std::size_t before = instances_on(2);
-  peers[2]->restart(factory);
+  peers[2]->restart();
   EXPECT_EQ(instances_on(2), before);
 
   // Its first post-rejoin initiations must be accepted: the new instance it
@@ -560,6 +565,9 @@ TEST(ChaosTest, UdpWarmRestartRejoinsUnderFaults) {
     (void)dynamic_cast<core::Adam2Agent&>(agent).start_instance(ctx);
   });
   EXPECT_TRUE(wait_for_instances(4, 2));
+  // Each peer's fault stream is fixed, so the fault counters below need
+  // enough sends to have drawn every fate: keep the deployment gossiping.
+  std::this_thread::sleep_for(100ms);
   for (auto& peer : peers) peer->stop();
 
   const host::TrafficStats traffic = directory.traffic();

@@ -33,6 +33,7 @@
 #include "host/exchange.hpp"
 #include "host/fault.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/peer.hpp"
 #include "runtime/udp.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/cycle_engine.hpp"
@@ -270,18 +271,10 @@ class RecordingTransport final : public host::SessionedPort::Transport {
   void send_busy(host::NodeId to, std::uint64_t token) override {
     busys.push_back(Sent{to, token, {}});
   }
-  void record_gossip_sent(host::NodeId, std::size_t) override {
-    ++gossip_sent;
-  }
-  void record_gossip_received(host::NodeId, std::size_t) override {
-    ++gossip_received;
-  }
 
   std::vector<Sent> requests;
   std::vector<Sent> responses;
   std::vector<Sent> busys;
-  std::uint64_t gossip_sent = 0;
-  std::uint64_t gossip_received = 0;
 };
 
 class SessionedPortDuplicationTest : public ::testing::Test {
@@ -315,7 +308,7 @@ TEST_F(SessionedPortDuplicationTest, InitiateSendsTwoCopiesOfOneToken) {
   EXPECT_EQ(transport_.requests[0].payload, transport_.requests[1].payload);
   // One logical send, one duplication fault, one byte-accounting call.
   EXPECT_EQ(counters_.duplicated_messages, 1u);
-  EXPECT_EQ(transport_.gossip_sent, 1u);
+  EXPECT_EQ(counters_.on(host::Channel::kAggregation).messages_sent, 1u);
   EXPECT_TRUE(port_.session().busy());
 }
 
@@ -329,8 +322,8 @@ TEST_F(SessionedPortDuplicationTest, FirstResponseMergesSecondIsStale) {
 
   // The responder's reply was duplicated: two copies, same token. The first
   // closes the session and merges; the second is stale by construction.
-  EXPECT_TRUE(port_.on_response(agent_, ctx_, 1, token, reply));
-  EXPECT_FALSE(port_.on_response(agent_, ctx_, 1, token, reply));
+  EXPECT_TRUE(port_.on_response(agent_, ctx_, token, reply));
+  EXPECT_FALSE(port_.on_response(agent_, ctx_, token, reply));
 
   EXPECT_EQ(counts_.responses_handled, 1u);
   ASSERT_EQ(counts_.received_ordinals.size(), 1u);
@@ -353,7 +346,7 @@ TEST_F(SessionedPortDuplicationTest, EachRequestCopyIsAnsweredWithTwoCopies) {
     EXPECT_EQ(sent.token, 7u);
   }
   EXPECT_EQ(counters_.duplicated_messages, 2u);
-  EXPECT_EQ(transport_.gossip_received, 2u);
+  EXPECT_EQ(counters_.on(host::Channel::kAggregation).messages_received, 2u);
 }
 
 TEST_F(SessionedPortDuplicationTest, BusyPortNacksInsteadOfAnswering) {
@@ -396,7 +389,6 @@ TEST(DuplicationRuntimeTest, ClusterDuplicatesEveryLogicalSend) {
   runtime::ClusterConfig config;
   config.gossip_period = 2ms;
   config.response_timeout = 10ms;
-  config.overlay_degree = 3;
   config.seed = 0xd0b2;
   config.faults = always_duplicate();
   runtime::Cluster cluster(config, iota_values(4), [](const host::AgentContext&) {
@@ -420,19 +412,20 @@ TEST(DuplicationRuntimeTest, UdpPeersDuplicateEveryLogicalSend) {
     endpoints.push_back(std::make_unique<runtime::UdpEndpoint>());
     ports.push_back(endpoints.back()->port());
   }
-  runtime::UdpDirectory directory(iota_values(kPeers), ports);
+  runtime::Directory directory(iota_values(kPeers));
 
-  runtime::UdpPeerConfig config;
+  runtime::ClusterConfig config;
   config.gossip_period = 2ms;
   config.response_timeout = 10ms;
   config.seed = 0xd0b3;
   config.faults = always_duplicate();
 
-  std::vector<std::unique_ptr<runtime::UdpPeer>> peers;
+  std::vector<std::unique_ptr<runtime::Peer>> peers;
   for (std::size_t i = 0; i < kPeers; ++i) {
-    peers.push_back(std::make_unique<runtime::UdpPeer>(
+    endpoints[i]->connect(directory, ports);
+    peers.push_back(std::make_unique<runtime::Peer>(
         config, static_cast<host::NodeId>(i), directory, *endpoints[i],
-        std::make_unique<EchoAgent>()));
+        [](const host::AgentContext&) { return std::make_unique<EchoAgent>(); }));
   }
   for (auto& peer : peers) peer->start();
   std::this_thread::sleep_for(50ms);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <chrono>
@@ -91,14 +92,6 @@ TEST(NetworkTest, DropsToUnknownDestination) {
   Network network;
   EXPECT_FALSE(network.send(9, {EnvelopeKind::kGossipRequest, 1, 0, {}}));
   EXPECT_EQ(network.drops(), 1u);
-}
-
-TEST(NetworkTest, DetachStopsDelivery) {
-  Network network;
-  Mailbox a;
-  network.attach(1, &a);
-  network.detach(1);
-  EXPECT_FALSE(network.send(1, {EnvelopeKind::kWakeup, 0, 0, {}}));
 }
 
 // ----------------------------------------------------------------- Cluster
@@ -240,6 +233,69 @@ TEST(ClusterTest, TrafficIsAccounted) {
   const auto traffic = cluster.total_traffic();
   EXPECT_GT(traffic.on(host::Channel::kAggregation).messages_sent, 10u);
   EXPECT_GT(cluster.network().messages_routed(), 10u);
+}
+
+void start_instance_on(Cluster& cluster, host::NodeId id) {
+  cluster.run_on_node(id, [](host::NodeAgent& agent, host::AgentContext& ctx) {
+    dynamic_cast<core::Adam2Agent&>(agent).start_instance(ctx);
+  });
+}
+
+std::uint64_t aggregation_sent(const Cluster& cluster) {
+  return cluster.total_traffic().on(host::Channel::kAggregation).messages_sent;
+}
+
+TEST(ClusterTest, GossipsAgainAfterRestart) {
+  core::Adam2Config protocol;
+  protocol.lambda = 5;
+  protocol.instance_ttl = 20;
+  Cluster cluster(fast_config(7), iota_values(4), adam2_factory(protocol));
+  cluster.start();
+  std::this_thread::sleep_for(20ms);
+  cluster.stop();
+  const std::uint64_t before = aggregation_sent(cluster);
+
+  cluster.restart_node(1);
+  EXPECT_EQ(cluster.total_traffic().crash_restarts, 1u);  // Added at once.
+  cluster.start();
+  start_instance_on(cluster, 0);
+  std::this_thread::sleep_for(50ms);
+  cluster.stop();
+
+  EXPECT_GT(aggregation_sent(cluster), before);
+  EXPECT_EQ(cluster.total_traffic().crash_restarts, 1u);
+}
+
+// A posted task and stop() wake a node at once, not at its next tick.
+TEST(ClusterTest, TasksAndStopDoNotWaitForATick) {
+  ClusterConfig config = fast_config(9);
+  config.gossip_period = 60s;
+  Cluster cluster(config, iota_values(2), adam2_factory(core::Adam2Config{}));
+  cluster.start();
+  std::this_thread::sleep_for(20ms);  // Let the nodes block in receive.
+  const auto start = std::chrono::steady_clock::now();
+  cluster.run_on_node(1, [](host::NodeAgent&, host::AgentContext&) {});
+  cluster.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+}
+
+// Reading the totals while the node threads run must not race them (run
+// under -DADAM2_SANITIZE=thread), and the final totals cover every read.
+TEST(ClusterTest, TotalTrafficWhileRunningIsRaceFree) {
+  core::Adam2Config protocol;
+  protocol.lambda = 5;
+  protocol.instance_ttl = 20;
+  Cluster cluster(fast_config(8), iota_values(8), adam2_factory(protocol));
+  cluster.start();
+  start_instance_on(cluster, 0);
+  std::uint64_t most_read = 0;
+  for (int poll = 0; poll < 50; ++poll) {
+    most_read = std::max(most_read, aggregation_sent(cluster));
+    std::this_thread::sleep_for(2ms);
+  }
+  cluster.stop();
+  EXPECT_GT(aggregation_sent(cluster), 0u);
+  EXPECT_GE(aggregation_sent(cluster), most_read);
 }
 
 }  // namespace

@@ -1,17 +1,26 @@
 // Real-socket path: Adam2 over loopback UDP datagrams.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
 #include <thread>
 
 #include "core/protocol.hpp"
+#include "runtime/peer.hpp"
 #include "runtime/udp.hpp"
 
 namespace adam2::runtime {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// Connects `from` so that node 0 is itself and node 1 is `to`.
+void connect_pair(UdpEndpoint& from, const UdpEndpoint& to) {
+  from.connect(Directory({0, 0}), {from.port(), to.port()});
+}
 
 TEST(UdpEndpointTest, BindsDistinctEphemeralPorts) {
   UdpEndpoint a;
@@ -24,10 +33,11 @@ TEST(UdpEndpointTest, BindsDistinctEphemeralPorts) {
 TEST(UdpEndpointTest, EnvelopeRoundTrip) {
   UdpEndpoint sender;
   UdpEndpoint receiver;
+  connect_pair(sender, receiver);
   Envelope out{EnvelopeKind::kGossipRequest, 42, 7,
                {std::byte{1}, std::byte{2}, std::byte{3}}};
-  ASSERT_TRUE(sender.send(receiver.port(), out));
-  const auto in = receiver.receive(1s);
+  ASSERT_TRUE(sender.send(1, out));
+  const auto in = receiver.receive(Clock::now() + 1s);
   ASSERT_TRUE(in.has_value());
   EXPECT_EQ(in->kind, EnvelopeKind::kGossipRequest);
   EXPECT_EQ(in->from, 42u);
@@ -38,8 +48,9 @@ TEST(UdpEndpointTest, EnvelopeRoundTrip) {
 TEST(UdpEndpointTest, EmptyPayloadRoundTrip) {
   UdpEndpoint sender;
   UdpEndpoint receiver;
-  ASSERT_TRUE(sender.send(receiver.port(), {EnvelopeKind::kGossipBusy, 1, 9, {}}));
-  const auto in = receiver.receive(1s);
+  connect_pair(sender, receiver);
+  ASSERT_TRUE(sender.send(1, {EnvelopeKind::kGossipBusy, 1, 9, {}}));
+  const auto in = receiver.receive(Clock::now() + 1s);
   ASSERT_TRUE(in.has_value());
   EXPECT_EQ(in->kind, EnvelopeKind::kGossipBusy);
   EXPECT_TRUE(in->payload.empty());
@@ -48,24 +59,35 @@ TEST(UdpEndpointTest, EmptyPayloadRoundTrip) {
 TEST(UdpEndpointTest, ReceiveTimesOut) {
   UdpEndpoint receiver;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(receiver.receive(20ms).has_value());
+  EXPECT_FALSE(receiver.receive(start + 20ms).has_value());
   EXPECT_GE(std::chrono::steady_clock::now() - start, 15ms);
 }
 
 // Regression: SO_RCVTIMEO treats a zero timeval as "block forever", so a
-// sub-microsecond wait (truncated to 0us) used to wedge the receive loop —
-// and UdpPeer::stop() behind it — until a stray datagram arrived. The
-// endpoint must clamp and return promptly.
+// deadline less than a microsecond away (truncated to 0us) used to wedge the
+// receive loop until a stray datagram arrived. The endpoint must clamp and
+// return promptly.
 TEST(UdpEndpointTest, ZeroTimeoutReceiveReturnsPromptly) {
   UdpEndpoint receiver;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(receiver.receive(std::chrono::microseconds{0}).has_value());
-  EXPECT_FALSE(receiver.receive(std::chrono::microseconds{-5}).has_value());
+  EXPECT_FALSE(receiver.receive(start).has_value());
+  EXPECT_FALSE(receiver.receive(start - 5us).has_value());
   EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
 }
 
-TEST(UdpDirectoryTest, PickTargetNeverSelf) {
-  UdpDirectory directory({1, 2, 3}, {1000, 1001, 1002});
+TEST(UdpEndpointTest, ConnectRejectsAPortTableOfTheWrongSize) {
+  UdpEndpoint endpoint;
+  const Directory directory({1, 2, 3});
+  EXPECT_THROW(endpoint.connect(directory, {endpoint.port()}),
+               std::invalid_argument);
+  EXPECT_THROW(endpoint.connect(directory, {1, 2, 3, 4}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(endpoint.connect(directory, {endpoint.port(), 2, 3}));
+  EXPECT_FALSE(endpoint.send(3, {EnvelopeKind::kWakeup, 0, 0, {}}));
+}
+
+TEST(DirectoryTest, PickTargetNeverSelf) {
+  Directory directory({1, 2, 3});
   rng::Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     const auto target = directory.pick_gossip_target(1, rng);
@@ -74,8 +96,8 @@ TEST(UdpDirectoryTest, PickTargetNeverSelf) {
   }
 }
 
-TEST(UdpDirectoryTest, KnownValuesExcludeSelf) {
-  UdpDirectory directory({10, 20, 30}, {1, 2, 3});
+TEST(DirectoryTest, KnownValuesExcludeSelf) {
+  Directory directory({10, 20, 30});
   const auto values = directory.known_attribute_values(1, directory);
   EXPECT_EQ(values, (std::vector<stats::Value>{10, 30}));
 }
@@ -93,23 +115,26 @@ TEST(UdpPeerTest, Adam2ConvergesOverRealSockets) {
     endpoints.push_back(std::make_unique<UdpEndpoint>());
     ports.push_back(endpoints.back()->port());
   }
-  UdpDirectory directory(values, ports);
+  Directory directory(values);
 
   core::Adam2Config protocol;
   protocol.lambda = 6;
   protocol.instance_ttl = 80;
   protocol.bootstrap = core::BootstrapPoints::kNeighbourBased;
 
-  UdpPeerConfig config;
+  ClusterConfig config;
   config.gossip_period = 3ms;
   config.response_timeout = 30ms;
   config.seed = 9;
 
-  std::vector<std::unique_ptr<UdpPeer>> peers;
+  std::vector<std::unique_ptr<Peer>> peers;
   for (std::size_t i = 0; i < kPeers; ++i) {
-    peers.push_back(std::make_unique<UdpPeer>(
+    endpoints[i]->connect(directory, ports);
+    peers.push_back(std::make_unique<Peer>(
         config, static_cast<host::NodeId>(i), directory, *endpoints[i],
-        std::make_unique<core::Adam2Agent>(protocol)));
+        [protocol](const host::AgentContext&) {
+          return std::make_unique<core::Adam2Agent>(protocol);
+        }));
   }
   for (auto& peer : peers) peer->start();
 
@@ -151,6 +176,69 @@ TEST(UdpPeerTest, Adam2ConvergesOverRealSockets) {
   }
   EXPECT_GT(directory.traffic().on(host::Channel::kAggregation).messages_sent,
             100u);
+}
+
+// A posted task and stop() wake the peer at once (a wakeup datagram to its
+// own port), not at its next tick.
+TEST(UdpPeerTest, TasksAndStopDoNotWaitForATick) {
+  UdpEndpoint endpoint;
+  Directory directory({1});
+  endpoint.connect(directory, {endpoint.port()});
+  ClusterConfig config;
+  config.gossip_period = 60s;
+  Peer peer(config, 0, directory, endpoint, [](const host::AgentContext&) {
+    return std::make_unique<core::Adam2Agent>(core::Adam2Config{});
+  });
+  peer.start();
+  std::this_thread::sleep_for(20ms);  // Let the peer block in receive.
+  const auto start = std::chrono::steady_clock::now();
+  peer.run_on_peer([](host::NodeAgent&, host::AgentContext&) {});
+  peer.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+}
+
+/// Sends `bytes` as one raw datagram to a loopback port.
+void send_raw(std::uint16_t port, const std::vector<std::uint8_t>& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::sendto(fd, bytes.data(), bytes.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fd);
+}
+
+// Undecodable datagrams reach the directory's ledger when the peer stops,
+// and only once: a later start/stop cycle without bad frames adds nothing.
+TEST(UdpPeerTest, RejectedFramesReachTheLedgerOnce) {
+  UdpEndpoint endpoint;
+  Directory directory({1});
+  endpoint.connect(directory, {endpoint.port()});
+  ClusterConfig config;
+  config.gossip_period = 2ms;
+  Peer peer(config, 0, directory, endpoint, [](const host::AgentContext&) {
+    return std::make_unique<core::Adam2Agent>(core::Adam2Config{});
+  });
+  peer.start();
+  send_raw(endpoint.port(), {1, 2, 3});  // Shorter than the 17-byte header.
+  std::vector<std::uint8_t> bad_kind(17, 0);
+  bad_kind[0] = 0xee;  // No such envelope kind.
+  send_raw(endpoint.port(), bad_kind);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (endpoint.rejected_frames() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  peer.stop();
+  EXPECT_EQ(directory.traffic().rejected_messages, 2u);
+
+  peer.start();
+  std::this_thread::sleep_for(10ms);
+  peer.stop();
+  EXPECT_EQ(directory.traffic().rejected_messages, 2u);
 }
 
 }  // namespace
