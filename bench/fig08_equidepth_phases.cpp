@@ -36,8 +36,10 @@ int main() {
     baselines::EquiDepthConfig ed_config;
     ed_config.bins = 50;
     ed_config.phase_ttl = 25;
-    const auto ed = bench::run_equidepth_series(
-        ed_config, sim::EngineConfig{.seed = env.seed}, values, kPhases, env);
+    sim::EngineConfig engine_config;
+    engine_config.seed = env.seed;
+    const auto ed = bench::run_equidepth_series(ed_config, engine_config,
+                                                values, kPhases, env);
     SeriesResult ed_result;
     ed_result.label = std::string(attr_label) + "-EquiDepth";
     for (const auto& phase : ed) {

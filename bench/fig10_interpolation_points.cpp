@@ -55,8 +55,10 @@ int main() {
 
       baselines::EquiDepthConfig ed;
       ed.bins = lambda;
+      sim::EngineConfig engine_config;
+      engine_config.seed = env.seed;
       const auto ed_result = bench::run_equidepth_series(
-          ed, sim::EngineConfig{.seed = env.seed}, values, kInstances, env);
+          ed, engine_config, values, kInstances, env);
       ed_em[idx] = ed_result.back().entire.max_err;
       ed_ea[idx] = ed_result.back().entire.avg_err;
       ++idx;

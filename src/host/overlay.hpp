@@ -8,6 +8,7 @@
 // shared bootstrap policy — can use an overlay without depending on sim.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -63,10 +64,13 @@ class Overlay {
   // re-encode, bit-identical behaviour after restore.
   [[nodiscard]] virtual std::uint32_t snapshot_kind() const { return 0; }
   virtual void save_state(wire::Writer& /*out*/) const {}
-  /// Throws wire::DecodeError on malformed input. Implementations must
-  /// consume the reader completely (expect_done) and commit only after the
-  /// full parse succeeds, so a rejected blob leaves the overlay untouched.
-  virtual void restore_state(wire::Reader& /*in*/) {}
+  /// Throws wire::DecodeError on malformed input, including a node id at or
+  /// above `node_count` (the size of the node table restored with it).
+  /// Implementations must consume the reader completely (expect_done) and
+  /// commit only after the full parse succeeds, so a rejected blob leaves
+  /// the overlay untouched.
+  virtual void restore_state(wire::Reader& /*in*/,
+                             std::size_t /*node_count*/) {}
 };
 
 }  // namespace adam2::host

@@ -1,6 +1,6 @@
 #include "host/registry.hpp"
 
-#include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace adam2::host {
@@ -13,7 +13,7 @@ constexpr std::uint64_t kPickStreamSalt = 0x9e3779b97f4a7c15ULL;
 
 Node& NodeTable::spawn(stats::Value attribute, Round birth_round,
                        rng::Rng& seed_rng) {
-  const NodeId id = next_id_++;
+  const NodeId id = nodes_.size();
   Node node;
   node.id = id;
   node.attribute = attribute;
@@ -22,8 +22,7 @@ Node& NodeTable::spawn(stats::Value attribute, Round birth_round,
   node.rng = seed_rng.split(id);
   node.pick_rng = seed_rng.split(id ^ kPickStreamSalt);
   nodes_.push_back(std::move(node));
-  index_[id] = nodes_.size() - 1;
-  live_pos_[id] = live_ids_.size();
+  live_pos_.push_back(live_ids_.size());
   live_ids_.push_back(id);
   return nodes_.back();
 }
@@ -34,37 +33,21 @@ void NodeTable::kill(NodeId id) {
   n.alive = false;
   n.agent.reset();
 
-  auto it = live_pos_.find(id);
-  assert(it != live_pos_.end());
-  const std::size_t pos = it->second;
+  const std::size_t pos = live_pos_[id];
   const NodeId moved = live_ids_.back();
   live_ids_[pos] = moved;
   live_ids_.pop_back();
   live_pos_[moved] = pos;
-  live_pos_.erase(id);
-}
-
-bool NodeTable::is_live(NodeId id) const {
-  auto it = index_.find(id);
-  return it != index_.end() && nodes_[it->second].alive;
 }
 
 Node& NodeTable::at(NodeId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) throw std::out_of_range("unknown node id");
-  return nodes_[it->second];
+  if (id >= nodes_.size()) throw std::out_of_range("unknown node id");
+  return nodes_[id];
 }
 
 const Node& NodeTable::at(NodeId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) throw std::out_of_range("unknown node id");
-  return nodes_[it->second];
-}
-
-std::size_t NodeTable::slot_of(NodeId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) throw std::out_of_range("unknown node id");
-  return it->second;
+  if (id >= nodes_.size()) throw std::out_of_range("unknown node id");
+  return nodes_[id];
 }
 
 NodeId NodeTable::random_live(rng::Rng& rng) const {
@@ -75,18 +58,18 @@ NodeId NodeTable::random_live(rng::Rng& rng) const {
 std::vector<stats::Value> NodeTable::live_attribute_values() const {
   std::vector<stats::Value> values;
   values.reserve(live_ids_.size());
-  for (NodeId id : live_ids_) values.push_back(at(id).attribute);
+  for (NodeId id : live_ids_) values.push_back(nodes_[id].attribute);
   return values;
 }
 
 void NodeTable::record_traffic(NodeId sender, NodeId receiver, Channel channel,
                                std::size_t bytes, TrafficStats& totals) {
-  auto record = [&](NodeId id, auto&& fn) {
-    auto it = index_.find(id);
-    if (it != index_.end()) fn(nodes_[it->second].traffic);
-  };
-  record(sender, [&](TrafficStats& t) { t.on(channel).add_send(bytes); });
-  record(receiver, [&](TrafficStats& t) { t.on(channel).add_receive(bytes); });
+  if (sender < nodes_.size()) {
+    nodes_[sender].traffic.on(channel).add_send(bytes);
+  }
+  if (receiver < nodes_.size()) {
+    nodes_[receiver].traffic.on(channel).add_receive(bytes);
+  }
   totals.on(channel).add_send(bytes);
   totals.on(channel).add_receive(bytes);
 }
@@ -94,54 +77,39 @@ void NodeTable::record_traffic(NodeId sender, NodeId receiver, Channel channel,
 void NodeTable::reserve(std::size_t count) {
   nodes_.reserve(count);
   live_ids_.reserve(count);
+  live_pos_.reserve(count);
 }
 
-void NodeTable::clear() {
-  nodes_.clear();
-  index_.clear();
-  live_ids_.clear();
-  live_pos_.clear();
-  next_id_ = 0;
-}
-
-Node& NodeTable::restore_node(NodeId id, stats::Value attribute,
-                              Round birth_round, bool alive) {
-  if (!nodes_.empty() && id <= nodes_.back().id) {
-    throw std::invalid_argument("restore_node: ids must be increasing");
-  }
+Node& NodeTable::restore_node(stats::Value attribute, Round birth_round,
+                              bool alive) {
   Node node;
-  node.id = id;
+  node.id = nodes_.size();
   node.attribute = attribute;
   node.birth_round = birth_round;
   node.alive = alive;
   nodes_.push_back(std::move(node));
-  index_[id] = nodes_.size() - 1;
   return nodes_.back();
 }
 
-void NodeTable::finish_restore(std::span<const NodeId> live_order,
-                               NodeId next_id) {
+void NodeTable::finish_restore(std::span<const NodeId> live_order) {
   std::size_t alive_count = 0;
   for (const Node& node : nodes_) alive_count += node.alive ? 1 : 0;
   if (live_order.size() != alive_count) {
     throw std::invalid_argument("finish_restore: live order size mismatch");
   }
+  constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
   live_ids_.clear();
-  live_pos_.clear();
+  live_pos_.assign(nodes_.size(), kUnplaced);
   for (NodeId id : live_order) {
-    auto it = index_.find(id);
-    if (it == index_.end() || !nodes_[it->second].alive) {
+    if (!is_live(id)) {
       throw std::invalid_argument("finish_restore: dead or unknown live id");
     }
-    if (!live_pos_.emplace(id, live_ids_.size()).second) {
+    if (live_pos_[id] != kUnplaced) {
       throw std::invalid_argument("finish_restore: duplicate live id");
     }
+    live_pos_[id] = live_ids_.size();
     live_ids_.push_back(id);
   }
-  if (!nodes_.empty() && next_id <= nodes_.back().id) {
-    throw std::invalid_argument("finish_restore: next id not past last node");
-  }
-  next_id_ = next_id;
 }
 
 }  // namespace adam2::host

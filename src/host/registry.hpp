@@ -1,15 +1,14 @@
 // NodeTable: the node registry shared by every hosting substrate.
 //
-// Owns the node records and maintains the id -> slot index, the dense
-// live-id vector (O(1) removal via swap-with-back) and the monotonically
-// increasing id counter. Substrates layer their own scheduling (rounds,
-// events, threads) on top; the bookkeeping that used to be duplicated across
-// Engine / AsyncEngine / Cluster lives here exactly once.
+// Owns the node records, indexed by id: spawn() issues id = size(), so a
+// node's id is its position and every lookup is a bounds-checked array
+// access. Beside them it keeps the dense live-id vector (O(1) removal via
+// swap-with-back, with each live node's position in it). Both simulators
+// layer their own scheduling (rounds, events) on top.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "host/node.hpp"
@@ -22,7 +21,7 @@ namespace adam2::host {
 
 class NodeTable {
  public:
-  /// Creates a live node with a fresh id and both per-node random streams
+  /// Creates a live node with id size() and both per-node random streams
   /// derived from `seed_rng` (which is advanced). The agent is NOT attached —
   /// the caller builds a context and attaches one. The reference stays valid
   /// until the next spawn.
@@ -31,27 +30,22 @@ class NodeTable {
   /// Marks `id` dead, destroys its agent (state dies with the node — its
   /// mass is lost, §VII-G) and removes it from the live set. The caller is
   /// responsible for overlay removal and any substrate-local cleanup.
-  /// No-op when the node is already dead.
+  /// No-op when the node is already dead; throws std::out_of_range for
+  /// unknown ids.
   void kill(NodeId id);
 
-  [[nodiscard]] bool is_live(NodeId id) const;
-  [[nodiscard]] bool contains(NodeId id) const { return index_.count(id) != 0; }
+  [[nodiscard]] bool is_live(NodeId id) const {
+    return id < nodes_.size() && nodes_[id].alive;
+  }
 
-  /// Node lookup by id; throws std::out_of_range for unknown ids.
+  /// Node lookup by id, including dead nodes; throws std::out_of_range for
+  /// unknown ids.
   [[nodiscard]] Node& at(NodeId id);
   [[nodiscard]] const Node& at(NodeId id) const;
 
-  /// Node lookup by creation slot (0 .. size()-1), including dead nodes.
-  [[nodiscard]] Node& by_slot(std::size_t slot) { return nodes_[slot]; }
-  [[nodiscard]] const Node& by_slot(std::size_t slot) const {
-    return nodes_[slot];
-  }
-  /// Creation slot of `id`; throws std::out_of_range for unknown ids.
-  [[nodiscard]] std::size_t slot_of(NodeId id) const;
-
   [[nodiscard]] std::span<const NodeId> live_ids() const { return live_ids_; }
   [[nodiscard]] std::size_t live_count() const { return live_ids_.size(); }
-  /// Count of all nodes ever created (live + departed).
+  /// Count of all nodes ever created (live + departed); every id is below it.
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// A uniformly random live node id; throws std::runtime_error when empty.
@@ -74,31 +68,22 @@ class NodeTable {
 
   // -- Checkpoint restore primitives (host::snapshot, DESIGN.md §12) --------
 
-  /// Drops every node record and resets the table to its freshly-constructed
-  /// state (restore targets a clean table).
-  void clear();
-
-  /// Re-creates one node record during a restore, in creation order. Ids
-  /// must be strictly increasing across calls (creation order is the
-  /// snapshot's on-disk order). The node's rng streams and agent are left
-  /// default — the snapshot reader installs them afterwards — and live-set
-  /// membership is NOT established here; finish_restore() installs the
-  /// recorded live order. Throws std::invalid_argument on out-of-order ids.
-  Node& restore_node(NodeId id, stats::Value attribute, Round birth_round,
-                     bool alive);
+  /// Re-creates the next node record (id size()) during a restore. The
+  /// node's rng streams and agent are left default — the snapshot reader
+  /// installs them afterwards — and live-set membership is NOT established
+  /// here; finish_restore() installs the recorded live order.
+  Node& restore_node(stats::Value attribute, Round birth_round, bool alive);
 
   /// Installs the live-id order (history-dependent: kill() swaps with the
-  /// back, so it cannot be derived from the records) and the id counter.
-  /// Every entry must name a distinct node marked alive by restore_node, and
-  /// every alive node must appear; throws std::invalid_argument otherwise.
-  void finish_restore(std::span<const NodeId> live_order, NodeId next_id);
+  /// back, so it cannot be derived from the records). Every entry must name
+  /// a distinct node marked alive by restore_node, and every alive node must
+  /// appear; throws std::invalid_argument otherwise.
+  void finish_restore(std::span<const NodeId> live_order);
 
  private:
-  std::vector<Node> nodes_;                        // Indexed by creation order.
-  std::unordered_map<NodeId, std::size_t> index_;  // id -> nodes_ slot.
+  std::vector<Node> nodes_;            // Indexed by id.
   std::vector<NodeId> live_ids_;
-  std::unordered_map<NodeId, std::size_t> live_pos_;  // id -> live_ids_ slot.
-  NodeId next_id_ = 0;
+  std::vector<std::size_t> live_pos_;  // id -> live_ids_ slot (live ids only).
 };
 
 }  // namespace adam2::host

@@ -141,8 +141,8 @@ constexpr std::size_t kMinNodeRecordBytes = 21 + 21 * 8 + 3 * 41;
 void write_node_table(wire::Writer& out, const NodeTable& table) {
   out.length(table.size());
   wire::Writer agent_blob;
-  for (std::size_t slot = 0; slot < table.size(); ++slot) {
-    const Node& node = table.by_slot(slot);
+  for (NodeId id = 0; id < table.size(); ++id) {
+    const Node& node = table.at(id);
     out.u64(node.id);
     out.i64(node.attribute);
     out.u32(node.birth_round);
@@ -169,22 +169,17 @@ void write_node_table(wire::Writer& out, const NodeTable& table) {
 void read_node_table(
     wire::Reader& in, NodeTable& table,
     const std::function<std::unique_ptr<NodeAgent>(Node&)>& make_agent) {
-  table.clear();
+  table = NodeTable{};
   const std::size_t count = in.length(kMinNodeRecordBytes);
   table.reserve(count);
-  bool have_prev = false;
-  NodeId prev_id = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId id = in.u64();
-    if (have_prev && id <= prev_id) {
-      throw wire::DecodeError("node ids out of creation order in snapshot");
+    if (in.u64() != i) {
+      throw wire::DecodeError("node id is not its position in snapshot");
     }
-    prev_id = id;
-    have_prev = true;
     const stats::Value attribute = in.i64();
     const Round birth_round = in.u32();
     const bool alive = read_bool(in, "node record");
-    Node& node = table.restore_node(id, attribute, birth_round, alive);
+    Node& node = table.restore_node(attribute, birth_round, alive);
     read_traffic(in, node.traffic);
     read_rng(in, node.rng);
     read_rng(in, node.pick_rng);
@@ -205,10 +200,8 @@ void read_node_table(
   std::vector<NodeId> live_order;
   live_order.reserve(live);
   for (std::size_t i = 0; i < live; ++i) live_order.push_back(in.u64());
-  const NodeId next_id =
-      count == 0 ? 0 : table.by_slot(table.size() - 1).id + 1;
   try {
-    table.finish_restore(live_order, next_id);
+    table.finish_restore(live_order);
   } catch (const std::invalid_argument& error) {
     throw wire::DecodeError(std::string("snapshot live set invalid: ") +
                             error.what());

@@ -93,10 +93,10 @@ void write_string(wire::Writer& out, std::string_view text);
 [[nodiscard]] std::string read_string(wire::Reader& in);
 
 /// Writes the kSectionNodes payload for `table` into an open section:
-/// every node record in creation order (id, attribute, birth round, alive
-/// flag, traffic, all three stream states, and — for live nodes — the
-/// agent's state blob via NodeAgent::save_state), then the id counter and
-/// the explicit live-id order (history-dependent, cannot be re-derived).
+/// every node record in id order (id, attribute, birth round, alive flag,
+/// traffic, all three stream states, and — for live nodes — the agent's
+/// state blob via NodeAgent::save_state), then the explicit live-id order
+/// (history-dependent, cannot be re-derived).
 /// Throws SnapshotError when a live agent does not support snapshotting.
 void write_node_table(wire::Writer& out, const NodeTable& table);
 
@@ -104,7 +104,7 @@ void write_node_table(wire::Writer& out, const NodeTable& table);
 /// `make_agent` constructs the replacement agent for a live node *after* the
 /// node's record and streams are installed; the codec then feeds it the
 /// saved state blob via NodeAgent::restore_state. Throws wire::DecodeError
-/// on any malformed input.
+/// on any malformed input, including a record whose id is not its position.
 void read_node_table(
     wire::Reader& in, NodeTable& table,
     const std::function<std::unique_ptr<NodeAgent>(Node&)>& make_agent);

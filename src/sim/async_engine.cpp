@@ -1,8 +1,8 @@
 #include "sim/async_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "host/bootstrap.hpp"
@@ -12,6 +12,12 @@
 namespace adam2::sim {
 
 namespace snap = host::snapshot;
+
+namespace {
+/// busy_until_'s "no lock held" marker: no lock time is NaN, and a restore
+/// refuses one.
+constexpr double kNotBusy = std::numeric_limits<double>::quiet_NaN();
+}  // namespace
 
 AsyncEngine::AsyncEngine(AsyncConfig config,
                          std::vector<stats::Value> initial_attributes,
@@ -55,6 +61,7 @@ AsyncEngine::AsyncEngine(AsyncConfig config,
 void AsyncEngine::spawn_node(stats::Value attribute, bool bootstrap) {
   host::Node& stored =
       table_.spawn(attribute, bootstrap ? round() + 1 : round(), rng_);
+  busy_until_.resize(table_.size(), kNotBusy);
   // Stateless derivation: consumes nothing from rng_ (golden replay).
   stored.fault_rng = conduit_.faults().node_stream(stored.id);
   const host::NodeId id = stored.id;
@@ -151,8 +158,7 @@ void AsyncEngine::handle(Event&& event) {
 }
 
 bool AsyncEngine::is_busy(host::NodeId id) const {
-  auto it = busy_until_.find(id);
-  return it != busy_until_.end() && now_ < it->second;
+  return now_ < busy_until_[id];  // False for kNotBusy.
 }
 
 void AsyncEngine::set_busy(host::NodeId id) {
@@ -160,7 +166,7 @@ void AsyncEngine::set_busy(host::NodeId id) {
   busy_until_[id] = now_ + 2.0 * config_.latency_max + 1e-9;
 }
 
-void AsyncEngine::clear_busy(host::NodeId id) { busy_until_.erase(id); }
+void AsyncEngine::clear_busy(host::NodeId id) { busy_until_[id] = kNotBusy; }
 
 void AsyncEngine::on_tick(host::NodeId id) {
   if (!is_live(id)) return;  // Died while the tick was in flight.
@@ -246,7 +252,7 @@ void AsyncEngine::apply_crashes() {
                           return host::make_context(*this, *overlay_, n,
                                                     round());
                         });
-    busy_until_.erase(id);
+    clear_busy(id);
     ++n.traffic.crash_restarts;
     ++total_traffic_.crash_restarts;
     if (recorder_ != nullptr) recorder_->crash_restart(round(), id);
@@ -254,8 +260,9 @@ void AsyncEngine::apply_crashes() {
 }
 
 void AsyncEngine::on_response(Event&& event) {
+  // A requester that died in flight lost its lock with it.
+  if (!is_live(event.to)) return;
   clear_busy(event.to);
-  if (!is_live(event.to)) return;  // Requester died in flight.
   host::Node& requester = table_.at(event.to);
   host::AgentContext ctx =
       host::make_context(*this, *overlay_, requester, round());
@@ -274,7 +281,7 @@ void AsyncEngine::on_maintenance() {
       const host::NodeId victim = table_.random_live(rng_);
       overlay_->remove_node(victim);
       table_.kill(victim);
-      busy_until_.erase(victim);
+      clear_busy(victim);
       if (recorder_ != nullptr) recorder_->node_depart(round(), victim);
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -308,19 +315,12 @@ std::vector<std::byte> AsyncEngine::save_snapshot() const {
   writer.out().u64(next_seq_);
   snap::write_rng(writer.out(), rng_);
   snap::write_traffic(writer.out(), total_traffic_);
-  {
-    // The busy set is an unordered map; sorted ids keep the encoding a
-    // function of state, not bucket layout.
-    std::vector<host::NodeId> busy_ids;
-    busy_ids.reserve(busy_until_.size());
-    // adam2-lint: allow(unordered-iter)
-    for (const auto& [id, until] : busy_until_) busy_ids.push_back(id);
-    std::sort(busy_ids.begin(), busy_ids.end());
-    writer.out().length(busy_ids.size());
-    for (host::NodeId id : busy_ids) {
-      writer.out().u64(id);
-      writer.out().f64(busy_until_.at(id));
-    }
+  writer.out().length(static_cast<std::size_t>(std::ranges::count_if(
+      busy_until_, [](double until) { return !std::isnan(until); })));
+  for (host::NodeId id = 0; id < busy_until_.size(); ++id) {
+    if (std::isnan(busy_until_[id])) continue;
+    writer.out().u64(id);
+    writer.out().f64(busy_until_[id]);
   }
   writer.end_section();
 
@@ -380,36 +380,35 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
   }
   meta.expect_done();
 
-  const double now = engine.f64();
-  const std::uint64_t next_seq = engine.u64();
-  rng::Rng global(0);
-  snap::read_rng(engine, global);
-  host::TrafficStats totals;
-  snap::read_traffic(engine, totals);
-  std::unordered_map<host::NodeId, double> busy;
-  {
-    const std::size_t count = engine.length(16);
-    busy.reserve(count);
-    bool have_prev = false;
-    host::NodeId prev = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const host::NodeId id = engine.u64();
-      if (have_prev && id <= prev) {
-        throw wire::DecodeError("busy set ids not in sorted order");
-      }
-      prev = id;
-      have_prev = true;
-      busy[id] = engine.f64();
-    }
-  }
-  engine.expect_done();
-
+  // The node table comes first: busy-set ids index a vector sized by it.
   host::NodeTable scratch;
   snap::read_node_table(nodes, scratch, [&](host::Node& n) {
     host::AgentContext ctx = host::make_context(*this, *overlay_, n, round());
     return agent_factory_(ctx);
   });
   nodes.expect_done();
+
+  const double now = engine.f64();
+  const std::uint64_t next_seq = engine.u64();
+  rng::Rng global(0);
+  snap::read_rng(engine, global);
+  host::TrafficStats totals;
+  snap::read_traffic(engine, totals);
+  std::vector<double> busy(scratch.size(), kNotBusy);
+  const std::size_t busy_count = engine.length(16);
+  for (std::size_t i = 0, next = 0; i < busy_count; ++i) {
+    const host::NodeId id = engine.u64();
+    if (id < next) throw wire::DecodeError("busy set ids not in sorted order");
+    if (!scratch.is_live(id)) {
+      throw wire::DecodeError("busy set names a dead or unknown node");
+    }
+    busy[id] = engine.f64();
+    if (std::isnan(busy[id])) {
+      throw wire::DecodeError("busy set lock time is not a number");
+    }
+    next = id + 1;
+  }
+  engine.expect_done();
 
   std::vector<Event> events;
   {
@@ -448,7 +447,8 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
   if (overlay.u32() != overlay_->snapshot_kind()) {
     throw wire::DecodeError("snapshot overlay kind mismatch");
   }
-  overlay_->restore_state(overlay);  // Transactional (host/overlay.hpp).
+  // Transactional (host/overlay.hpp).
+  overlay_->restore_state(overlay, scratch.size());
 
   table_ = std::move(scratch);
   now_ = now;

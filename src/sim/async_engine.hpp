@@ -37,7 +37,6 @@
 #include <optional>
 #include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "host/agent.hpp"
@@ -194,8 +193,10 @@ class AsyncEngine final : public host::HostView {
   void set_busy(host::NodeId id);
   void clear_busy(host::NodeId id);
 
-  /// Nodes with an exchange in flight: id -> time the lock expires.
-  std::unordered_map<host::NodeId, double> busy_until_;
+  /// Indexed by id: the time a node's exchange lock expires, or NaN when it
+  /// holds none. An entry outlives its time until a response, crash or
+  /// churn clears it, and only live nodes hold one.
+  std::vector<double> busy_until_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   host::TrafficStats total_traffic_;

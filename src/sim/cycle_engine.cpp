@@ -142,12 +142,12 @@ void CycleEngine::run_gated_exchanges() {
   // conservative mismatch here could only over-serialise, never diverge —
   // but liveness is frozen during this phase, so the check is exact.)
   unit_slots_.assign(2 * units, host::WorkerPool::kNoSlot);
+  // A node's id is its slot in the gate.
   for (std::size_t p = 0; p < units; ++p) {
-    unit_slots_[2 * p] = static_cast<std::uint32_t>(table_.slot_of(order_[p]));
+    unit_slots_[2 * p] = static_cast<std::uint32_t>(order_[p]);
     const std::optional<host::NodeId>& target = targets_[p];
     if (target && *target != order_[p] && table_.is_live(*target)) {
-      unit_slots_[2 * p + 1] =
-          static_cast<std::uint32_t>(table_.slot_of(*target));
+      unit_slots_[2 * p + 1] = static_cast<std::uint32_t>(*target);
     }
   }
   pool_.run_gated(unit_slots_, table_.size(),
@@ -315,7 +315,8 @@ void CycleEngine::restore_snapshot(std::span<const std::byte> bytes) {
   if (overlay.u32() != overlay_->snapshot_kind()) {
     throw wire::DecodeError("snapshot overlay kind mismatch");
   }
-  overlay_->restore_state(overlay);  // Transactional (host/overlay.hpp).
+  // Transactional (host/overlay.hpp).
+  overlay_->restore_state(overlay, scratch.size());
 
   table_ = std::move(scratch);
   round_ = round;

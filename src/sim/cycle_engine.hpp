@@ -246,7 +246,8 @@ class CycleEngine final : public host::HostView {
   std::vector<host::TrafficStats> worker_totals_;  // One slot per worker.
 
   // Per-round exchange plan: shuffled initiation order, pre-drawn targets
-  // and participant slots (sharded only; 2 per unit: initiator, target).
+  // and the participants' ids as gate slots (sharded only; 2 per unit:
+  // initiator, target).
   std::vector<host::NodeId> order_;
   std::vector<std::optional<host::NodeId>> targets_;
   std::vector<std::uint32_t> unit_slots_;

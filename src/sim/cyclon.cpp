@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+#include <stdexcept>
 
 namespace adam2::sim {
 namespace {
@@ -17,10 +17,13 @@ bool contains(const std::vector<NodeDescriptor>& entries, host::NodeId id) {
 }  // namespace
 
 CyclonOverlay::CyclonOverlay(CyclonConfig config) : config_(config) {
-  assert(config_.view_size >= 1);
-  assert(config_.view_size <= 64);  // Slot masks are 64-bit.
-  assert(config_.shuffle_size >= 1);
-  assert(config_.shuffle_size <= config_.view_size);
+  if (config_.view_size < 1 || config_.view_size > 64) {  // 64-bit slot masks.
+    throw std::invalid_argument("cyclon view size must be in [1, 64]");
+  }
+  if (config_.shuffle_size < 1 || config_.shuffle_size > config_.view_size) {
+    throw std::invalid_argument(
+        "cyclon shuffle size must be in [1, view size]");
+  }
 }
 
 void CyclonOverlay::build_initial(std::span<const host::NodeId> ids,
@@ -258,7 +261,7 @@ void CyclonOverlay::save_state(wire::Writer& out) const {
   }
 }
 
-void CyclonOverlay::restore_state(wire::Reader& in) {
+void CyclonOverlay::restore_state(wire::Reader& in, std::size_t node_count) {
   if (in.u64() != config_.view_size || in.u64() != config_.shuffle_size ||
       in.u64() != config_.value_cache_size) {
     throw wire::DecodeError("cyclon overlay config mismatch");
@@ -266,15 +269,15 @@ void CyclonOverlay::restore_state(wire::Reader& in) {
   const std::size_t count = in.length(16);  // id + two empty sequences.
   std::unordered_map<host::NodeId, View> views;
   views.reserve(count);
-  bool have_prev = false;
-  host::NodeId prev = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0, next = 0; i < count; ++i) {
     const host::NodeId id = in.u64();
-    if (have_prev && id <= prev) {
+    if (id < next) {
       throw wire::DecodeError("cyclon view ids not in sorted order");
     }
-    prev = id;
-    have_prev = true;
+    if (id >= node_count) {
+      throw wire::DecodeError("cyclon view id beyond the node table");
+    }
+    next = id + 1;
     View& view = views[id];
     const std::size_t entries = in.length(20);
     if (entries > config_.view_size) {

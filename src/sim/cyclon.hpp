@@ -29,6 +29,8 @@ struct CyclonConfig {
 
 class CyclonOverlay final : public host::Overlay {
  public:
+  /// Throws std::invalid_argument unless 1 <= view_size <= 64 and
+  /// 1 <= shuffle_size <= view_size.
   explicit CyclonOverlay(CyclonConfig config);
 
   void build_initial(std::span<const host::NodeId> ids,
@@ -52,7 +54,7 @@ class CyclonOverlay final : public host::Overlay {
   // them positionally).
   [[nodiscard]] std::uint32_t snapshot_kind() const override { return 2; }
   void save_state(wire::Writer& out) const override;
-  void restore_state(wire::Reader& in) override;
+  void restore_state(wire::Reader& in, std::size_t node_count) override;
 
  private:
   struct View {

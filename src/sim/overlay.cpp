@@ -1,18 +1,33 @@
 #include "sim/overlay.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <utility>
 
 namespace adam2::sim {
 
 StaticRandomOverlay::StaticRandomOverlay(std::size_t degree)
     : degree_(degree) {
-  assert(degree_ >= 1);
+  if (degree_ < 1) {
+    throw std::invalid_argument("static overlay degree must be at least 1");
+  }
+}
+
+StaticRandomOverlay::Links& StaticRandomOverlay::join(host::NodeId id) {
+  if (id >= links_.size()) links_.resize(id + 1);
+  links_[id].joined = true;
+  return links_[id];
+}
+
+std::span<const host::NodeId> StaticRandomOverlay::out_of(
+    host::NodeId id) const {
+  if (id >= links_.size()) return {};
+  return links_[id].out;
 }
 
 void StaticRandomOverlay::link(host::NodeId a, host::NodeId b) {
-  links_[a].out.push_back(b);
-  links_[b].out.push_back(a);
+  join(a).out.push_back(b);
+  join(b).out.push_back(a);
 }
 
 void StaticRandomOverlay::build_initial(std::span<const host::NodeId> ids,
@@ -20,10 +35,8 @@ void StaticRandomOverlay::build_initial(std::span<const host::NodeId> ids,
                                         rng::Rng& rng) {
   links_.clear();
   links_.reserve(ids.size());
-  if (ids.size() < 2) {
-    for (host::NodeId id : ids) links_[id];
-    return;
-  }
+  for (host::NodeId id : ids) join(id);
+  if (ids.size() < 2) return;
   // Random ring (guarantees connectivity) plus random chords up to `degree_`.
   std::vector<host::NodeId> order(ids.begin(), ids.end());
   rng.shuffle(order);
@@ -41,7 +54,7 @@ void StaticRandomOverlay::build_initial(std::span<const host::NodeId> ids,
 
 void StaticRandomOverlay::add_node(host::NodeId id, const host::HostView& host,
                                    rng::Rng& rng) {
-  links_[id];  // Ensure the entry exists even if no peer is available.
+  join(id);  // The entry exists even if no peer is available.
   const auto live = host.live_ids();
   if (live.empty()) return;
   for (std::size_t attempts = 0, added = 0;
@@ -54,40 +67,35 @@ void StaticRandomOverlay::add_node(host::NodeId id, const host::HostView& host,
 }
 
 void StaticRandomOverlay::remove_node(host::NodeId id) {
-  auto it = links_.find(id);
-  if (it == links_.end()) return;
+  if (id >= links_.size()) return;
+  const Links removed = std::exchange(links_[id], Links{});
   // Drop the reverse links eagerly so neighbour lists stay small; a dead
-  // forward link discovered by a peer is handled as a failed contact.
-  for (host::NodeId peer : it->second.out) {
-    auto peer_it = links_.find(peer);
-    if (peer_it == links_.end()) continue;
-    std::erase(peer_it->second.out, id);
+  // forward link discovered by a peer is handled as a failed contact. A
+  // restored link may name any id, so each one is bounds-checked.
+  for (host::NodeId peer : removed.out) {
+    if (peer < links_.size()) std::erase(links_[peer].out, id);
   }
-  links_.erase(it);
 }
 
 std::optional<host::NodeId> StaticRandomOverlay::pick_gossip_target(
     host::NodeId id, rng::Rng& rng) const {
-  auto it = links_.find(id);
-  if (it == links_.end() || it->second.out.empty()) return std::nullopt;
-  const auto& out = it->second.out;
+  const auto out = out_of(id);
+  if (out.empty()) return std::nullopt;
   return out[rng.below(out.size())];
 }
 
 std::vector<host::NodeId> StaticRandomOverlay::neighbors(
     host::NodeId id) const {
-  auto it = links_.find(id);
-  if (it == links_.end()) return {};
-  return it->second.out;
+  const auto out = out_of(id);
+  return {out.begin(), out.end()};
 }
 
 std::vector<stats::Value> StaticRandomOverlay::known_attribute_values(
     host::NodeId id, const host::HostView& host) const {
   std::vector<stats::Value> values;
-  auto it = links_.find(id);
-  if (it == links_.end()) return values;
-  values.reserve(it->second.out.size());
-  for (host::NodeId peer : it->second.out) {
+  const auto out = out_of(id);
+  values.reserve(out.size());
+  for (host::NodeId peer : out) {
     if (host.is_live(peer)) values.push_back(host.attribute_of(peer));
   }
   return values;
@@ -95,40 +103,35 @@ std::vector<stats::Value> StaticRandomOverlay::known_attribute_values(
 
 void StaticRandomOverlay::save_state(wire::Writer& out) const {
   out.u64(degree_);
-  std::vector<host::NodeId> ids;
-  ids.reserve(links_.size());
-  // Bucket order cannot leak into the snapshot: ids are sorted before
-  // anything is encoded.
-  // adam2-lint: allow(unordered-iter)
-  for (const auto& [id, links] : links_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  out.length(ids.size());
-  for (host::NodeId id : ids) {
+  out.length(static_cast<std::size_t>(
+      std::ranges::count_if(links_, [](const Links& l) { return l.joined; })));
+  for (host::NodeId id = 0; id < links_.size(); ++id) {
+    if (!links_[id].joined) continue;
     out.u64(id);
-    const std::vector<host::NodeId>& neighbours = links_.at(id).out;
-    out.length(neighbours.size());
-    for (host::NodeId peer : neighbours) out.u64(peer);
+    out.length(links_[id].out.size());
+    for (host::NodeId peer : links_[id].out) out.u64(peer);
   }
 }
 
-void StaticRandomOverlay::restore_state(wire::Reader& in) {
+void StaticRandomOverlay::restore_state(wire::Reader& in,
+                                        std::size_t node_count) {
   if (in.u64() != degree_) {
     throw wire::DecodeError("static overlay degree mismatch");
   }
   const std::size_t count = in.length(12);  // id + empty neighbour list.
-  std::unordered_map<host::NodeId, Links> links;
-  links.reserve(count);
-  bool have_prev = false;
-  host::NodeId prev = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  std::vector<Links> links(node_count);
+  for (std::size_t i = 0, next = 0; i < count; ++i) {
     const host::NodeId id = in.u64();
-    if (have_prev && id <= prev) {
+    if (id < next) {
       throw wire::DecodeError("overlay node ids not in sorted order");
     }
-    prev = id;
-    have_prev = true;
+    if (id >= node_count) {
+      throw wire::DecodeError("overlay node id beyond the node table");
+    }
+    next = id + 1;
     const std::size_t n = in.length(8);
     Links& entry = links[id];
+    entry.joined = true;
     entry.out.reserve(n);
     for (std::size_t j = 0; j < n; ++j) entry.out.push_back(in.u64());
   }

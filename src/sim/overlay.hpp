@@ -13,7 +13,6 @@
 
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "host/overlay.hpp"
@@ -28,6 +27,7 @@ namespace adam2::sim {
 /// churned-in nodes link to `degree` random live peers.
 class StaticRandomOverlay final : public host::Overlay {
  public:
+  /// Throws std::invalid_argument unless degree >= 1.
   explicit StaticRandomOverlay(std::size_t degree);
 
   void build_initial(std::span<const host::NodeId> ids,
@@ -43,21 +43,29 @@ class StaticRandomOverlay final : public host::Overlay {
       host::NodeId id, const host::HostView& host) const override;
 
   // host::snapshot integration (DESIGN.md §12): kind 1 = static random
-  // graph. Links are encoded per node in sorted id order, each node's
-  // neighbour list in stored order (pick_gossip_target indexes into it).
+  // graph. Links are encoded per node in id order, each node's neighbour
+  // list in stored order (pick_gossip_target indexes into it).
   [[nodiscard]] std::uint32_t snapshot_kind() const override { return 1; }
   void save_state(wire::Writer& out) const override;
-  void restore_state(wire::Reader& in) override;
+  void restore_state(wire::Reader& in, std::size_t node_count) override;
 
  private:
+  /// A node's entry, joined from add_node, build_initial or a link to it
+  /// until remove_node. save_state writes every joined node, including one
+  /// with no links left.
   struct Links {
+    bool joined = false;
     std::vector<host::NodeId> out;
   };
 
+  /// Joins `id` (growing links_ to hold it) and returns its entry.
+  Links& join(host::NodeId id);
+  /// The neighbour list of `id`; empty when `id` is not joined.
+  [[nodiscard]] std::span<const host::NodeId> out_of(host::NodeId id) const;
   void link(host::NodeId a, host::NodeId b);
 
   std::size_t degree_;
-  std::unordered_map<host::NodeId, Links> links_;
+  std::vector<Links> links_;  // Indexed by id.
 };
 
 }  // namespace adam2::sim

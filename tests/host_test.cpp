@@ -48,7 +48,7 @@ TEST(NodeTableTest, KillRemovesFromLiveAndKeepsSlot) {
   table.kill(1);
   EXPECT_EQ(table.live_count(), 3u);
   EXPECT_FALSE(table.is_live(1));
-  EXPECT_TRUE(table.contains(1));
+  EXPECT_EQ(table.at(1).id, 1u);
   // Remaining live ids are exactly {0, 2, 3}.
   std::set<NodeId> live(table.live_ids().begin(), table.live_ids().end());
   EXPECT_EQ(live, (std::set<NodeId>{0, 2, 3}));
@@ -82,15 +82,28 @@ TEST(NodeTableTest, RandomLiveOnlyReturnsLiveNodes) {
   }
 }
 
-TEST(NodeTableTest, SlotOfIsStableAcrossKills) {
+TEST(NodeTableTest, RecordSurvivesOtherNodesKills) {
   NodeTable table;
   rng::Rng seed_rng(7);
   for (int i = 0; i < 5; ++i) table.spawn(i, 0, seed_rng);
-  const std::size_t slot = table.slot_of(4);
   table.kill(0);
   table.kill(2);
-  EXPECT_EQ(table.slot_of(4), slot);
-  EXPECT_EQ(table.by_slot(slot).id, 4u);
+  EXPECT_EQ(table.at(4).id, 4u);
+  EXPECT_EQ(table.at(4).attribute, 4);
+}
+
+TEST(NodeTableTest, UnknownIdsThrowOrAreSkipped) {
+  NodeTable table;
+  rng::Rng seed_rng(7);
+  for (int i = 0; i < 3; ++i) table.spawn(i, 0, seed_rng);
+  EXPECT_THROW((void)table.at(3), std::out_of_range);
+  EXPECT_THROW(table.kill(3), std::out_of_range);
+  EXPECT_FALSE(table.is_live(3));
+  // Traffic towards an unknown id counts on the known sender and the totals.
+  TrafficStats totals;
+  table.record_traffic(0, 3, Channel::kAggregation, 10, totals);
+  EXPECT_EQ(table.at(0).traffic.on(Channel::kAggregation).bytes_sent, 10u);
+  EXPECT_EQ(totals.on(Channel::kAggregation).bytes_received, 10u);
 }
 
 // -------------------------------------------------------------------- churn

@@ -273,6 +273,16 @@ TEST(HotPathContainer, FlagsNodeMapsInCore) {
   EXPECT_TRUE(fires(diags, "hot-path-container", 5));
 }
 
+TEST(HotPathContainer, FlagsIdKeyedMapsInHost) {
+  // Per-node state in the host substrate is indexed by NodeId.
+  const auto diags = run("src/host/a.hpp",
+                         "#include <unordered_map>\n"
+                         "struct Table {\n"
+                         "  std::unordered_map<NodeId, std::size_t> index;\n"
+                         "};\n");
+  EXPECT_TRUE(fires(diags, "hot-path-container", 3));
+}
+
 TEST(HotPathContainer, AllowListedColdPathsAndOtherLayersPass) {
   // The annotation records a reviewed cold path.
   EXPECT_TRUE(run("src/core/a.hpp",

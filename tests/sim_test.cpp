@@ -5,6 +5,7 @@
 #include <map>
 #include <queue>
 #include <set>
+#include <stdexcept>
 
 #include "sim/cyclon.hpp"
 #include "sim/cycle_engine.hpp"
@@ -294,6 +295,11 @@ TEST(EngineTest, UnknownNodeThrows) {
 
 // ----------------------------------------------------- StaticRandomOverlay
 
+TEST(StaticOverlayTest, DegreeMustBePositive) {
+  EXPECT_THROW((void)StaticRandomOverlay(0), std::invalid_argument);
+  EXPECT_NO_THROW((void)StaticRandomOverlay(1));
+}
+
 TEST(StaticOverlayTest, InitialGraphIsConnected) {
   CycleEngine engine(config_with_seed(16), iota_values(500),
                      std::make_unique<StaticRandomOverlay>(8), silent_factory(),
@@ -373,6 +379,18 @@ std::unique_ptr<CyclonOverlay> make_cyclon(std::size_t view = 8,
   config.view_size = view;
   config.shuffle_size = shuffle;
   return std::make_unique<CyclonOverlay>(config);
+}
+
+TEST(CyclonTest, SizesOutsideTheSlotMaskAreRefused) {
+  // Views hold at most 64 entries (64-bit slot masks), and a shuffle sends
+  // between one entry and a full view.
+  EXPECT_THROW((void)make_cyclon(0, 1), std::invalid_argument);
+  EXPECT_NO_THROW((void)make_cyclon(1, 1));
+  EXPECT_NO_THROW((void)make_cyclon(64, 8));
+  EXPECT_THROW((void)make_cyclon(65, 8), std::invalid_argument);
+  EXPECT_THROW((void)make_cyclon(8, 0), std::invalid_argument);
+  EXPECT_NO_THROW((void)make_cyclon(8, 8));
+  EXPECT_THROW((void)make_cyclon(8, 9), std::invalid_argument);
 }
 
 TEST(CyclonTest, ViewsRespectCapacity) {

@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -392,6 +394,174 @@ TEST(SnapshotContainerTest, RejectsConfigMismatch) {
         << field;
     EXPECT_EQ(mismatched.save_snapshot(), before) << field;
   }
+}
+
+// -- Ids out of range --------------------------------------------------------
+//
+// A node's id is its position in the node table, and the engines index
+// per-node state by id. A restore therefore refuses any id that does not
+// name a restored node before it becomes an index.
+
+/// A kSectionNodes payload of dead node records carrying `ids`.
+std::vector<std::byte> dead_node_records(std::span<const host::NodeId> ids) {
+  wire::Writer out;
+  out.length(ids.size());
+  for (host::NodeId id : ids) {
+    out.u64(id);
+    out.i64(0);  // Attribute.
+    out.u32(0);  // Birth round.
+    out.u8(0);   // Dead: no agent blob.
+    snap::write_traffic(out, host::TrafficStats{});
+    for (int stream = 0; stream < 3; ++stream) {
+      snap::write_rng(out, rng::Rng(0));
+    }
+  }
+  out.length(0);  // Empty live order.
+  return out.take();
+}
+
+TEST(SnapshotIdTest, NodeRecordIdsMustEqualTheirPosition) {
+  const auto restore = [](std::span<const host::NodeId> ids) {
+    const std::vector<std::byte> payload = dead_node_records(ids);
+    wire::Reader in(payload);
+    host::NodeTable table;
+    snap::read_node_table(in, table, [](host::Node&) { return nullptr; });
+    in.expect_done();
+    return table.size();
+  };
+  EXPECT_EQ(restore(std::vector<host::NodeId>{0, 1, 2}), 3u);
+  EXPECT_THROW((void)restore(std::vector<host::NodeId>{0, 1, 3}),
+               wire::DecodeError);
+  EXPECT_THROW((void)restore(std::vector<host::NodeId>{1}), wire::DecodeError);
+}
+
+/// A snapshot's sections as (tag, payload) pairs, in order.
+using Sections = std::vector<std::pair<std::uint32_t, std::vector<std::byte>>>;
+
+Sections split_sections(std::span<const std::byte> bytes) {
+  wire::Reader in(bytes.subspan(12, bytes.size() - 20));  // Header, checksum.
+  Sections sections;
+  while (!in.done()) {
+    const std::uint32_t tag = in.u32();
+    const auto payload = in.bytes(in.u32());
+    sections.emplace_back(
+        tag, std::vector<std::byte>(payload.begin(), payload.end()));
+  }
+  return sections;
+}
+
+std::vector<std::byte> join_sections(snap::EngineKind kind,
+                                     const Sections& sections) {
+  snap::SnapshotWriter writer(kind);
+  for (const auto& [tag, payload] : sections) {
+    writer.begin_section(tag);
+    writer.out().bytes(payload);
+    writer.end_section();
+  }
+  return writer.finish();
+}
+
+TEST(SnapshotIdTest, AsyncBusySetMustNameLiveNodes) {
+  AsyncEngine source = make_async_engine();
+  source.run_until(40.0);
+  const std::vector<std::byte> bytes = source.save_snapshot();
+  ASSERT_EQ(join_sections(snap::EngineKind::kAsync, split_sections(bytes)),
+            bytes);
+
+  // The async Engine section ends with the busy set, after the clock (f64),
+  // the event counter (u64), the global stream (41 B) and the traffic
+  // totals (21 u64). Replace it by one entry.
+  constexpr std::size_t kBusySetOffset = 8 + 8 + 41 + 21 * 8;
+  const auto with_busy_entry = [&](host::NodeId id, double until) {
+    Sections sections = split_sections(bytes);
+    std::vector<std::byte>& engine = sections.at(1).second;
+    wire::Writer payload;
+    payload.bytes(std::span<const std::byte>(engine).first(kBusySetOffset));
+    payload.length(1);
+    payload.u64(id);
+    payload.f64(until);
+    engine = payload.take();
+    return join_sections(snap::EngineKind::kAsync, sections);
+  };
+
+  const auto live = source.live_ids();
+  const host::NodeId last_live = *std::max_element(live.begin(), live.end());
+  std::optional<host::NodeId> dead;
+  for (host::NodeId id = 0; id < last_live; ++id) {
+    if (!source.is_live(id)) dead = id;
+  }
+  ASSERT_TRUE(dead.has_value()) << "the run churned no node out";
+  const double until = source.now() + 1.0;
+
+  // Control: the same edit naming a live node restores canonically.
+  AsyncEngine victim = make_async_engine();
+  const std::vector<std::byte> accepted = with_busy_entry(last_live, until);
+  victim.restore_snapshot(accepted);
+  EXPECT_EQ(victim.save_snapshot(), accepted);
+
+  const std::vector<std::byte> before = victim.save_snapshot();
+  for (const auto& [what, mutant] :
+       std::vector<std::pair<std::string, std::vector<std::byte>>>{
+           {"dead node", with_busy_entry(*dead, until)},
+           {"unknown node", with_busy_entry(last_live + 1000, until)},
+           {"id with a high byte set",
+            with_busy_entry(last_live | (host::NodeId{1} << 56), until)},
+           {"NaN lock time",
+            with_busy_entry(last_live,
+                            std::numeric_limits<double>::quiet_NaN())},
+       }) {
+    EXPECT_THROW(victim.restore_snapshot(mutant), wire::DecodeError) << what;
+    EXPECT_EQ(victim.save_snapshot(), before) << what;
+  }
+}
+
+/// Restores `blob` into `overlay` against a node table of `node_count`
+/// nodes; false when the overlay refuses it.
+bool restores(host::Overlay& overlay, const std::vector<std::byte>& blob,
+              std::size_t node_count) {
+  wire::Reader in(blob);
+  try {
+    overlay.restore_state(in, node_count);
+  } catch (const wire::DecodeError&) {
+    return false;
+  }
+  return true;
+}
+
+TEST(SnapshotIdTest, StaticOverlayOwnerIdsMustBeBelowTheNodeCount) {
+  StaticRandomOverlay overlay(5);
+  const auto blob = [](host::NodeId owner) {  // One owner, no links.
+    wire::Writer out;
+    out.u64(5);
+    out.length(1);
+    out.u64(owner);
+    out.length(0);
+    return out.take();
+  };
+  EXPECT_TRUE(restores(overlay, blob(3), 4));
+  EXPECT_FALSE(restores(overlay, blob(4), 4));
+  EXPECT_FALSE(restores(overlay, blob(host::NodeId{1} << 56), 4));
+}
+
+TEST(SnapshotIdTest, CyclonOwnerIdsMustBeBelowTheNodeCount) {
+  CyclonConfig config;
+  config.view_size = 6;
+  config.shuffle_size = 3;
+  CyclonOverlay overlay(config);
+  const auto blob = [&](host::NodeId owner) {  // One owner, empty view.
+    wire::Writer out;
+    out.u64(config.view_size);
+    out.u64(config.shuffle_size);
+    out.u64(config.value_cache_size);
+    out.length(1);
+    out.u64(owner);
+    out.length(0);
+    out.length(0);
+    return out.take();
+  };
+  EXPECT_TRUE(restores(overlay, blob(3), 4));
+  EXPECT_FALSE(restores(overlay, blob(4), 4));
+  EXPECT_FALSE(restores(overlay, blob(host::NodeId{1} << 56), 4));
 }
 
 // -- Mutant corpus -----------------------------------------------------------

@@ -186,8 +186,12 @@ int run(const tools::Options& flags) {
   config.overlay = flags.get("overlay", "cyclon") == "static"
                        ? core::OverlayKind::kStaticRandom
                        : core::OverlayKind::kCyclon;
-  config.overlay_degree =
-      static_cast<std::size_t>(flags.get_int("degree", 20));
+  const std::int64_t degree = flags.get_int("degree", 20);
+  if (degree < 0) {
+    throw std::invalid_argument("--degree must be >= 0, got " +
+                                std::to_string(degree));
+  }
+  config.overlay_degree = static_cast<std::size_t>(degree);
   const std::int64_t threads = flags.get_int("threads", 0);
   if (threads < 0) {
     throw std::invalid_argument("--threads must be >= 0, got " +

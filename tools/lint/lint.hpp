@@ -39,13 +39,15 @@
 //                         src/runtime/.
 //   hot-path-container (R6) std::map / std::unordered_map (and multi
 //                         variants) declared in the gossip hot path
-//                         (src/core/). Node-based maps scatter per-instance
-//                         state across the heap — one cache miss per
-//                         instance per traversal at million-node rounds.
-//                         Per-instance state belongs in the arena-backed
-//                         core::InstanceStore (DESIGN.md §7.5); genuinely
-//                         cold paths (finalisation bookkeeping, observer
-//                         tooling) annotate with allow(hot-path-container).
+//                         (src/core/) or the host substrate (src/host/).
+//                         Node-based maps scatter state across the heap —
+//                         one cache miss per entry per traversal at
+//                         million-node rounds. Per-instance state belongs
+//                         in the arena-backed core::InstanceStore (DESIGN.md
+//                         §7.5), per-node state in vectors indexed by id;
+//                         genuinely cold paths (finalisation bookkeeping,
+//                         observer tooling) annotate with
+//                         allow(hot-path-container).
 //
 // The library half (this header) is what the unit tests drive over the
 // fixture corpus; the CLI (tools/lint/main.cpp) wraps lint_tree for CI.
@@ -95,9 +97,10 @@ struct Options {
   std::vector<std::string> concurrency_whitelist = {"src/host/",
                                                     "src/runtime/"};
 
-  /// Logical-path prefixes forming the gossip hot path, where node-based
-  /// std:: maps are rejected (R6 hot-path-container).
-  std::vector<std::string> hot_path_prefixes = {"src/core/"};
+  /// Logical-path prefixes forming the gossip hot path and the host
+  /// substrate, where node-based std:: maps are rejected (R6
+  /// hot-path-container).
+  std::vector<std::string> hot_path_prefixes = {"src/core/", "src/host/"};
 
   Options();
 };
