@@ -9,7 +9,8 @@
 //     wall-clock on shared CI runners is noisy).
 //   * A steady-state Adam2 gossip exchange (make_request -> handle_request ->
 //     handle_response between two live agents) must perform zero heap
-//     allocations, verified with a counting global operator new.
+//     allocations, verified with a counting global operator new; so must a
+//     warmed Cyclon overlay maintenance pass over 2000 nodes.
 //   * The zero-copy Adam2MessageView must materialize exactly what
 //     Adam2Message::decode produces for builder-encoded bytes.
 //
@@ -40,6 +41,7 @@
 #include "host/agent.hpp"
 #include "host/overlay.hpp"
 #include "host/view.hpp"
+#include "sim/cyclon.hpp"
 #include "stats/error_metrics.hpp"
 #include "wire/messages.hpp"
 
@@ -134,6 +136,30 @@ class PairHostView final : public host::HostView {
   [[nodiscard]] bool is_live(host::NodeId) const override { return true; }
   [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override {
     return id == 0 ? 100 : 900;
+  }
+  [[nodiscard]] host::Round round() const override { return 1; }
+  [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
+    return ids_;
+  }
+  void record_traffic(host::NodeId, host::NodeId, host::Channel,
+                      std::size_t) override {}
+
+ private:
+  std::vector<host::NodeId> ids_;
+};
+
+/// Host of `count` live nodes 0..count-1, each with its id as attribute;
+/// traffic recording is a no-op.
+class PopulationHostView final : public host::HostView {
+ public:
+  explicit PopulationHostView(std::size_t count) : ids_(count) {
+    for (std::size_t i = 0; i < count; ++i) ids_[i] = i;
+  }
+  [[nodiscard]] bool is_live(host::NodeId id) const override {
+    return id < ids_.size();
+  }
+  [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override {
+    return static_cast<stats::Value>(id);
   }
   [[nodiscard]] host::Round round() const override { return 1; }
   [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
@@ -287,6 +313,33 @@ void accept_zero_alloc_exchange(int& failures) {
   bench::report_metric(
       "exchange_active_instances",
       static_cast<double>(a.active_instance_count()));
+}
+
+/// Warmed Cyclon maintenance must not allocate: views are pooled
+/// fixed-stride blocks with ring value caches, and the walk order and the
+/// shuffle messages are reused scratch.
+void accept_zero_alloc_maintain(int& failures) {
+  constexpr std::size_t kNodes = 2000;
+  constexpr int kPasses = 20;
+  PopulationHostView host(kNodes);
+  sim::CyclonOverlay overlay(sim::CyclonConfig{});
+  rng::Rng rng(3);
+  overlay.build_initial(host.live_ids(), host, rng);
+  // Warm up: every value cache fills and the scratch reaches its capacity.
+  for (int i = 0; i < kPasses; ++i) overlay.maintain(host, rng);
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < kPasses; ++i) overlay.maintain(host, rng);
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  char what[96];
+  std::snprintf(what, sizeof what,
+                "warmed Cyclon maintenance allocation-free (%llu allocs / %d "
+                "passes)",
+                static_cast<unsigned long long>(allocs), kPasses);
+  check(allocs == 0, what, failures);
+  bench::report_metric("maintain_steady_allocs", static_cast<double>(allocs));
 }
 
 /// The full instance lifecycle — initiator-side creation, joining off a
@@ -586,6 +639,7 @@ int run_acceptance(const bench::BenchEnv& env) {
   accept_wire_view(failures);
   accept_zero_alloc_exchange(failures);
   accept_zero_alloc_lifecycle(failures);
+  accept_zero_alloc_maintain(failures);
   accept_store_speedup(failures);
   accept_evaluator(env, failures);
   bench::report_metric("acceptance_failures", static_cast<double>(failures));

@@ -22,6 +22,8 @@
 
 namespace adam2::host {
 
+class NodeTable;
+
 class Overlay {
  public:
   virtual ~Overlay() = default;
@@ -64,13 +66,13 @@ class Overlay {
   // re-encode, bit-identical behaviour after restore.
   [[nodiscard]] virtual std::uint32_t snapshot_kind() const { return 0; }
   virtual void save_state(wire::Writer& /*out*/) const {}
-  /// Throws wire::DecodeError on malformed input, including a node id at or
-  /// above `node_count` (the size of the node table restored with it).
+  /// Throws wire::DecodeError on malformed input, including a node id that
+  /// names no record of `table` (the node table restored with it).
   /// Implementations must consume the reader completely (expect_done) and
   /// commit only after the full parse succeeds, so a rejected blob leaves
   /// the overlay untouched.
   virtual void restore_state(wire::Reader& /*in*/,
-                             std::size_t /*node_count*/) {}
+                             const NodeTable& /*table*/) {}
 };
 
 }  // namespace adam2::host

@@ -448,7 +448,7 @@ void AsyncEngine::restore_snapshot(std::span<const std::byte> bytes) {
     throw wire::DecodeError("snapshot overlay kind mismatch");
   }
   // Transactional (host/overlay.hpp).
-  overlay_->restore_state(overlay, scratch.size());
+  overlay_->restore_state(overlay, scratch);
 
   table_ = std::move(scratch);
   now_ = now;

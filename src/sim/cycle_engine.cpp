@@ -316,7 +316,7 @@ void CycleEngine::restore_snapshot(std::span<const std::byte> bytes) {
     throw wire::DecodeError("snapshot overlay kind mismatch");
   }
   // Transactional (host/overlay.hpp).
-  overlay_->restore_state(overlay, scratch.size());
+  overlay_->restore_state(overlay, scratch);
 
   table_ = std::move(scratch);
   round_ = round;

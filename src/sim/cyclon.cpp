@@ -4,127 +4,12 @@
 #include <bit>
 #include <stdexcept>
 
+#include "host/registry.hpp"
+
 namespace adam2::sim {
 namespace {
 
 using wire::NodeDescriptor;
-
-bool contains(const std::vector<NodeDescriptor>& entries, host::NodeId id) {
-  return std::any_of(entries.begin(), entries.end(),
-                     [id](const NodeDescriptor& d) { return d.id == id; });
-}
-
-}  // namespace
-
-CyclonOverlay::CyclonOverlay(CyclonConfig config) : config_(config) {
-  if (config_.view_size < 1 || config_.view_size > 64) {  // 64-bit slot masks.
-    throw std::invalid_argument("cyclon view size must be in [1, 64]");
-  }
-  if (config_.shuffle_size < 1 || config_.shuffle_size > config_.view_size) {
-    throw std::invalid_argument(
-        "cyclon shuffle size must be in [1, view size]");
-  }
-}
-
-void CyclonOverlay::build_initial(std::span<const host::NodeId> ids,
-                                  const host::HostView& host, rng::Rng& rng) {
-  views_.clear();
-  views_.reserve(ids.size());
-  for (host::NodeId id : ids) views_[id];
-  if (ids.size() < 2) return;
-  for (host::NodeId id : ids) {
-    View& view = views_[id];
-    for (std::size_t attempts = 0;
-         view.entries.size() < config_.view_size && attempts < config_.view_size * 8;
-         ++attempts) {
-      const host::NodeId other = ids[rng.below(ids.size())];
-      if (other == id || contains(view.entries, other)) continue;
-      view.entries.push_back(
-          {other, 0, host.is_live(other) ? host.attribute_of(other) : 0});
-    }
-  }
-}
-
-void CyclonOverlay::add_node(host::NodeId id, const host::HostView& host,
-                             rng::Rng& rng) {
-  View& view = views_[id];
-  const auto live = host.live_ids();
-  if (live.empty()) return;
-  // A joining node copies (a subset of) the view of one live contact, as in
-  // Cyclon's join by random walks from an introducer.
-  const host::NodeId contact = live[rng.below(live.size())];
-  if (contact != id) {
-    view.entries.push_back({contact, 0, host.attribute_of(contact)});
-    auto it = views_.find(contact);
-    if (it != views_.end()) {
-      for (const NodeDescriptor& d : it->second.entries) {
-        if (view.entries.size() >= config_.view_size) break;
-        if (d.id == id || contains(view.entries, d.id)) continue;
-        view.entries.push_back(d);
-      }
-    }
-  }
-  // Fill any remaining slots with random live peers.
-  for (std::size_t attempts = 0;
-       view.entries.size() < config_.view_size && attempts < config_.view_size * 4;
-       ++attempts) {
-    const host::NodeId other = live[rng.below(live.size())];
-    if (other == id || contains(view.entries, other)) continue;
-    view.entries.push_back({other, 0, host.attribute_of(other)});
-  }
-}
-
-void CyclonOverlay::remove_node(host::NodeId id) { views_.erase(id); }
-
-std::optional<host::NodeId> CyclonOverlay::pick_gossip_target(
-    host::NodeId id, rng::Rng& rng) const {
-  auto it = views_.find(id);
-  if (it == views_.end() || it->second.entries.empty()) return std::nullopt;
-  const auto& entries = it->second.entries;
-  return entries[rng.below(entries.size())].id;
-}
-
-std::vector<host::NodeId> CyclonOverlay::neighbors(host::NodeId id) const {
-  std::vector<host::NodeId> out;
-  auto it = views_.find(id);
-  if (it == views_.end()) return out;
-  out.reserve(it->second.entries.size());
-  for (const NodeDescriptor& d : it->second.entries) out.push_back(d.id);
-  return out;
-}
-
-std::vector<stats::Value> CyclonOverlay::known_attribute_values(
-    host::NodeId id, const host::HostView& /*host*/) const {
-  std::vector<stats::Value> values;
-  auto it = views_.find(id);
-  if (it == views_.end()) return values;
-  values.reserve(it->second.entries.size() + it->second.value_cache.size());
-  for (const NodeDescriptor& d : it->second.entries) {
-    values.push_back(d.attribute);
-  }
-  values.insert(values.end(), it->second.value_cache.begin(),
-                it->second.value_cache.end());
-  return values;
-}
-
-void CyclonOverlay::maintain(host::HostView& host, rng::Rng& rng) {
-  // Iterate over a stable id snapshot: shuffles mutate views_ entries but
-  // never insert/erase map keys. The snapshot order feeds rng.shuffle and so
-  // determines which draws each node's shuffle consumes; it is deterministic
-  // for a fixed insertion history on a fixed standard library, and the
-  // golden replay digests (tests/golden_replay_test.cpp) are pinned to it —
-  // sorting here would change every digest. Revisit at the next digest
-  // re-capture; until then this is a documented exception (DESIGN.md §10).
-  std::vector<host::NodeId> ids;
-  ids.reserve(views_.size());
-  for (const auto& [id, view] : views_) ids.push_back(id);  // adam2-lint: allow(unordered-iter)
-  rng.shuffle(ids);
-  for (host::NodeId id : ids) {
-    if (host.is_live(id)) shuffle_once(id, host, rng);
-  }
-}
-
-namespace {
 
 /// Picks `want` distinct random slots out of [0, size) in addition to the
 /// bits already set in `mask`. Rejection sampling on a 64-bit slot mask —
@@ -142,167 +27,348 @@ std::uint64_t pick_slots(std::uint64_t mask, std::size_t size,
 
 }  // namespace
 
+CyclonOverlay::CyclonOverlay(CyclonConfig config) : config_(config) {
+  if (config_.view_size < 1 || config_.view_size > 64) {  // 64-bit slot masks.
+    throw std::invalid_argument("cyclon view size must be in [1, 64]");
+  }
+  if (config_.shuffle_size < 1 || config_.shuffle_size > config_.view_size) {
+    throw std::invalid_argument(
+        "cyclon shuffle size must be in [1, view size]");
+  }
+}
+
+// -- Block pool ---------------------------------------------------------------
+
+bool CyclonOverlay::View::contains(host::NodeId id) const {
+  return std::ranges::any_of(
+      entries(), [id](const NodeDescriptor& d) { return d.id == id; });
+}
+
+void CyclonOverlay::View::erase(std::size_t slot) const {
+  std::copy(slots.begin() + slot + 1, slots.begin() + block.size,
+            slots.begin() + slot);
+  --block.size;
+}
+
+void CyclonOverlay::View::remember(stats::Value value) const {
+  if (ring.empty()) return;  // A cache size of 0 keeps nothing.
+  if (block.cache_size == ring.size()) {  // Full: overwrite the oldest.
+    ring[block.cache_head] = value;
+    if (++block.cache_head == ring.size()) block.cache_head = 0;
+    return;
+  }
+  std::size_t at = block.cache_head + block.cache_size++;
+  if (at >= ring.size()) at -= ring.size();
+  ring[at] = value;
+}
+
+CyclonOverlay::View CyclonOverlay::allocate(host::NodeId id) {
+  if (id >= pool_.block_of.size()) pool_.block_of.resize(id + 1, kNoBlock);
+  std::uint32_t& block = pool_.block_of[id];
+  if (block == kNoBlock && !pool_.free.empty()) {
+    block = pool_.free.back();
+    pool_.free.pop_back();
+  } else if (block == kNoBlock) {
+    block = static_cast<std::uint32_t>(pool_.blocks.size());
+    pool_.blocks.emplace_back();
+    pool_.slots.resize(pool_.slots.size() + config_.view_size);
+    pool_.ring.resize(pool_.ring.size() + config_.value_cache_size);
+  }
+  pool_.blocks[block] = Block{};  // A reused or re-added block starts empty.
+  return at(block);
+}
+
+CyclonOverlay::View CyclonOverlay::at(std::uint32_t block) {
+  return {pool_.blocks[block],
+          std::span(pool_.slots).subspan(block * config_.view_size,
+                                         config_.view_size),
+          std::span(pool_.ring).subspan(block * config_.value_cache_size,
+                                        config_.value_cache_size)};
+}
+
+std::uint32_t CyclonOverlay::block_of(host::NodeId id) const {
+  return id < pool_.block_of.size() ? pool_.block_of[id] : kNoBlock;
+}
+
+std::span<const NodeDescriptor> CyclonOverlay::entries(
+    std::uint32_t block) const {
+  return std::span(pool_.slots).subspan(block * config_.view_size,
+                                        pool_.blocks[block].size);
+}
+
+std::array<std::span<const stats::Value>, 2> CyclonOverlay::cached(
+    std::uint32_t block) const {
+  const Block& b = pool_.blocks[block];
+  const auto ring = std::span(pool_.ring).subspan(
+      block * config_.value_cache_size, config_.value_cache_size);
+  const std::size_t first = std::min(b.cache_size, ring.size() - b.cache_head);
+  return {ring.subspan(b.cache_head, first),
+          ring.first(b.cache_size - first)};
+}
+
+// -- Overlay ------------------------------------------------------------------
+
+void CyclonOverlay::build_initial(std::span<const host::NodeId> ids,
+                                  const host::HostView& host, rng::Rng& rng) {
+  pool_ = Pool{};
+  pool_.block_of.reserve(ids.size());
+  pool_.blocks.reserve(ids.size());
+  pool_.slots.reserve(ids.size() * config_.view_size);
+  pool_.ring.reserve(ids.size() * config_.value_cache_size);
+  for (host::NodeId id : ids) {
+    const View view = allocate(id);  // Within the reserve: nothing moves.
+    if (ids.size() < 2) continue;
+    for (std::size_t attempts = 0;
+         !view.full() && attempts < config_.view_size * 8; ++attempts) {
+      const host::NodeId other = ids[rng.below(ids.size())];
+      if (other == id || view.contains(other)) continue;
+      view.push(
+          {other, 0, host.is_live(other) ? host.attribute_of(other) : 0});
+    }
+  }
+}
+
+void CyclonOverlay::add_node(host::NodeId id, const host::HostView& host,
+                             rng::Rng& rng) {
+  // Allocating first: it can grow the pool, which moves every block.
+  const View view = allocate(id);
+  const auto live = host.live_ids();
+  if (live.empty()) return;
+  // A joining node copies (a subset of) the view of one live contact, as in
+  // Cyclon's join by random walks from an introducer.
+  const host::NodeId contact = live[rng.below(live.size())];
+  if (contact != id) {
+    view.push({contact, 0, host.attribute_of(contact)});
+    if (const std::uint32_t block = block_of(contact); block != kNoBlock) {
+      for (const NodeDescriptor& d : entries(block)) {
+        if (view.full()) break;
+        if (d.id == id || view.contains(d.id)) continue;
+        view.push(d);
+      }
+    }
+  }
+  // Fill any remaining slots with random live peers.
+  for (std::size_t attempts = 0;
+       !view.full() && attempts < config_.view_size * 4; ++attempts) {
+    const host::NodeId other = live[rng.below(live.size())];
+    if (other == id || view.contains(other)) continue;
+    view.push({other, 0, host.attribute_of(other)});
+  }
+}
+
+void CyclonOverlay::remove_node(host::NodeId id) {
+  const std::uint32_t block = block_of(id);
+  if (block == kNoBlock) return;
+  pool_.free.push_back(block);
+  pool_.block_of[id] = kNoBlock;
+}
+
+std::optional<host::NodeId> CyclonOverlay::pick_gossip_target(
+    host::NodeId id, rng::Rng& rng) const {
+  const std::uint32_t block = block_of(id);
+  if (block == kNoBlock || pool_.blocks[block].size == 0) return std::nullopt;
+  const auto peers = entries(block);
+  return peers[rng.below(peers.size())].id;
+}
+
+std::vector<host::NodeId> CyclonOverlay::neighbors(host::NodeId id) const {
+  std::vector<host::NodeId> out;
+  const std::uint32_t block = block_of(id);
+  if (block == kNoBlock) return out;
+  const auto peers = entries(block);
+  out.reserve(peers.size());
+  for (const NodeDescriptor& d : peers) out.push_back(d.id);
+  return out;
+}
+
+std::vector<stats::Value> CyclonOverlay::known_attribute_values(
+    host::NodeId id, const host::HostView& /*host*/) const {
+  std::vector<stats::Value> values;
+  const std::uint32_t block = block_of(id);
+  if (block == kNoBlock) return values;
+  const auto peers = entries(block);
+  const auto [older, newer] = cached(block);
+  values.reserve(peers.size() + older.size() + newer.size());
+  for (const NodeDescriptor& d : peers) values.push_back(d.attribute);
+  values.insert(values.end(), older.begin(), older.end());
+  values.insert(values.end(), newer.begin(), newer.end());
+  return values;
+}
+
+void CyclonOverlay::maintain(host::HostView& host, rng::Rng& rng) {
+  // Back to front: the walk every churn-free pinned digest was captured with.
+  const auto live = host.live_ids();
+  order_.assign(live.rbegin(), live.rend());
+  rng.shuffle(order_);
+  for (host::NodeId id : order_) shuffle_once(id, host, rng);
+}
+
 void CyclonOverlay::shuffle_once(host::NodeId id, host::HostView& host,
                                  rng::Rng& rng) {
-  View& view = views_.at(id);
-  if (view.entries.empty()) return;
+  const auto live_view = [this](host::NodeId node) {
+    const std::uint32_t block = block_of(node);
+    if (block == kNoBlock) {
+      throw std::logic_error("cyclon: a live node has no view");
+    }
+    return at(block);
+  };
+  const View view = live_view(id);
+  if (view.block.size == 0) return;
 
-  for (NodeDescriptor& d : view.entries) ++d.age;
+  for (NodeDescriptor& d : view.entries()) ++d.age;
 
   // Contact the oldest entry (Cyclon's tail-swap rule).
-  auto oldest = std::max_element(
-      view.entries.begin(), view.entries.end(),
-      [](const NodeDescriptor& a, const NodeDescriptor& b) {
-        return a.age < b.age;
-      });
+  const auto entries = view.entries();
+  const auto oldest = std::ranges::max_element(
+      entries, {}, [](const NodeDescriptor& d) { return d.age; });
   const host::NodeId target = oldest->id;
+  const auto oldest_slot = static_cast<std::size_t>(oldest - entries.begin());
   if (!host.is_live(target)) {
-    view.entries.erase(oldest);  // Evict the dead entry; retry next round.
+    view.erase(oldest_slot);  // Evict the dead entry; retry next round.
     return;
   }
 
   // Send the oldest entry plus shuffle_size - 1 random others, and a fresh
   // self-descriptor.
-  const std::size_t oldest_slot =
-      static_cast<std::size_t>(oldest - view.entries.begin());
   const std::size_t extra =
-      std::min(config_.shuffle_size - 1, view.entries.size() - 1);
+      std::min(config_.shuffle_size - 1, entries.size() - 1);
   const std::uint64_t sent_mask =
-      pick_slots(1ULL << oldest_slot, view.entries.size(), extra, rng);
+      pick_slots(1ULL << oldest_slot, entries.size(), extra, rng);
 
   wire::ShuffleMessage& request = request_scratch_;
   request.type = wire::MessageType::kShuffleRequest;
   request.sender = id;
   request.descriptors.clear();
   request.descriptors.push_back({id, 0, host.attribute_of(id)});
-  for (std::size_t slot = 0; slot < view.entries.size(); ++slot) {
-    if ((sent_mask >> slot) & 1) request.descriptors.push_back(view.entries[slot]);
+  for (std::size_t slot = 0; slot < entries.size(); ++slot) {
+    if ((sent_mask >> slot) & 1) request.descriptors.push_back(entries[slot]);
   }
   host.record_traffic(id, target, host::Channel::kOverlay,
                       request.encoded_size());
 
   // Responder builds its reply from a random subset of its own view.
-  View& peer_view = views_.at(target);
+  const View peer_view = live_view(target);
+  const auto peer_entries = peer_view.entries();
   const std::size_t peer_count =
-      std::min(config_.shuffle_size, peer_view.entries.size());
+      std::min(config_.shuffle_size, peer_entries.size());
   const std::uint64_t peer_mask =
-      peer_view.entries.empty()
+      peer_entries.empty()
           ? 0
-          : pick_slots(0, peer_view.entries.size(), peer_count, rng);
+          : pick_slots(0, peer_entries.size(), peer_count, rng);
   wire::ShuffleMessage& response = response_scratch_;
   response.type = wire::MessageType::kShuffleResponse;
   response.sender = target;
   response.descriptors.clear();
-  for (std::size_t slot = 0; slot < peer_view.entries.size(); ++slot) {
+  for (std::size_t slot = 0; slot < peer_entries.size(); ++slot) {
     if ((peer_mask >> slot) & 1) {
-      response.descriptors.push_back(peer_view.entries[slot]);
+      response.descriptors.push_back(peer_entries[slot]);
     }
   }
   host.record_traffic(target, id, host::Channel::kOverlay,
                       response.encoded_size());
 
-  remember_values(peer_view, request.descriptors);
-  remember_values(view, response.descriptors);
+  for (const NodeDescriptor& d : request.descriptors) {
+    peer_view.remember(d.attribute);
+  }
+  for (const NodeDescriptor& d : response.descriptors) {
+    view.remember(d.attribute);
+  }
 
   install(target, peer_view, request.descriptors, peer_mask);
   install(id, view, response.descriptors, sent_mask);
 }
 
-void CyclonOverlay::install(host::NodeId self, View& view,
+void CyclonOverlay::install(host::NodeId self, const View& view,
                             std::span<const wire::NodeDescriptor> received,
                             std::uint64_t sent_mask) {
   for (const NodeDescriptor& d : received) {
-    if (d.id == self || contains(view.entries, d.id)) continue;
-    if (view.entries.size() < config_.view_size) {
-      view.entries.push_back(d);
+    if (d.id == self || view.contains(d.id)) continue;
+    if (!view.full()) {
+      view.push(d);
       continue;
     }
     if (sent_mask == 0) break;  // View full, nothing left that was sent away.
     const auto slot = static_cast<std::size_t>(std::countr_zero(sent_mask));
     sent_mask &= sent_mask - 1;
-    if (slot >= view.entries.size()) break;
-    view.entries[slot] = d;
+    if (slot >= view.block.size) break;
+    view.slots[slot] = d;
   }
 }
 
-void CyclonOverlay::remember_values(
-    View& view, std::span<const wire::NodeDescriptor> descriptors) {
-  for (const wire::NodeDescriptor& d : descriptors) {
-    view.value_cache.push_back(d.attribute);
-    while (view.value_cache.size() > config_.value_cache_size) {
-      view.value_cache.pop_front();
-    }
-  }
-}
+// -- Snapshot -----------------------------------------------------------------
 
 void CyclonOverlay::save_state(wire::Writer& out) const {
   out.u64(config_.view_size);
   out.u64(config_.shuffle_size);
   out.u64(config_.value_cache_size);
-  std::vector<host::NodeId> ids;
-  ids.reserve(views_.size());
-  // Bucket order cannot leak into the snapshot: ids are sorted before
-  // anything is encoded.
-  // adam2-lint: allow(unordered-iter)
-  for (const auto& [id, view] : views_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  out.length(ids.size());
-  for (host::NodeId id : ids) {
-    const View& view = views_.at(id);
+  out.length(pool_.blocks.size() - pool_.free.size());
+  for (host::NodeId id = 0; id < pool_.block_of.size(); ++id) {
+    const std::uint32_t block = pool_.block_of[id];
+    if (block == kNoBlock) continue;
     out.u64(id);
-    out.length(view.entries.size());
-    for (const wire::NodeDescriptor& d : view.entries) {
+    const auto peers = entries(block);
+    out.length(peers.size());
+    for (const wire::NodeDescriptor& d : peers) {
       out.u64(d.id);
       out.u32(d.age);
       out.i64(d.attribute);
     }
-    out.length(view.value_cache.size());
-    for (stats::Value value : view.value_cache) out.i64(value);
+    const auto [older, newer] = cached(block);
+    out.length(older.size() + newer.size());
+    for (stats::Value value : older) out.i64(value);
+    for (stats::Value value : newer) out.i64(value);
   }
 }
 
-void CyclonOverlay::restore_state(wire::Reader& in, std::size_t node_count) {
+void CyclonOverlay::restore_state(wire::Reader& in,
+                                  const host::NodeTable& table) {
   if (in.u64() != config_.view_size || in.u64() != config_.shuffle_size ||
       in.u64() != config_.value_cache_size) {
     throw wire::DecodeError("cyclon overlay config mismatch");
   }
+  // One view per live node: with the ids strictly ascending and each one
+  // live, the count makes every live node have one (maintain relies on it).
   const std::size_t count = in.length(16);  // id + two empty sequences.
-  std::unordered_map<host::NodeId, View> views;
-  views.reserve(count);
+  if (count != table.live_count()) {
+    throw wire::DecodeError("cyclon views do not cover the live nodes");
+  }
+  CyclonOverlay restored(config_);
+  Pool& pool = restored.pool_;
+  pool.block_of.assign(table.size(), kNoBlock);
+  pool.blocks.reserve(count);
+  pool.slots.reserve(count * config_.view_size);
+  pool.ring.reserve(count * config_.value_cache_size);
   for (std::size_t i = 0, next = 0; i < count; ++i) {
     const host::NodeId id = in.u64();
     if (id < next) {
       throw wire::DecodeError("cyclon view ids not in sorted order");
     }
-    if (id >= node_count) {
-      throw wire::DecodeError("cyclon view id beyond the node table");
+    if (!table.is_live(id)) {
+      throw wire::DecodeError("cyclon view for a node that is not live");
     }
     next = id + 1;
-    View& view = views[id];
-    const std::size_t entries = in.length(20);
-    if (entries > config_.view_size) {
+    const View view = restored.allocate(id);
+    const std::size_t size = in.length(20);
+    if (size > config_.view_size) {
       throw wire::DecodeError("cyclon view exceeds configured capacity");
     }
-    view.entries.reserve(entries);
-    for (std::size_t j = 0; j < entries; ++j) {
+    for (std::size_t j = 0; j < size; ++j) {
       wire::NodeDescriptor d;
       d.id = in.u64();
       d.age = in.u32();
       d.attribute = in.i64();
-      view.entries.push_back(d);
+      view.push(d);
     }
-    const std::size_t cached = in.length(8);
-    if (cached > config_.value_cache_size) {
+    const std::size_t values = in.length(8);
+    if (values > config_.value_cache_size) {
       throw wire::DecodeError("cyclon value cache exceeds configured size");
     }
-    for (std::size_t j = 0; j < cached; ++j) {
-      view.value_cache.push_back(in.i64());
-    }
+    for (std::size_t j = 0; j < values; ++j) view.remember(in.i64());
   }
   // Transactional commit: nothing is mutated until the whole payload parsed
   // (trailing bytes included), so a rejected blob leaves the overlay intact.
   in.expect_done();
-  views_ = std::move(views);
+  pool_ = std::move(pool);
 }
 
 }  // namespace adam2::sim

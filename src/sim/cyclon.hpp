@@ -11,10 +11,19 @@
 // Descriptors piggyback the peer's attribute value; every node additionally
 // remembers the most recent `value_cache_size` values it saw, feeding the
 // neighbour-based interpolation-point bootstrap (§V, §VII-B).
+//
+// Storage (DESIGN.md §7.5): each node with a view owns one fixed-stride
+// block of a pool, holding `view_size` descriptor slots (a prefix of them in
+// use, in stored order) and a ring of `value_cache_size` values. A departed
+// node's block goes on a freelist that newcomers reuse, so the pool scales
+// with the live nodes, not with the ids ever issued; a vector indexed by id
+// maps each node to its block. `maintain` walks the live ids in
+// host::NodeTable order, which a snapshot restores exactly, and a warmed
+// `maintain` allocates nothing.
 #pragma once
 
-#include <deque>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
 
 #include "sim/overlay.hpp"
 #include "wire/messages.hpp"
@@ -35,6 +44,7 @@ class CyclonOverlay final : public host::Overlay {
 
   void build_initial(std::span<const host::NodeId> ids,
                      const host::HostView& host, rng::Rng& rng) override;
+  /// Gives `id` a fresh view (an empty one first, if it already had one).
   void add_node(host::NodeId id, const host::HostView& host,
                 rng::Rng& rng) override;
   void remove_node(host::NodeId id) override;
@@ -42,25 +52,78 @@ class CyclonOverlay final : public host::Overlay {
       host::NodeId id, rng::Rng& rng) const override;
   [[nodiscard]] std::vector<host::NodeId> neighbors(
       host::NodeId id) const override;
+  /// The view's attributes in stored order, then the cached values oldest
+  /// first.
   [[nodiscard]] std::vector<stats::Value> known_attribute_values(
       host::NodeId id, const host::HostView& host) const override;
+  /// One shuffle per live node, in an order shuffled from `rng`. Every live
+  /// node must have a view (add_node, build_initial and restore_state keep
+  /// that true); throws std::logic_error otherwise.
   void maintain(host::HostView& host, rng::Rng& rng) override;
 
   [[nodiscard]] const CyclonConfig& config() const { return config_; }
 
   // host::snapshot integration (DESIGN.md §12): kind 2 = Cyclon. Views are
-  // encoded per node in sorted id order; each view's descriptor entries and
-  // value cache keep their stored order (shuffles and the bootstrap consume
-  // them positionally).
+  // encoded per node in ascending id order; each view's descriptor entries
+  // keep their stored order and its value cache goes oldest first (shuffles
+  // and the bootstrap consume them positionally). Restore refuses a view for
+  // a node that is not live and a live node without a view.
   [[nodiscard]] std::uint32_t snapshot_kind() const override { return 2; }
   void save_state(wire::Writer& out) const override;
-  void restore_state(wire::Reader& in, std::size_t node_count) override;
+  void restore_state(wire::Reader& in, const host::NodeTable& table) override;
 
  private:
-  struct View {
-    std::vector<wire::NodeDescriptor> entries;
-    std::deque<stats::Value> value_cache;
+  static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+
+  /// Bookkeeping of one block; its slots and ring live in Pool.
+  struct Block {
+    std::size_t size = 0;        ///< Descriptors in use: slots [0, size).
+    std::size_t cache_head = 0;  ///< Ring position of the oldest value.
+    std::size_t cache_size = 0;  ///< Values in the ring.
   };
+
+  /// Block b owns slots[b * view_size, +view_size) and
+  /// ring[b * value_cache_size, +value_cache_size).
+  struct Pool {
+    std::vector<std::uint32_t> block_of;  // Indexed by id; kNoBlock if none.
+    std::vector<Block> blocks;
+    std::vector<wire::NodeDescriptor> slots;
+    std::vector<stats::Value> ring;
+    std::vector<std::uint32_t> free;
+  };
+
+  /// A handle on one block, valid until the pool grows. Its const members
+  /// may change the block: constness is the handle's, not the block's.
+  struct View {
+    Block& block;
+    std::span<wire::NodeDescriptor> slots;
+    std::span<stats::Value> ring;
+
+    [[nodiscard]] std::span<wire::NodeDescriptor> entries() const {
+      return slots.first(block.size);
+    }
+    [[nodiscard]] bool full() const { return block.size == slots.size(); }
+    [[nodiscard]] bool contains(host::NodeId id) const;
+    void push(const wire::NodeDescriptor& d) const {
+      slots[block.size++] = d;
+    }
+    /// Removes the entry at `slot`, shifting the later ones down.
+    void erase(std::size_t slot) const;
+    /// Caches `value`, dropping the oldest one when the ring is full.
+    void remember(stats::Value value) const;
+  };
+
+  /// Gives `id` an empty block: its own, else a freed one, else a new one.
+  /// A new one may grow the pool, which invalidates every View.
+  View allocate(host::NodeId id);
+  [[nodiscard]] View at(std::uint32_t block);
+  /// The block of `id`, or kNoBlock.
+  [[nodiscard]] std::uint32_t block_of(host::NodeId id) const;
+  [[nodiscard]] std::span<const wire::NodeDescriptor> entries(
+      std::uint32_t block) const;
+  /// The cached values of `block`, oldest first, as the ring's two runs.
+  [[nodiscard]] std::array<std::span<const stats::Value>, 2> cached(
+      std::uint32_t block) const;
 
   /// One shuffle initiated by `id` with its oldest live view entry.
   void shuffle_once(host::NodeId id, host::HostView& host, rng::Rng& rng);
@@ -68,17 +131,14 @@ class CyclonOverlay final : public host::Overlay {
   /// Installs `received` into `view`, replacing sent-away slots (bits set in
   /// `sent_mask`) first, then filling free capacity, never duplicating ids
   /// or storing `self`.
-  void install(host::NodeId self, View& view,
+  void install(host::NodeId self, const View& view,
                std::span<const wire::NodeDescriptor> received,
                std::uint64_t sent_mask);
 
-  void remember_values(View& view,
-                       std::span<const wire::NodeDescriptor> descriptors);
-
   CyclonConfig config_;
-  std::unordered_map<host::NodeId, View> views_;
-  // Scratch messages reused across shuffles (hot path: one shuffle per node
-  // per round).
+  Pool pool_;
+  // Scratch reused across rounds (hot path: one shuffle per node per round).
+  std::vector<host::NodeId> order_;
   wire::ShuffleMessage request_scratch_;
   wire::ShuffleMessage response_scratch_;
 };

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "host/registry.hpp"
+
 namespace adam2::sim {
 
 StaticRandomOverlay::StaticRandomOverlay(std::size_t degree)
@@ -114,18 +116,18 @@ void StaticRandomOverlay::save_state(wire::Writer& out) const {
 }
 
 void StaticRandomOverlay::restore_state(wire::Reader& in,
-                                        std::size_t node_count) {
+                                        const host::NodeTable& table) {
   if (in.u64() != degree_) {
     throw wire::DecodeError("static overlay degree mismatch");
   }
   const std::size_t count = in.length(12);  // id + empty neighbour list.
-  std::vector<Links> links(node_count);
+  std::vector<Links> links(table.size());
   for (std::size_t i = 0, next = 0; i < count; ++i) {
     const host::NodeId id = in.u64();
     if (id < next) {
       throw wire::DecodeError("overlay node ids not in sorted order");
     }
-    if (id >= node_count) {
+    if (id >= table.size()) {
       throw wire::DecodeError("overlay node id beyond the node table");
     }
     next = id + 1;

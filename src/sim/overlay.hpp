@@ -47,7 +47,7 @@ class StaticRandomOverlay final : public host::Overlay {
   // list in stored order (pick_gossip_target indexes into it).
   [[nodiscard]] std::uint32_t snapshot_kind() const override { return 1; }
   void save_state(wire::Writer& out) const override;
-  void restore_state(wire::Reader& in, std::size_t node_count) override;
+  void restore_state(wire::Reader& in, const host::NodeTable& table) override;
 
  private:
   /// A node's entry, joined from add_node, build_initial or a link to it

@@ -281,6 +281,13 @@ TEST(HotPathContainer, FlagsIdKeyedMapsInHost) {
                          "  std::unordered_map<NodeId, std::size_t> index;\n"
                          "};\n");
   EXPECT_TRUE(fires(diags, "hot-path-container", 3));
+  // So is the per-node state of the simulators' overlays.
+  EXPECT_TRUE(fires(run("src/sim/a.hpp",
+                        "#include <unordered_map>\n"
+                        "struct Overlay {\n"
+                        "  std::unordered_map<NodeId, View> views;\n"
+                        "};\n"),
+                    "hot-path-container", 3));
 }
 
 TEST(HotPathContainer, AllowListedColdPathsAndOtherLayersPass) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "host/registry.hpp"
 #include "sim/cyclon.hpp"
 #include "sim/cycle_engine.hpp"
 #include "sim/overlay.hpp"
@@ -498,6 +499,136 @@ TEST(CyclonTest, ShuffleTrafficIsAccountedOnOverlayChannel) {
   EXPECT_EQ(
       engine.total_traffic().on(host::Channel::kAggregation).messages_sent,
       0u);
+}
+
+// Block-level cases, on a host whose live set the test edits directly.
+
+/// Nodes `ids` are live, each with ten times its id as its attribute;
+/// traffic goes nowhere.
+class ListHost final : public host::HostView {
+ public:
+  explicit ListHost(std::vector<host::NodeId> ids) : live(std::move(ids)) {}
+
+  [[nodiscard]] bool is_live(host::NodeId id) const override {
+    return std::ranges::find(live, id) != live.end();
+  }
+  [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override {
+    return static_cast<stats::Value>(10 * id);
+  }
+  [[nodiscard]] host::Round round() const override { return 0; }
+  [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
+    return live;
+  }
+  void record_traffic(host::NodeId, host::NodeId, host::Channel,
+                      std::size_t) override {}
+
+  std::vector<host::NodeId> live;
+};
+
+std::vector<host::NodeId> first_ids(std::size_t n) {
+  std::vector<host::NodeId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = i;
+  return ids;
+}
+
+TEST(CyclonTest, ANewcomerInADepartedNodesBlockHoldsOnlyWhatItWasGiven) {
+  ListHost host(first_ids(10));
+  CyclonOverlay overlay(
+      {.view_size = 4, .shuffle_size = 2, .value_cache_size = 16});
+  rng::Rng rng(7);
+  overlay.build_initial(host.live, host, rng);
+  for (int i = 0; i < 5; ++i) overlay.maintain(host, rng);
+  // Both departing nodes hold entries and cached values.
+  for (host::NodeId id : {3, 5}) {
+    ASSERT_FALSE(overlay.neighbors(id).empty());
+    ASSERT_GT(overlay.known_attribute_values(id, host).size(),
+              overlay.neighbors(id).size());
+    overlay.remove_node(id);
+    std::erase(host.live, id);
+  }
+
+  // Joining with no other live node, node 10 is given nothing at all.
+  const ListHost alone({10});
+  overlay.add_node(10, alone, rng);
+  EXPECT_TRUE(overlay.neighbors(10).empty());
+  EXPECT_TRUE(overlay.known_attribute_values(10, alone).empty());
+
+  // Joining through a contact, node 11 holds a view and no cached value.
+  host.live.push_back(11);
+  overlay.add_node(11, host, rng);
+  std::vector<stats::Value> view_values;
+  for (host::NodeId peer : overlay.neighbors(11)) {
+    view_values.push_back(host.attribute_of(peer));
+  }
+  EXPECT_FALSE(view_values.empty());
+  EXPECT_EQ(overlay.known_attribute_values(11, host), view_values);
+}
+
+TEST(CyclonTest, AValueCacheOfSizeKKeepsTheNewestKValues) {
+  // The cache feeds no draw, so every cache size sees the same shuffles; a
+  // cache large enough to drop nothing holds every value each node saw.
+  const auto known_after_five_rounds = [](std::size_t cache_size) {
+    ListHost host(first_ids(16));
+    CyclonOverlay overlay(
+        {.view_size = 4, .shuffle_size = 2, .value_cache_size = cache_size});
+    rng::Rng rng(11);
+    overlay.build_initial(host.live, host, rng);
+    for (int i = 0; i < 5; ++i) overlay.maintain(host, rng);
+    std::vector<std::vector<stats::Value>> known;
+    for (host::NodeId id : host.live) {
+      known.push_back(overlay.known_attribute_values(id, host));
+      EXPECT_EQ(overlay.neighbors(id).size(), 4u);
+    }
+    return known;
+  };
+  const auto everything = known_after_five_rounds(512);
+  for (std::size_t cache_size : {0, 1, 3}) {
+    const auto known = known_after_five_rounds(cache_size);
+    for (std::size_t id = 0; id < known.size(); ++id) {
+      const auto& all = everything[id];
+      ASSERT_GT(all.size(), 4 + cache_size) << "node " << id;
+      // The view's four entries, then the newest `cache_size` values.
+      std::vector<stats::Value> expected(all.begin(), all.begin() + 4);
+      expected.insert(expected.end(), all.end() - cache_size, all.end());
+      EXPECT_EQ(known[id], expected)
+          << "cache size " << cache_size << ", node " << id;
+    }
+  }
+}
+
+TEST(CyclonTest, SaveRestoreSaveAfterChurnIsByteIdentical) {
+  const CyclonConfig config{.view_size = 5, .shuffle_size = 3,
+                            .value_cache_size = 7};
+  ListHost host(first_ids(12));
+  CyclonOverlay overlay(config);
+  rng::Rng rng(3);
+  overlay.build_initial(host.live, host, rng);
+  for (int i = 0; i < 3; ++i) overlay.maintain(host, rng);
+  // Three departures, then three newcomers in the freed blocks, which the
+  // pool hands back last-freed first: blocks no longer follow ids.
+  for (host::NodeId id : {2, 7, 4}) {
+    overlay.remove_node(id);
+    std::erase(host.live, id);
+  }
+  for (host::NodeId id : {12, 13, 14}) {
+    host.live.push_back(id);
+    overlay.add_node(id, host, rng);
+  }
+  for (int i = 0; i < 3; ++i) overlay.maintain(host, rng);
+  wire::Writer saved;
+  overlay.save_state(saved);
+
+  host::NodeTable table;
+  for (host::NodeId id = 0; id < 15; ++id) {
+    (void)table.restore_node(host.attribute_of(id), 0, host.is_live(id));
+  }
+  table.finish_restore(host.live);
+  CyclonOverlay restored(config);
+  wire::Reader in(saved.view());
+  restored.restore_state(in, table);
+  wire::Writer resaved;
+  restored.save_state(resaved);
+  EXPECT_EQ(resaved.take(), saved.take());
 }
 
 }  // namespace

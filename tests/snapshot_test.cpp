@@ -217,6 +217,37 @@ TEST(SnapshotRoundTripTest, AsyncSaveRestoreSaveIsByteIdentical) {
   EXPECT_EQ(resumed.save_snapshot(), original.save_snapshot());
 }
 
+/// Resume under churn at scale: 2000 nodes on the default Cyclon views, 1%
+/// churn per round, a snapshot at round 10 restored into a fresh engine,
+/// then 20 more rounds on both. The 24-node fixtures above are too small to
+/// show an overlay walk order that the snapshot does not restore.
+void expect_churn_resume_at_scale(std::size_t threads) {
+  EngineConfig config;
+  config.seed = 0x5eed;
+  config.churn_rate = 0.01;
+  const auto make = [&] {
+    return CycleEngine(config, iota_values(2000),
+                       std::make_unique<CyclonOverlay>(CyclonConfig{}),
+                       snap_factory(), churn_values(), threads);
+  };
+  CycleEngine original = make();
+  original.run_rounds(10);
+  CycleEngine resumed = make();
+  resumed.restore_snapshot(original.save_snapshot());
+  original.run_rounds(20);
+  resumed.run_rounds(20);
+  EXPECT_EQ(snap::fnv1a(resumed.save_snapshot()),
+            snap::fnv1a(original.save_snapshot()));
+}
+
+TEST(SnapshotRoundTripTest, ChurnResumeAtScaleIsBitIdenticalSerial) {
+  expect_churn_resume_at_scale(1);
+}
+
+TEST(SnapshotRoundTripTest, ChurnResumeAtScaleIsBitIdenticalSharded) {
+  expect_churn_resume_at_scale(4);
+}
+
 TEST(SnapshotRoundTripTest, FreshEngineSnapshotRestoresBeforeAnyRound) {
   // Round-0 snapshots (no exchanges yet) are valid checkpoints too.
   CycleEngine original = make_cycle_engine();
@@ -515,13 +546,23 @@ TEST(SnapshotIdTest, AsyncBusySetMustNameLiveNodes) {
   }
 }
 
-/// Restores `blob` into `overlay` against a node table of `node_count`
-/// nodes; false when the overlay refuses it.
+/// A restored node table of `size` nodes in which exactly `live` are alive.
+host::NodeTable node_table(std::size_t size, std::vector<host::NodeId> live) {
+  host::NodeTable table;
+  for (host::NodeId id = 0; id < size; ++id) {
+    (void)table.restore_node(0, 0, std::ranges::find(live, id) != live.end());
+  }
+  table.finish_restore(live);
+  return table;
+}
+
+/// Restores `blob` into `overlay` against `table`; false when the overlay
+/// refuses it.
 bool restores(host::Overlay& overlay, const std::vector<std::byte>& blob,
-              std::size_t node_count) {
+              const host::NodeTable& table) {
   wire::Reader in(blob);
   try {
-    overlay.restore_state(in, node_count);
+    overlay.restore_state(in, table);
   } catch (const wire::DecodeError&) {
     return false;
   }
@@ -538,9 +579,10 @@ TEST(SnapshotIdTest, StaticOverlayOwnerIdsMustBeBelowTheNodeCount) {
     out.length(0);
     return out.take();
   };
-  EXPECT_TRUE(restores(overlay, blob(3), 4));
-  EXPECT_FALSE(restores(overlay, blob(4), 4));
-  EXPECT_FALSE(restores(overlay, blob(host::NodeId{1} << 56), 4));
+  const host::NodeTable table = node_table(4, {0, 1, 2, 3});
+  EXPECT_TRUE(restores(overlay, blob(3), table));
+  EXPECT_FALSE(restores(overlay, blob(4), table));
+  EXPECT_FALSE(restores(overlay, blob(host::NodeId{1} << 56), table));
 }
 
 TEST(SnapshotIdTest, CyclonOwnerIdsMustBeBelowTheNodeCount) {
@@ -559,9 +601,48 @@ TEST(SnapshotIdTest, CyclonOwnerIdsMustBeBelowTheNodeCount) {
     out.length(0);
     return out.take();
   };
-  EXPECT_TRUE(restores(overlay, blob(3), 4));
-  EXPECT_FALSE(restores(overlay, blob(4), 4));
-  EXPECT_FALSE(restores(overlay, blob(host::NodeId{1} << 56), 4));
+  const host::NodeTable table = node_table(4, {3});
+  EXPECT_TRUE(restores(overlay, blob(3), table));
+  EXPECT_FALSE(restores(overlay, blob(4), table));
+  EXPECT_FALSE(restores(overlay, blob(host::NodeId{1} << 56), table));
+}
+
+/// A Cyclon overlay blob (view size 6, shuffle size 3, default cache) with
+/// one view per owner, each naming `peer` and caching nothing.
+std::vector<std::byte> cyclon_blob(const std::vector<host::NodeId>& owners,
+                                   host::NodeId peer) {
+  const CyclonConfig config{.view_size = 6, .shuffle_size = 3};
+  wire::Writer out;
+  out.u64(config.view_size);
+  out.u64(config.shuffle_size);
+  out.u64(config.value_cache_size);
+  out.length(owners.size());
+  for (host::NodeId owner : owners) {
+    out.u64(owner);
+    out.length(1);
+    out.u64(peer);
+    out.u32(0);
+    out.i64(0);
+    out.length(0);
+  }
+  return out.take();
+}
+
+TEST(SnapshotIdTest, CyclonRefusesAViewForANodeThatIsNotLive) {
+  CyclonOverlay overlay({.view_size = 6, .shuffle_size = 3});
+  const host::NodeTable table = node_table(3, {0, 2});
+  EXPECT_TRUE(restores(overlay, cyclon_blob({0, 2}, 0), table));
+  // As many views as live nodes, but node 1 departed.
+  EXPECT_FALSE(restores(overlay, cyclon_blob({0, 1}, 0), table));
+}
+
+TEST(SnapshotIdTest, CyclonRefusesALiveNodeWithoutAView) {
+  CyclonOverlay overlay({.view_size = 6, .shuffle_size = 3});
+  const host::NodeTable table = node_table(3, {0, 1, 2});
+  EXPECT_TRUE(restores(overlay, cyclon_blob({0, 1, 2}, 2), table));
+  // Node 2 is live and named by both views, but has none of its own: the
+  // next maintain would shuffle with it.
+  EXPECT_FALSE(restores(overlay, cyclon_blob({0, 1}, 2), table));
 }
 
 // -- Mutant corpus -----------------------------------------------------------

@@ -654,10 +654,11 @@ class Analyzer {
       if (!is_punct(i - 1, "::") || !is_ident(i - 2, "std")) continue;
       if (!is_punct(i + 1, "<")) continue;
       emit(t.line, "hot-path-container",
-           "std::" + t.text + " in the gossip hot path (src/core/) or the "
-           "host substrate (src/host/): node-based maps cost one cache miss "
-           "per entry per traversal at scale. Keep per-instance state in "
-           "the arena-backed core::InstanceStore (DESIGN.md §7.5) and "
+           "std::" + t.text + " in the gossip hot path (src/core/), the "
+           "host substrate (src/host/) or the simulators (src/sim/): "
+           "node-based maps cost one cache miss per entry per traversal at "
+           "scale. Keep per-instance state in the arena-backed "
+           "core::InstanceStore (DESIGN.md §7.5) and "
            "per-node state in vectors indexed by NodeId; annotate genuinely "
            "cold paths with allow(hot-path-container).");
     }

@@ -39,7 +39,8 @@
 //                         src/runtime/.
 //   hot-path-container (R6) std::map / std::unordered_map (and multi
 //                         variants) declared in the gossip hot path
-//                         (src/core/) or the host substrate (src/host/).
+//                         (src/core/), the host substrate (src/host/) or
+//                         the simulators and their overlays (src/sim/).
 //                         Node-based maps scatter state across the heap —
 //                         one cache miss per entry per traversal at
 //                         million-node rounds. Per-instance state belongs
@@ -97,10 +98,11 @@ struct Options {
   std::vector<std::string> concurrency_whitelist = {"src/host/",
                                                     "src/runtime/"};
 
-  /// Logical-path prefixes forming the gossip hot path and the host
-  /// substrate, where node-based std:: maps are rejected (R6
+  /// Logical-path prefixes forming the gossip hot path, the host substrate
+  /// and the simulators, where node-based std:: maps are rejected (R6
   /// hot-path-container).
-  std::vector<std::string> hot_path_prefixes = {"src/core/", "src/host/"};
+  std::vector<std::string> hot_path_prefixes = {"src/core/", "src/host/",
+                                                "src/sim/"};
 
   Options();
 };
