@@ -11,6 +11,8 @@
 //     handle_response between two live agents) must perform zero heap
 //     allocations, verified with a counting global operator new; so must a
 //     warmed Cyclon overlay maintenance pass over 2000 nodes.
+//   * A freshly built Adam2Agent must cost at most 1 KB, sizeof included:
+//     an idle agent holds no encode buffer, point page or tombstones.
 //   * The zero-copy Adam2MessageView must materialize exactly what
 //     Adam2Message::decode produces for builder-encoded bytes.
 //
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -39,6 +42,7 @@
 #include "core/protocol.hpp"
 #include "data/boinc_synth.hpp"
 #include "host/agent.hpp"
+#include "host/node.hpp"
 #include "host/overlay.hpp"
 #include "host/view.hpp"
 #include "sim/cyclon.hpp"
@@ -46,10 +50,12 @@
 #include "wire/messages.hpp"
 
 // -- Allocation counting ----------------------------------------------------
-// Counted global operator new: every successful allocation bumps the counter,
-// so the acceptance harness can assert that warmed-up gossip exchanges are
-// allocation-free. Deltas are what matter; the absolute value includes the
-// benchmark library's own allocations.
+// Counted global operator new: every successful allocation bumps the
+// allocation counter and adds its requested size to the byte counter, so the
+// acceptance harness can assert that warmed-up gossip exchanges are
+// allocation-free and measure what an object allocates. Deltas are what
+// matter; the absolute values include the benchmark library's own
+// allocations.
 //
 // GCC flags free() inside the replaced operator delete as mismatched with the
 // (also replaced, malloc-backed) operator new at inlined call sites; the pair
@@ -60,10 +66,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -73,6 +81,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   void* p = nullptr;
   const std::size_t al =
@@ -421,6 +430,30 @@ void accept_zero_alloc_lifecycle(int& failures) {
                        static_cast<double>(initiator.arena().heap_pages()));
 }
 
+/// An idle agent holds only state it uses (DESIGN.md §7.5): the encode
+/// scratch is per thread, the arena takes its first page on first use, and
+/// tombstones and combine history allocate only once they hold something.
+/// What building one costs, sizeof included, is the per-node protocol
+/// overhead of every simulated node before any instance reaches it.
+void accept_agent_footprint(int& failures) {
+  constexpr std::uint64_t kIdleAgentBudget = 1024;
+  const core::Adam2Config config;
+  const std::uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  const auto agent = std::make_unique<core::Adam2Agent>(config);
+  const std::uint64_t bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  benchmark::DoNotOptimize(agent.get());  // Keeps the allocation observable.
+
+  char what[96];
+  std::snprintf(what, sizeof what, "idle Adam2Agent <= %llu B (%llu B)",
+                static_cast<unsigned long long>(kIdleAgentBudget),
+                static_cast<unsigned long long>(bytes));
+  check(bytes <= kIdleAgentBudget, what, failures);
+  bench::report_metric("agent_idle_bytes", static_cast<double>(bytes));
+  bench::report_metric("node_record_bytes",
+                       static_cast<double>(sizeof(host::Node)));
+}
+
 // Shared driver for the store-vs-map comparison: one round of the agent's
 // per-exchange work over `Container` — encode every live instance in
 // insertion order, merge the parsed echo back in, look every id up, then
@@ -640,6 +673,7 @@ int run_acceptance(const bench::BenchEnv& env) {
   accept_zero_alloc_exchange(failures);
   accept_zero_alloc_lifecycle(failures);
   accept_zero_alloc_maintain(failures);
+  accept_agent_footprint(failures);
   accept_store_speedup(failures);
   accept_evaluator(env, failures);
   bench::report_metric("acceptance_failures", static_cast<double>(failures));

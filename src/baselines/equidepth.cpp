@@ -15,7 +15,7 @@ EquiDepthAgent::EquiDepthAgent(EquiDepthConfig config) : config_(config) {
 bool EquiDepthAgent::eligible(const host::AgentContext& ctx,
                               const wire::EquiDepthMessage& msg) const {
   return msg.start_round >= ctx.birth_round &&
-         !finalized_ids_.contains(msg.phase);
+         !finalized_.contains(msg.phase);
 }
 
 void EquiDepthAgent::on_round_start(host::AgentContext& ctx) {
@@ -172,12 +172,7 @@ void EquiDepthAgent::handle_response(host::AgentContext& ctx,
 }
 
 void EquiDepthAgent::finalize(Phase&& phase) {
-  finalized_ids_.insert(phase.id);
-  finalized_order_.push_back(phase.id);
-  while (finalized_order_.size() > kFinalizedMemory) {
-    finalized_ids_.erase(finalized_order_.front());
-    finalized_order_.pop_front();
-  }
+  finalized_.insert(phase.id);
 
   EquiDepthEstimate result;
   result.phase = phase.id;

@@ -13,11 +13,10 @@
 // keep the comparison fair, as in the paper.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "core/tombstones.hpp"
 #include "host/agent.hpp"
 #include "sim/cycle_engine.hpp"
 #include "stats/cdf.hpp"
@@ -99,10 +98,8 @@ class EquiDepthAgent final : public host::NodeAgent {
   std::optional<EquiDepthEstimate> estimate_;
   double n_estimate_ = 0.0;
   std::uint32_t next_seq_ = 0;
-  /// Tombstones of finished phases (see Adam2Agent::finalized_ids_).
-  std::unordered_set<wire::InstanceId, wire::InstanceIdHash> finalized_ids_;
-  std::deque<wire::InstanceId> finalized_order_;
-  static constexpr std::size_t kFinalizedMemory = 128;
+  /// Tombstones of finished phases (core/tombstones.hpp).
+  core::TombstoneRing finalized_;
   /// Backs the spans returned by make_request/handle_request (the baseline
   /// is not a hot path; a reused owning buffer satisfies the agent contract).
   std::vector<std::byte> wire_scratch_;

@@ -1,7 +1,7 @@
 // Arena-backed container for a node's live aggregation instances.
 //
-// Replaces the map-of-vectors layout (std::unordered_map<InstanceId,
-// InstanceState> + a separate insertion-order vector) that made the
+// Replaces the map-of-vectors layout (a node-based hash map from InstanceId
+// to InstanceState plus a separate insertion-order vector) that made the
 // per-round merge loop chase pointers through three allocation tiers per
 // instance. The store keeps:
 //
@@ -17,7 +17,8 @@
 //    function of protocol history, not of any hash layout (adam2_lint rule
 //    `unordered-iter`);
 //  * a stats::PointArena holding every instance's H and V series in slab
-//    pages, recycled on expiry.
+//    pages, recycled on expiry. An empty store holds no page: the arena
+//    takes its first one when the first instance starts or joins.
 //
 // Steady-state instance lifecycle (start / join / expire at a stable
 // lambda) therefore performs zero heap allocations once all high-water
@@ -98,7 +99,7 @@ class InstanceSlot {
 class InstanceStore {
  public:
   InstanceStore();
-  // The arena pins the store's address (slots point into its inline page).
+  // The arena is not copyable: slots hold raw pointers into its pages.
   InstanceStore(const InstanceStore&) = delete;
   InstanceStore& operator=(const InstanceStore&) = delete;
 

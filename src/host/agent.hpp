@@ -40,12 +40,16 @@ struct AgentContext {
 /// Per-node protocol logic. All byte spans are encoded wire messages.
 ///
 /// Buffer ownership on the exchange hot path: make_request and
-/// handle_request return *views* into agent-owned scratch buffers, valid
-/// until the next callback on the same agent. Substrates either consume the
-/// bytes within the exchange (the cycle engine does — the two participants'
-/// scratches cannot be overwritten while their exchange is in flight, even
-/// under the sharded unit gate, which never runs two units of one node
-/// concurrently) or copy them into an owned envelope (the event-driven
+/// handle_request return *views* into encode scratch that the caller does
+/// not own. A request view stays valid until the calling thread's next
+/// make_request, and a reply view until its next handle_request, on any
+/// agent; an agent may also invalidate both at its own next callback.
+/// (Adam2Agent encodes into two per-thread buffers, one for requests and
+/// one for replies, so an idle agent holds no encode buffer and a reply
+/// never overwrites the request it answers.) Substrates either consume the
+/// bytes within the exchange on one thread (the cycle engine does: a worker
+/// runs one exchange unit at a time, from make_request to the last
+/// handle_response) or copy them into an owned envelope (the event-driven
 /// engine and the socket runtimes, whose messages outlive the callback).
 /// This keeps steady-state exchanges free of heap allocations.
 class NodeAgent {
@@ -57,13 +61,13 @@ class NodeAgent {
   virtual void on_round_start(AgentContext& /*ctx*/) {}
 
   /// The agent's gossip request for this round; empty means "stay silent".
-  /// The view is valid until the next callback on this agent.
+  /// The view is valid until this thread's next make_request (see above).
   [[nodiscard]] virtual std::span<const std::byte> make_request(
       AgentContext& ctx) = 0;
 
   /// Responder side of an exchange; the returned buffer is delivered back to
-  /// the requester (empty = no response). The view is valid until the next
-  /// callback on this agent.
+  /// the requester (empty = no response). The view is valid until this
+  /// thread's next handle_request (see above).
   [[nodiscard]] virtual std::span<const std::byte> handle_request(
       AgentContext& ctx, std::span<const std::byte> request) = 0;
 

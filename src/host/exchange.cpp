@@ -109,12 +109,12 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
 
   Node& responder = table.at(*target);
   AgentContext rctx = make_context(host, overlay, responder, round);
-  // The payload aliases the initiator's scratch (or the corruption scratch):
-  // valid across every delivery because nothing calls back into the
-  // initiator's agent until the response. A duplicated (retransmitted)
-  // request is processed once per copy, and only the reply to the LAST copy
-  // travels back — the earlier reply span is invalidated by the later
-  // handle_request call anyway.
+  // The payload aliases the request scratch (or the corruption scratch):
+  // valid across every delivery because this thread makes no other request
+  // until the unit ends. A duplicated (retransmitted) request is processed
+  // once per copy, and only the reply to the LAST copy travels back — the
+  // earlier reply span is invalidated by the later handle_request call
+  // anyway.
   std::span<const std::byte> response;
   for (unsigned copy = 0; copy < request_delivery.copies; ++copy) {
     response = responder.agent->handle_request(rctx, request_delivery.payload);
@@ -138,8 +138,9 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
                           ? obs::ExchangeStatus::kResponseLost
                           : obs::ExchangeStatus::kCompleted;
   }
-  // The response aliases the responder's scratch: valid across both
-  // handle_response calls because nothing calls the responder in between.
+  // The response aliases the reply scratch: valid across both
+  // handle_response calls because this thread handles no other request in
+  // between.
   for (unsigned copy = 0; copy < response_delivery.copies; ++copy) {
     initiator.agent->handle_response(ictx, response_delivery.payload);
   }

@@ -15,7 +15,7 @@
 //  * `Conduit::run_cycle_exchange()` is the full in-round request→response
 //    state machine of the cycle engine (any thread count), including the
 //    "reply to the second copy wins" duplicate rule. Payload spans alias
-//    agent scratch end to end: the steady-state exchange allocates nothing
+//    encode scratch end to end: the steady-state exchange allocates nothing
 //    (bench/micro_core pins this).
 //  * `SessionedPort` is the request→response state machine of the wall-clock
 //    runtime: busy lock, NACK, token matching, stale-response rejection,

@@ -4,7 +4,7 @@
 // The Adam2 merge loop touches every point of every active instance every
 // round; with the points scattered across per-instance std::vector heap
 // blocks that walk is pointer-chasing through the allocator's layout. The
-// arena packs point blocks into large contiguous pages instead, so one
+// arena packs point blocks into a few contiguous pages instead, so one
 // agent's working set occupies a handful of cache-resident slabs, and it
 // recycles freed blocks through per-size-class freelists so the steady-state
 // instance lifecycle (create / join / expire) performs zero heap
@@ -14,17 +14,20 @@
 //  * Requests are rounded up to a power-of-two capacity class (min 8
 //    points, 128 B). A freed block of class c serves any later request of
 //    class c — instance churn at a fixed lambda recycles perfectly.
-//  * Fresh blocks are bump-allocated from the current page. The first page
-//    is inline storage inside the arena object (kInlineCapacity points,
-//    sized so one instance at the paper's default lambda = 50 plus a small
-//    verification series fits without any heap traffic at all); overflow
-//    pages of kPageCapacity points come from the heap, and a request larger
-//    than a page gets a dedicated page of exactly its class size.
+//  * Fresh blocks are bump-allocated from the current page. An idle arena
+//    holds no page at all: the first allocate() takes a heap page of
+//    kFirstPageCapacity points (one series at the paper's default
+//    lambda = 50, class 64), and each later page doubles, up to
+//    kPageCapacity. A request larger than the next page size gets a page of
+//    exactly its class size.
 //  * Blocks never move: pages are retained until the arena dies, so
 //    CdfPoint* handles stay valid for the lifetime of the block.
+//  * The freelists are intrusive: a free block stores the next free block
+//    of its class in its own first bytes, so release() never allocates.
+//    Reuse is last-in first-out per class.
 //
-// The arena is neither copyable nor movable — handed-out pointers (and the
-// inline page) pin its address.
+// The arena is neither copyable nor movable — handed-out pointers are tied
+// to the arena that issued them.
 #pragma once
 
 #include <array>
@@ -39,10 +42,9 @@ namespace adam2::stats {
 
 class PointArena {
  public:
-  /// Inline (in-object) first page: covers lambda = 50 interpolation points
-  /// (class 64) plus a typical verification series (class 8 or 16).
-  static constexpr std::size_t kInlineCapacity = 128;
-  /// Heap page size in points (16 KiB pages).
+  /// Size of the first page, in points: one lambda = 50 series (class 64).
+  static constexpr std::size_t kFirstPageCapacity = 64;
+  /// Largest regular page size, in points (16 KiB pages).
   static constexpr std::size_t kPageCapacity = 1024;
   /// Smallest capacity class, in points.
   static constexpr std::size_t kMinClassPoints = 8;
@@ -71,12 +73,12 @@ class PointArena {
 
   // -- Introspection (tests, benches) ---------------------------------------
 
-  /// Heap pages allocated so far (excludes the inline page). Differential
-  /// tests pin this to stop growing once the working set has been seen.
+  /// Heap pages allocated so far. Differential tests pin this to stop
+  /// growing once the working set has been seen.
   [[nodiscard]] std::size_t heap_pages() const { return pages_.size(); }
-  /// Total point capacity reserved, inline page included.
+  /// Total point capacity reserved across all pages.
   [[nodiscard]] std::size_t reserved_points() const { return reserved_; }
-  /// Blocks currently parked on freelists.
+  /// Blocks currently parked on freelists (walks them).
   [[nodiscard]] std::size_t free_blocks() const;
 
   /// Capacity class for a request of `count` points (what allocate() would
@@ -90,15 +92,13 @@ class PointArena {
 
   [[nodiscard]] CdfPoint* bump(std::size_t capacity);
 
-  alignas(CdfPoint) std::array<CdfPoint, kInlineCapacity> inline_page_{};
   std::vector<std::unique_ptr<CdfPoint[]>> pages_;
-  CdfPoint* cursor_ = inline_page_.data();
-  CdfPoint* page_end_ = inline_page_.data() + kInlineCapacity;
-  std::size_t reserved_ = kInlineCapacity;
-  /// Per-class stacks of recycled blocks. The stacks themselves are
-  /// vectors: they allocate only while their high-water mark grows, so a
-  /// steady churn workload stops touching the heap after warm-up.
-  std::array<std::vector<CdfPoint*>, kClassCount> free_;
+  CdfPoint* cursor_ = nullptr;
+  CdfPoint* page_end_ = nullptr;
+  std::size_t reserved_ = 0;
+  std::size_t next_page_ = kFirstPageCapacity;
+  /// Per-class heads of the intrusive freelists (nullptr = empty).
+  std::array<CdfPoint*, kClassCount> free_{};
 };
 
 }  // namespace adam2::stats

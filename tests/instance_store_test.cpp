@@ -257,15 +257,49 @@ TEST(PointArenaTest, RoundsRequestsUpToPowerOfTwoClasses) {
   EXPECT_EQ(stats::PointArena::class_of(65), 128u);
 }
 
-TEST(PointArenaTest, CommonLambdaFitsInTheInlinePage) {
-  stats::PointArena arena;
-  // One instance at the paper's lambda = 50 (class 64) plus a verification
-  // series (class 8): both served from the in-object page, no heap pages.
-  const auto h = arena.allocate(50);
-  const auto v = arena.allocate(4);
-  EXPECT_NE(h.data, nullptr);
-  EXPECT_NE(v.data, nullptr);
+TEST(PointArenaTest, IdleArenaHoldsNoPage) {
+  const stats::PointArena arena;
+  EXPECT_EQ(arena.reserved_points(), 0u);
   EXPECT_EQ(arena.heap_pages(), 0u);
+  EXPECT_EQ(arena.free_blocks(), 0u);
+}
+
+TEST(PointArenaTest, FirstPageHoldsOneDefaultLambdaSeries) {
+  stats::PointArena arena;
+  // One series at the paper's lambda = 50 (class 64) fills the first page.
+  const auto h = arena.allocate(50);
+  EXPECT_NE(h.data, nullptr);
+  EXPECT_EQ(arena.heap_pages(), 1u);
+  EXPECT_EQ(arena.reserved_points(), 64u);
+  // The next page doubles.
+  const auto v = arena.allocate(4);
+  EXPECT_NE(v.data, nullptr);
+  EXPECT_EQ(arena.heap_pages(), 2u);
+  EXPECT_EQ(arena.reserved_points(), 64u + 128u);
+}
+
+TEST(PointArenaTest, FreedBlocksOfOneClassComeBackLastInFirstOut) {
+  stats::PointArena arena;
+  std::vector<stats::PointArena::Block> blocks;
+  for (int i = 0; i < 5; ++i) blocks.push_back(arena.allocate(20));  // 32.
+  const std::size_t reserved = arena.reserved_points();
+  for (const auto& b : blocks) arena.release(b.data, b.capacity);
+  EXPECT_EQ(arena.free_blocks(), 5u);
+  for (int i = 4; i >= 0; --i) {
+    const auto b = arena.allocate(17);
+    EXPECT_EQ(b.data, blocks[static_cast<std::size_t>(i)].data) << i;
+    EXPECT_EQ(b.capacity, 32u);
+  }
+  EXPECT_EQ(arena.free_blocks(), 0u);
+  EXPECT_EQ(arena.reserved_points(), reserved);
+}
+
+TEST(PointArenaTest, OversizedRequestGetsAPageOfItsOwnClass) {
+  stats::PointArena arena;
+  const auto big = arena.allocate(3000);  // Class 4096 > any page size.
+  EXPECT_EQ(big.capacity, 4096u);
+  EXPECT_EQ(arena.heap_pages(), 1u);
+  EXPECT_EQ(arena.reserved_points(), 4096u);
 }
 
 TEST(PointArenaTest, EmptyRequestIsTheNullBlock) {

@@ -640,27 +640,34 @@ class Analyzer {
   // -- R6 -------------------------------------------------------------------
   void check_hot_path_container() {
     if (!has_prefix(logical_, options_.hot_path_prefixes)) return;
-    static const std::set<std::string> kNodeMaps = {
-        "map", "multimap", "unordered_map", "unordered_multimap"};
+    static const std::set<std::string> kFlagged = {
+        "map", "multimap", "unordered_map", "unordered_multimap", "deque"};
     const auto& tokens = scan_.tokens;
     for (std::size_t i = 2; i < tokens.size(); ++i) {
       const Token& t = tokens[i];
-      if (t.kind != Token::Kind::kIdent || !kNodeMaps.contains(t.text)) {
+      if (t.kind != Token::Kind::kIdent || !kFlagged.contains(t.text)) {
         continue;
       }
-      // `std::map<...>` / `std::unordered_map<...>` only: a following `<`
-      // separates the type from locals that merely *call* something named
-      // map, and the std:: qualifier from other namespaces' types.
+      // `std::map<...>` / `std::deque<...>` only: a following `<` separates
+      // the type from locals that merely *call* something named map, and
+      // the std:: qualifier from other namespaces' types.
       if (!is_punct(i - 1, "::") || !is_ident(i - 2, "std")) continue;
       if (!is_punct(i + 1, "<")) continue;
+      const std::string why =
+          t.text == "deque"
+              ? "an idle std::deque still holds its chunk map and first "
+                "chunk (~600 B under libstdc++), paid once per object at "
+                "million-node scale. Use a vector or a fixed ring that "
+                "allocates on first use"
+              : "node-based maps cost one cache miss per entry per "
+                "traversal at scale. Keep per-instance state in the "
+                "arena-backed core::InstanceStore (DESIGN.md §7.5) and "
+                "per-node state in vectors indexed by NodeId";
       emit(t.line, "hot-path-container",
            "std::" + t.text + " in the gossip hot path (src/core/), the "
-           "host substrate (src/host/) or the simulators (src/sim/): "
-           "node-based maps cost one cache miss per entry per traversal at "
-           "scale. Keep per-instance state in the arena-backed "
-           "core::InstanceStore (DESIGN.md §7.5) and "
-           "per-node state in vectors indexed by NodeId; annotate genuinely "
-           "cold paths with allow(hot-path-container).");
+           "host substrate (src/host/) or the simulators (src/sim/): " +
+           why + "; annotate genuinely cold paths with "
+           "allow(hot-path-container).");
     }
   }
 

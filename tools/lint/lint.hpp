@@ -38,16 +38,18 @@
 //                         condition_variable/...) outside src/host/ and
 //                         src/runtime/.
 //   hot-path-container (R6) std::map / std::unordered_map (and multi
-//                         variants) declared in the gossip hot path
-//                         (src/core/), the host substrate (src/host/) or
-//                         the simulators and their overlays (src/sim/).
-//                         Node-based maps scatter state across the heap —
-//                         one cache miss per entry per traversal at
-//                         million-node rounds. Per-instance state belongs
-//                         in the arena-backed core::InstanceStore (DESIGN.md
-//                         §7.5), per-node state in vectors indexed by id;
-//                         genuinely cold paths (finalisation bookkeeping,
-//                         observer tooling) annotate with
+//                         variants) and std::deque declared in the gossip
+//                         hot path (src/core/), the host substrate
+//                         (src/host/) or the simulators and their overlays
+//                         (src/sim/). Node-based maps scatter state across
+//                         the heap — one cache miss per entry per traversal
+//                         at million-node rounds — and an idle deque member
+//                         still costs ~600 B per object under libstdc++.
+//                         Per-instance state belongs in the arena-backed
+//                         core::InstanceStore (DESIGN.md §7.5), per-node
+//                         state in vectors indexed by id, bounded FIFOs in
+//                         rings that allocate on first use; genuinely cold
+//                         paths (observer tooling) annotate with
 //                         allow(hot-path-container).
 //
 // The library half (this header) is what the unit tests drive over the
@@ -99,8 +101,8 @@ struct Options {
                                                     "src/runtime/"};
 
   /// Logical-path prefixes forming the gossip hot path, the host substrate
-  /// and the simulators, where node-based std:: maps are rejected (R6
-  /// hot-path-container).
+  /// and the simulators, where node-based std:: maps and std::deque are
+  /// rejected (R6 hot-path-container).
   std::vector<std::string> hot_path_prefixes = {"src/core/", "src/host/",
                                                 "src/sim/"};
 
