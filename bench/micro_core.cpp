@@ -397,8 +397,8 @@ void accept_zero_alloc_lifecycle(int& failures) {
     const auto back_view = wire::Adam2MessageView::parse(back.finish());
     for (const wire::InstancePayloadView& payload : back_view) {
       core::InstanceSlot* slot = initiator.find(payload.id);
-      if (slot != nullptr && slot->mergeable_with(payload)) {
-        slot->average_with(payload);
+      if (slot != nullptr && core::admissible(payload, 25, slot)) {
+        slot->merge(payload);
       }
     }
     // Expire the oldest instance on both sides.
@@ -473,8 +473,8 @@ struct StoreAdapter {
   }
   void merge(const wire::InstancePayloadView& payload) {
     core::InstanceSlot* slot = store.find(payload.id);
-    if (slot != nullptr && slot->mergeable_with(payload)) {
-      slot->average_with(payload);
+    if (slot != nullptr && core::admissible(payload, 25, slot)) {
+      slot->merge(payload);
     }
   }
   [[nodiscard]] double lookup_weight(wire::InstanceId id) const {
@@ -731,6 +731,42 @@ void BM_WireViewRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(encoded_size));
 }
 BENCHMARK(BM_WireViewRoundTrip)->Arg(10)->Arg(50)->Arg(100);
+
+/// One steady-state exchange between two warmed agents (make_request ->
+/// handle_request -> handle_response) at lambda 50 with 10 verification
+/// points, sharing range(0) instances: the exchange layer's per-call cost
+/// without an engine around it.
+void BM_SteadyExchange(benchmark::State& state) {
+  PairHostView view;
+  PairOverlay overlay;
+  rng::Rng rng_a(1);
+  rng::Rng rng_b(2);
+  host::AgentContext actx{view, overlay, 0, 1, 0, view.attribute_of(0), rng_a};
+  host::AgentContext bctx{view, overlay, 1, 1, 0, view.attribute_of(1), rng_b};
+  core::Adam2Config config;
+  config.lambda = 50;
+  config.verification_points = 10;
+  config.instance_ttl = 60000;  // Stay mid-instance for the whole run.
+  core::Adam2Agent a(config);
+  core::Adam2Agent b(config);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    (void)a.start_instance(actx);
+  }
+  const auto exchange = [&] {
+    const auto request = a.make_request(actx);
+    const auto response = b.handle_request(bctx, request);
+    a.handle_response(actx, response);
+  };
+  for (int i = 0; i < 16; ++i) exchange();  // b joins; scratch warms up.
+  for (auto _ : state) {
+    exchange();
+    benchmark::ClobberMemory();
+  }
+  const core::InstanceSlot* slot = a.instance({0, 0});
+  benchmark::DoNotOptimize(slot != nullptr ? slot->weight : 0.0);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SteadyExchange)->Arg(1)->Arg(5);
 
 void BM_SelectHCut(benchmark::State& state) {
   const auto prev = synthetic_prev(52);

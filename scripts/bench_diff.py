@@ -8,14 +8,16 @@ Usage:
 For every BENCH_<name>.json in the baseline directory, the matching report in
 the current directory is compared field by field:
 
-  * `phases_seconds` and timing-like metrics (`*_s`, `*speedup*`) are
-    wall-clock measurements: deltas beyond the tolerance (default +/-10%)
+  * `phases_seconds` and the metrics that name a wall-clock or memory
+    measurement (`*_s`, `*_ms`, `*_us`, `*_ns`, `*speedup*`, `*seconds*`,
+    `*rss*`) are noisy: deltas beyond the tolerance (default +/-10%)
     produce a warning. Shared CI runners are noisy, so timing drift NEVER
     fails the job -- it is a nudge to look, or to refresh the baseline.
-  * Exact metrics (allocation counts, bit-mismatch counters, failure
-    counters, byte totals -- all deterministic given the same config) warn on
-    ANY change. A deliberate protocol or wire change should land together
-    with a baseline refresh.
+  * Every other metric is exact: allocation and page counts, instance
+    counts, bit-mismatch and failure counters, byte totals and digests are
+    all deterministic given the same config, so ANY change warns. A
+    deliberate protocol or wire change should land together with a baseline
+    refresh.
   * Config fields (`nodes`, `seed`, `peer_sample`, `threads`) must match;
     otherwise the report pair is skipped with a warning, since comparing
     different workloads is meaningless.
@@ -40,21 +42,16 @@ import sys
 
 CONFIG_KEYS = ("nodes", "seed", "peer_sample", "threads")
 
-# Deterministic counters: any drift is a real behaviour change, not noise.
-# `digest` covers the snapshot-state digests the resume-smoke job compares
-# between an uninterrupted run and a save/resume run (DESIGN.md §12).
-EXACT_RE = re.compile(r"(_allocs$|_iterations$|mismatch|failures|bytes|digest)")
-
-# Wall-clock measurements and their ratios: compare with tolerance.
-TIMING_RE = re.compile(r"(_s$|speedup|seconds)")
+# Wall-clock and memory measurements and their ratios: compare with
+# tolerance. Anything else is a deterministic count (the snapshot-state
+# digests the resume-smoke job compares included, DESIGN.md §12), where any
+# drift is a real behaviour change, not noise -- so a new count is exact
+# unless its name says it is a measurement.
+TIMING_RE = re.compile(r"(_s$|_ms$|_us$|_ns$|speedup|seconds|rss)")
 
 
 def classify(key: str) -> str:
-    if EXACT_RE.search(key):
-        return "exact"
-    if TIMING_RE.search(key):
-        return "timing"
-    return "timing"  # Unknown numerics are treated as noisy, not exact.
+    return "timing" if TIMING_RE.search(key) else "exact"
 
 
 def iter_values(report: dict):

@@ -2,39 +2,71 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "core/point_ops.hpp"
+#include <cmath>
 
 namespace adam2::core {
 
 // ---------------------------------------------------------------- InstanceSlot
 
-bool InstanceSlot::mergeable_with(const wire::InstancePayload& other) const {
-  return other.id == id && point_ops::same_thresholds(points(), other.points) &&
-         point_ops::same_thresholds(verification(), other.verification);
-}
-
-bool InstanceSlot::mergeable_with(const wire::InstancePayloadView& other) const {
-  return other.id == id && point_ops::same_thresholds(points(), other.points) &&
-         point_ops::same_thresholds(verification(), other.verification);
-}
-
-void InstanceSlot::average_with(const wire::InstancePayload& other) {
-  assert(other.id == id);
-  point_ops::average_points(points(), other.points);
-  point_ops::average_points(verification(), other.verification);
+void InstanceSlot::merge(const wire::InstancePayloadView& other) {
+  assert(other.id == id && other.points.size() == points_count_ &&
+         other.verification.size() == verification_count_);
+  const auto average = [](stats::CdfPoint* mine, wire::PointsView theirs) {
+    for (std::size_t i = 0; i < theirs.size(); ++i) {
+      mine[i].f = (mine[i].f + theirs[i].f) / 2.0;
+    }
+  };
+  average(points_.data, other.points);
+  average(verification_.data, other.verification);
   weight = (weight + other.weight) / 2.0;
   min_value = std::min(min_value, other.min_value);
   max_value = std::max(max_value, other.max_value);
 }
 
-void InstanceSlot::average_with(const wire::InstancePayloadView& other) {
-  assert(other.id == id);
-  point_ops::average_points(points(), other.points);
-  point_ops::average_points(verification(), other.verification);
-  weight = (weight + other.weight) / 2.0;
-  min_value = std::min(min_value, other.min_value);
-  max_value = std::max(max_value, other.max_value);
+namespace {
+
+/// One received series against admissible()'s point rules and, when `held`
+/// is non-null, against the held thresholds (same count checked by the
+/// caller). Records whether a threshold was ±inf and an f exceeded 1.
+bool admissible_series(wire::PointsView theirs, const stats::CdfPoint* held,
+                       bool& inf_threshold, bool& above_one) {
+  for (std::size_t i = 0; i < theirs.size(); ++i) {
+    const stats::CdfPoint p = theirs[i];
+    if (std::isnan(p.t) || !std::isfinite(p.f) || p.f < 0.0) return false;
+    if (held != nullptr && held[i].t != p.t) return false;
+    inf_threshold = inf_threshold || std::isinf(p.t);
+    above_one = above_one || p.f > 1.0;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool admissible(const wire::InstancePayloadView& payload,
+                std::uint16_t max_ttl, const InstanceSlot* held) {
+  if (payload.ttl > max_ttl || !std::isfinite(payload.weight) ||
+      payload.weight < 0.0 || payload.weight > 1.0 ||
+      !std::isfinite(payload.min_value) || !std::isfinite(payload.max_value) ||
+      payload.min_value > payload.max_value) {
+    return false;
+  }
+  if (held != nullptr &&
+      (held->id != payload.id ||
+       held->points().size() != payload.points.size() ||
+       held->verification().size() != payload.verification.size())) {
+    return false;
+  }
+  bool multi_value = false;  // Only an H threshold can be the sentinel.
+  bool verification_inf = false;
+  bool above_one = false;
+  return admissible_series(payload.points,
+                           held != nullptr ? held->points().data() : nullptr,
+                           multi_value, above_one) &&
+         admissible_series(
+             payload.verification,
+             held != nullptr ? held->verification().data() : nullptr,
+             verification_inf, above_one) &&
+         (multi_value || !above_one);
 }
 
 // --------------------------------------------------------------- InstanceStore
@@ -113,10 +145,9 @@ InstanceSlot& InstanceStore::start(wire::InstanceId id,
   return slot;
 }
 
-template <typename Payload>
-InstanceSlot& InstanceStore::join_impl(const Payload& payload,
-                                       const ContributionFn& contribution,
-                                       double local_min, double local_max) {
+InstanceSlot& InstanceStore::join(const wire::InstancePayloadView& payload,
+                                  const ContributionFn& contribution,
+                                  double local_min, double local_max) {
   InstanceSlot& slot = emplace_row(payload.id);
   slot.start_round = payload.start_round;
   slot.ttl = payload.ttl;
@@ -137,18 +168,6 @@ InstanceSlot& InstanceStore::join_impl(const Payload& payload,
     slot.verification_.data[i++] = {p.t, contribution(p.t)};
   }
   return slot;
-}
-
-InstanceSlot& InstanceStore::join(const wire::InstancePayloadView& payload,
-                                  const ContributionFn& contribution,
-                                  double local_min, double local_max) {
-  return join_impl(payload, contribution, local_min, local_max);
-}
-
-InstanceSlot& InstanceStore::join(const wire::InstancePayload& payload,
-                                  const ContributionFn& contribution,
-                                  double local_min, double local_max) {
-  return join_impl(payload, contribution, local_min, local_max);
 }
 
 void InstanceStore::erase_bucket(std::size_t hole) {

@@ -80,12 +80,12 @@ class InstanceSlot {
             min_value, max_value,   points(), verification()};
   }
 
-  /// Same contracts as InstanceState::mergeable_with / average_with.
-  [[nodiscard]] bool mergeable_with(const wire::InstancePayload& other) const;
-  [[nodiscard]] bool mergeable_with(
-      const wire::InstancePayloadView& other) const;
-  void average_with(const wire::InstancePayload& other);
-  void average_with(const wire::InstancePayloadView& other);
+  /// The symmetric merge of §IV, straight from the received bytes: every f
+  /// of H, then of V, becomes (f + f') / 2, then the weight likewise, and
+  /// the extremes take min/max. The same arithmetic as
+  /// InstanceState::average_with. Precondition: admissible(other, ttl,
+  /// this) — same instance, same counts, equal thresholds.
+  void merge(const wire::InstancePayloadView& other);
 
  private:
   friend class InstanceStore;
@@ -95,6 +95,19 @@ class InstanceSlot {
   std::uint32_t points_count_ = 0;
   std::uint32_t verification_count_ = 0;
 };
+
+/// The exchange's semantic admission gate (DESIGN.md §8.3): one walk over a
+/// parsed payload, before any write, decides whether it may join (`held`
+/// null) or merge into *held. It refuses what framing cannot catch: a ttl
+/// above `max_ttl` (a stuck session), a weight outside [0, 1], non-finite
+/// or crossed extremes, a NaN threshold, an f that is NaN, infinite or
+/// negative, and an f above 1 (an average of 0/1 indicators) unless an H
+/// threshold is ±inf (the multi-value sentinel, §IV: there f counts
+/// values). For a held slot it also refuses another id, other H or V
+/// counts, or a threshold that differs by != (so -0.0 matches 0.0): such a
+/// merge would read or write out of bounds.
+[[nodiscard]] bool admissible(const wire::InstancePayloadView& payload,
+                              std::uint16_t max_ttl, const InstanceSlot* held);
 
 class InstanceStore {
  public:
@@ -123,9 +136,6 @@ class InstanceStore {
   /// semantics): weight 0, own contributions at the payload's thresholds,
   /// own extremes. `payload.id` must not be present.
   InstanceSlot& join(const wire::InstancePayloadView& payload,
-                     const ContributionFn& contribution, double local_min,
-                     double local_max);
-  InstanceSlot& join(const wire::InstancePayload& payload,
                      const ContributionFn& contribution, double local_min,
                      double local_max);
 
@@ -214,11 +224,6 @@ class InstanceStore {
   /// Backward-shift deletion at `hole`: keeps every remaining element
   /// reachable from its home bucket without tombstones.
   void erase_bucket(std::size_t hole);
-
-  template <typename Payload>
-  InstanceSlot& join_impl(const Payload& payload,
-                          const ContributionFn& contribution, double local_min,
-                          double local_max);
 
   stats::PointArena arena_;
   std::vector<InstanceSlot> slots_;

@@ -1,7 +1,6 @@
-// Element-wise operations on CdfPoint sequences, shared by the two
-// materialisations of per-instance state: the arena-backed InstanceSlot
-// (hot path, spans into stats::PointArena) and the owning InstanceState
-// (cold paths, tests, and the differential reference model).
+// Element-wise operations on CdfPoint sequences for the owning
+// InstanceState (cold paths, tests, and the reference model that the
+// arena-backed InstanceSlot's admissible()/merge are fuzzed against).
 //
 // `Range` is anything yielding stats::CdfPoint by value on iteration — an
 // owned vector, a std::span, or the zero-copy wire::PointsView straight off

@@ -12,45 +12,6 @@
 namespace adam2::core {
 namespace {
 
-// A parsed payload can still be hostile: the wire validation walk checks
-// framing, not semantics. Reject values no honest peer can produce — an
-// oversized ttl (a stuck instance that would keep a session alive for up to
-// 65535 rounds), a non-finite or out-of-[0,1] weight, broken extremes, or
-// non-finite threshold/value pairs. f is deliberately NOT bounded above by
-// 1: the multi-value extension (§IV) legitimately exceeds it.
-bool plausible(const wire::InstancePayloadView& payload,
-               std::uint16_t max_ttl) {
-  if (payload.ttl > max_ttl) return false;
-  if (!std::isfinite(payload.weight) || payload.weight < 0.0 ||
-      payload.weight > 1.0) {
-    return false;
-  }
-  if (!std::isfinite(payload.min_value) || !std::isfinite(payload.max_value) ||
-      payload.min_value > payload.max_value) {
-    return false;
-  }
-  // Thresholds may be ±inf (the multi-value size sentinel rides along as
-  // t = +inf), so only NaN is impossible there. Values must be finite and
-  // non-negative; in single-value payloads (no sentinel) they are averages
-  // of 0/1 indicators and so also bounded by 1 — a bound that catches
-  // bit-flips landing in an f mantissa, which framing cannot detect.
-  bool multi_value = false;
-  for (const stats::CdfPoint p : payload.points) {
-    if (std::isnan(p.t) || !std::isfinite(p.f) || p.f < 0.0) return false;
-    if (std::isinf(p.t)) multi_value = true;
-  }
-  if (!multi_value) {
-    for (const stats::CdfPoint p : payload.points) {
-      if (p.f > 1.0) return false;
-    }
-  }
-  for (const stats::CdfPoint p : payload.verification) {
-    if (std::isnan(p.t) || !std::isfinite(p.f) || p.f < 0.0) return false;
-    if (!multi_value && p.f > 1.0) return false;
-  }
-  return true;
-}
-
 /// Encode scratch of the calling thread, shared by every agent it runs
 /// (DESIGN.md §7.1). A request view stays valid until this thread's next
 /// make_request, a reply view until its next handle_request; requests and
@@ -245,15 +206,12 @@ std::span<const std::byte> Adam2Agent::handle_request(
     if (!eligible(ctx, payload.start_round, payload.id, slot != nullptr)) {
       continue;
     }
-    if (!plausible(payload, config_.instance_ttl)) continue;
+    // Framing was checked by the parse; semantics here, before any write.
+    if (!admissible(payload, config_.instance_ttl, slot)) continue;
     if (slot != nullptr) {
-      // Corruption that survived the framing walk (or a foreign restart of
-      // the same id) must not reach average_with: mismatched point counts
-      // would read/write out of bounds.
-      if (!slot->mergeable_with(payload)) continue;
       // Symmetric exchange: reply with the pre-merge state, then average.
       reply.add(slot->ref());
-      slot->average_with(payload);
+      slot->merge(payload);
       continue;
     }
     // First contact with this instance: join it. (The join may grow the
@@ -270,7 +228,7 @@ std::span<const std::byte> Adam2Agent::handle_request(
       // ignore. Not mass conserving; kept for the ablation bench.
       reply.add_empty_set(joined.ref());
     }
-    joined.average_with(payload);
+    joined.merge(payload);
     joined.touched_epoch = epoch;
   }
 
@@ -299,17 +257,16 @@ void Adam2Agent::handle_response(host::AgentContext& ctx,
     if (!eligible(ctx, payload.start_round, payload.id, slot != nullptr)) {
       continue;
     }
-    if (!plausible(payload, config_.instance_ttl)) continue;
+    if (!admissible(payload, config_.instance_ttl, slot)) continue;
     if (slot != nullptr) {
-      if (!slot->mergeable_with(payload)) continue;  // See handle_request.
-      slot->average_with(payload);
+      slot->merge(payload);
       continue;
     }
     const auto [local_min, local_max] = local_extremes(ctx);
     InstanceSlot& joined =
         store_.join(payload, contribution_fn(ctx), local_min, local_max);
     if (config_.join_policy == JoinPolicy::kPaperLiteral) {
-      joined.average_with(payload);
+      joined.merge(payload);
     }
     // Mass-conserving requester join: initialise only — the responder cannot
     // learn our initial values within this exchange, so averaging here would
@@ -434,26 +391,6 @@ bool Adam2Agent::handle_bootstrap_response(host::AgentContext& ctx,
 
 namespace {
 
-void write_points(wire::Writer& out, std::span<const stats::CdfPoint> points) {
-  out.length(points.size());
-  for (const stats::CdfPoint p : points) {
-    out.f64(p.t);
-    out.f64(p.f);
-  }
-}
-
-std::vector<stats::CdfPoint> read_points(wire::Reader& in) {
-  const std::size_t count = in.length(16);
-  std::vector<stats::CdfPoint> points;
-  points.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t = in.f64();
-    const double f = in.f64();
-    points.push_back({t, f});
-  }
-  return points;
-}
-
 /// Canonical-form flag byte: anything but 0/1 is rejected, so every accepted
 /// blob re-encodes to exactly the bytes it was restored from.
 bool read_flag(wire::Reader& in, bool& value) {
@@ -477,8 +414,8 @@ void write_estimate(wire::Writer& out, const Estimate& e) {
   out.u64(e.instance.initiator);
   out.u32(e.instance.seq);
   out.u32(e.completed_round);
-  write_points(out, e.cdf.knots());
-  write_points(out, e.points);
+  wire::encode_points(out, e.cdf.knots());
+  wire::encode_points(out, e.points);
   out.f64(e.min_value);
   out.f64(e.max_value);
   out.f64(e.n_estimate);
@@ -494,14 +431,14 @@ bool read_estimate(wire::Reader& in, Estimate& e) {
   e.instance.initiator = in.u64();
   e.instance.seq = in.u32();
   e.completed_round = in.u32();
-  const std::vector<stats::CdfPoint> knots = read_points(in);
+  const std::vector<stats::CdfPoint> knots = wire::decode_points(in);
   e.cdf = stats::PiecewiseLinearCdf{knots};
   // The cdf constructor sorts, merges and clamps. Knots it would alter
   // cannot have come from save_state (the constructor is idempotent on its
   // own output) and would re-encode differently — reject as non-canonical
   // instead of accepting a silently different state.
   if (!bit_identical(e.cdf.knots(), knots)) return false;
-  e.points = read_points(in);
+  e.points = wire::decode_points(in);
   e.min_value = in.f64();
   e.max_value = in.f64();
   e.n_estimate = in.f64();
@@ -546,8 +483,8 @@ bool Adam2Agent::save_state(wire::Writer& out) const {
     out.f64(slot.min_value);
     out.f64(slot.max_value);
     out.u64(slot.touched_epoch);
-    write_points(out, slot.points());
-    write_points(out, slot.verification());
+    wire::encode_points(out, slot.points());
+    wire::encode_points(out, slot.verification());
   }
   out.u8(estimate_ ? 1 : 0);
   if (estimate_) write_estimate(out, *estimate_);
@@ -601,8 +538,8 @@ bool Adam2Agent::restore_state(wire::Reader& in) {
     const double min_value = in.f64();
     const double max_value = in.f64();
     const std::uint64_t touched_epoch = in.u64();
-    const std::vector<stats::CdfPoint> points = read_points(in);
-    const std::vector<stats::CdfPoint> verification = read_points(in);
+    const std::vector<stats::CdfPoint> points = wire::decode_points(in);
+    const std::vector<stats::CdfPoint> verification = wire::decode_points(in);
     if (store_.find(id) != nullptr) return false;  // Duplicate instance id.
     store_.restore(id, start_round, ttl, flags, weight, min_value, max_value,
                    touched_epoch, points, verification);

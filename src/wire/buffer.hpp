@@ -10,6 +10,7 @@
 // (the paper's ~800 B at lambda = 50 assumes 16 B per interpolation point).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -27,27 +28,77 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Unaligned little-endian load of a fixed-width integer at `at`. memcpy
+/// keeps the read well-defined at any offset; on little-endian hosts it is
+/// one plain load.
+template <typename T>
+[[nodiscard]] T load_le(const std::byte* at) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, at, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<std::uint8_t>(at[i])) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// The store matching load_le.
+template <typename T>
+void store_le(std::byte* at, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+    }
+  }
+}
+
+[[nodiscard]] inline double load_f64(const std::byte* at) {
+  const auto bits = load_le<std::uint64_t>(at);
+  double v;
+  static_assert(sizeof bits == sizeof v);
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+inline void store_f64(std::byte* at, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  store_le(at, bits);
+}
+
 /// Append-only encoder.
 class Writer {
  public:
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u16(std::uint16_t v) { little_endian(v); }
-  void u32(std::uint32_t v) { little_endian(v); }
-  void u64(std::uint64_t v) { little_endian(v); }
-  void i64(std::int64_t v) { little_endian(static_cast<std::uint64_t>(v)); }
-
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
+  void u8(std::uint8_t v) { *extend(1) = static_cast<std::byte>(v); }
+  void u16(std::uint16_t v) { store_le(extend(2), v); }
+  void u32(std::uint32_t v) { store_le(extend(4), v); }
+  void u64(std::uint64_t v) { store_le(extend(8), v); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { store_f64(extend(8), v); }
 
   /// Appends a pre-encoded byte run verbatim. Used by the zero-copy encode
   /// fast path: on little-endian hosts a trivially-copyable record array
   /// already has the wire layout, so a sequence is one bulk append instead
   /// of a per-field loop.
-  void bytes(std::span<const std::byte> data) { raw(data.data(), data.size()); }
+  void bytes(std::span<const std::byte> data) {
+    if (!data.empty()) {
+      std::memcpy(extend(data.size()), data.data(), data.size());
+    }
+  }
+
+  /// Appends `n` bytes and returns where they start, for the caller to
+  /// fill: a fixed-size record is encoded in place with one append instead
+  /// of one per field. Invalidated like view().
+  [[nodiscard]] std::byte* extend(std::size_t n) {
+    if (size_ + n > buf_.size()) grow(size_ + n);
+    std::byte* at = buf_.data() + size_;
+    size_ += n;
+    return at;
+  }
 
   /// Sequence length prefix (u32). Caller then writes `n` elements.
   void length(std::size_t n) {
@@ -55,50 +106,51 @@ class Writer {
     u32(static_cast<std::uint32_t>(n));
   }
 
-  [[nodiscard]] const std::vector<std::byte>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// The encoded bytes, moved out; the writer is left empty.
+  [[nodiscard]] std::vector<std::byte> take() {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// View of the encoded bytes; invalidated by any further write or clear().
-  [[nodiscard]] std::span<const std::byte> view() const { return buf_; }
+  [[nodiscard]] std::span<const std::byte> view() const {
+    return {buf_.data(), size_};
+  }
 
   /// Drops the contents but keeps the capacity, so a Writer reused as a
   /// per-agent scratch buffer stops allocating once it has seen its largest
   /// message (the exchange hot path's allocation discipline, DESIGN.md §7).
-  void clear() { buf_.clear(); }
+  void clear() { size_ = 0; }
 
   /// Pre-allocates for a message whose encoded size is known.
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  void reserve(std::size_t bytes) {
+    if (bytes > buf_.size()) resize_to(bytes);
+  }
 
   /// Overwrites 4 already-written bytes at `offset` (little endian). Used to
   /// patch sequence counts that are only known after the elements were
   /// appended. Precondition: offset + 4 <= size().
   void patch_u32(std::size_t offset, std::uint32_t v) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      buf_[offset + i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-    }
+    store_le(buf_.data() + offset, v);
   }
 
  private:
-  template <typename T>
-  void little_endian(T v) {
-    if constexpr (std::endian::native == std::endian::little) {
-      raw(&v, sizeof(T));  // Host layout already matches the wire format.
-    } else {
-      std::byte tmp[sizeof(T)];
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        tmp[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-      }
-      raw(tmp, sizeof(T));
-    }
+  /// vector::insert's growth over the written bytes, so a writer allocates
+  /// exactly when, and as much as, a vector appended to would.
+  void grow(std::size_t needed) { resize_to(std::max(needed, 2 * size_)); }
+
+  void resize_to(std::size_t bytes) {
+    buf_.reserve(bytes);
+    buf_.resize(bytes);
   }
 
-  void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    buf_.insert(buf_.end(), p, p + n);
-  }
-
+  /// All of buf_ is writable; its first size_ bytes are the output. An
+  /// append bumps size_ and only grow() resizes: GCC 12 at -O3 misread
+  /// vector::insert inlined into every append (-Warray-bounds).
   std::vector<std::byte> buf_;
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked decoder over a byte span.
@@ -163,15 +215,7 @@ class Reader {
   template <typename T>
   [[nodiscard]] T little_endian() {
     need(sizeof(T));
-    T v = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v |= static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-      }
-    }
+    const T v = load_le<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
   }

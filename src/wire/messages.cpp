@@ -1,8 +1,5 @@
 #include "wire/messages.hpp"
 
-#include <cassert>
-#include <type_traits>
-
 namespace adam2::wire {
 namespace {
 
@@ -11,11 +8,60 @@ void check_type(MessageType got, MessageType a, MessageType b,
   if (got != a && got != b) throw DecodeError(std::string("bad type tag for ") + what);
 }
 
-// CdfPoint is two packed IEEE-754 doubles — exactly the 16-byte wire record
-// — so on little-endian hosts an in-memory run already has the wire layout
-// and a whole sequence is appended with one bulk copy.
-static_assert(sizeof(stats::CdfPoint) == 16 &&
-              std::is_trivially_copyable_v<stats::CdfPoint>);
+// A payload's fixed header (everything before the two point series), at
+// the offsets Adam2MessageView::iterator::load reads back.
+constexpr std::size_t kPayloadHeaderSize = kInstancePayloadFixedSize - 8;
+
+// The header is encoded in place with one append.
+template <typename PayloadT>
+void encode_header(Writer& w, const PayloadT& p, std::uint8_t flags,
+                   double weight, double min_value, double max_value) {
+  std::byte* at = w.extend(kPayloadHeaderSize);
+  store_le(at, p.id.initiator);
+  store_le(at + 8, p.id.seq);
+  store_le(at + 12, p.start_round);
+  store_le(at + 16, p.ttl);
+  at[18] = static_cast<std::byte>(flags);
+  store_f64(at + 19, weight);
+  store_f64(at + 27, min_value);
+  store_f64(at + 35, max_value);
+}
+
+// One encode routine serves the owning payload and the span-based ref
+// alike (both expose the same field names and point ranges), so the two
+// paths are byte-identical by construction.
+template <typename PayloadT>
+void encode_payload(Writer& w, const PayloadT& p) {
+  encode_header(w, p, p.flags, p.weight, p.min_value, p.max_value);
+  encode_points(w, p.points);
+  encode_points(w, p.verification);
+}
+
+// The paper-literal "empty set" marker: `like`'s identity and TTL with the
+// flag set, zeroed averaging fields, no point series.
+template <typename PayloadT>
+void encode_empty_set(Writer& w, const PayloadT& like) {
+  encode_header(w, like, kFlagEmptySet, 0.0, 0.0, 0.0);
+  w.length(0);
+  w.length(0);
+}
+
+InstancePayload decode_payload(Reader& r) {
+  InstancePayload p;
+  p.id.initiator = r.u64();
+  p.id.seq = r.u32();
+  p.start_round = r.u32();
+  p.ttl = r.u16();
+  p.flags = r.u8();
+  p.weight = r.f64();
+  p.min_value = r.f64();
+  p.max_value = r.f64();
+  p.points = decode_points(r);
+  p.verification = decode_points(r);
+  return p;
+}
+
+}  // namespace
 
 void encode_points(Writer& w, std::span<const stats::CdfPoint> points) {
   w.length(points.size());
@@ -41,80 +87,6 @@ std::vector<stats::CdfPoint> decode_points(Reader& r) {
   }
   return points;
 }
-
-// One encode routine serves the owning payload and the span-based ref
-// alike (both expose the same field names and point ranges), so the two
-// paths are byte-identical by construction.
-template <typename PayloadT>
-void encode_payload(Writer& w, const PayloadT& p) {
-  w.u64(p.id.initiator);
-  w.u32(p.id.seq);
-  w.u32(p.start_round);
-  w.u16(p.ttl);
-  w.u8(p.flags);
-  w.f64(p.weight);
-  w.f64(p.min_value);
-  w.f64(p.max_value);
-  encode_points(w, p.points);
-  encode_points(w, p.verification);
-}
-
-// The paper-literal "empty set" marker: `like`'s identity and TTL with the
-// flag set, zeroed averaging fields, no point series.
-template <typename PayloadT>
-void encode_empty_set(Writer& w, const PayloadT& like) {
-  w.u64(like.id.initiator);
-  w.u32(like.id.seq);
-  w.u32(like.start_round);
-  w.u16(like.ttl);
-  w.u8(kFlagEmptySet);
-  w.f64(0.0);
-  w.f64(0.0);
-  w.f64(0.0);
-  w.length(0);
-  w.length(0);
-}
-
-InstancePayload decode_payload(Reader& r) {
-  InstancePayload p;
-  p.id.initiator = r.u64();
-  p.id.seq = r.u32();
-  p.start_round = r.u32();
-  p.ttl = r.u16();
-  p.flags = r.u8();
-  p.weight = r.f64();
-  p.min_value = r.f64();
-  p.max_value = r.f64();
-  p.points = decode_points(r);
-  p.verification = decode_points(r);
-  return p;
-}
-
-constexpr std::size_t payload_fixed_size() { return kInstancePayloadFixedSize; }
-
-// Unaligned little-endian loads for the zero-copy views. memcpy keeps the
-// reads well-defined at any offset; the byte-swap branch mirrors Reader.
-template <typename T>
-T load_le(const std::byte* at) {
-  T v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, at, sizeof(T));
-  } else {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<std::uint8_t>(at[i])) << (8 * i);
-    }
-  }
-  return v;
-}
-
-double load_f64(const std::byte* at) {
-  const std::uint64_t bits = load_le<std::uint64_t>(at);
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-}  // namespace
 
 Adam2MessageBuilder::Adam2MessageBuilder(Writer& scratch, MessageType type,
                                          std::uint64_t sender)
@@ -148,15 +120,6 @@ void Adam2MessageBuilder::add_empty_set(const InstancePayloadRef& like) {
 std::span<const std::byte> Adam2MessageBuilder::finish() {
   writer_.patch_u32(1 + 8, count_);
   return writer_.view();
-}
-
-stats::CdfPoint PointsView::iterator::operator*() const {
-  return {load_f64(at_), load_f64(at_ + 8)};
-}
-
-stats::CdfPoint PointsView::operator[](std::size_t i) const {
-  assert(i < count_);
-  return {load_f64(data_ + 16 * i), load_f64(data_ + 16 * i + 8)};
 }
 
 std::vector<stats::CdfPoint> PointsView::materialize() const {
@@ -222,10 +185,10 @@ Adam2MessageView Adam2MessageView::parse(std::span<const std::byte> buffer) {
   check_type(view.type_, MessageType::kAdam2Request,
              MessageType::kAdam2Response, "Adam2Message");
   view.sender_ = r.u64();
-  view.count_ = r.length(payload_fixed_size());
+  view.count_ = r.length(kInstancePayloadFixedSize);
   view.payloads_ = buffer.data() + r.position();
   for (std::size_t i = 0; i < view.count_; ++i) {
-    r.skip(12 + 4 + 2 + 1 + 24);  // Fixed payload header.
+    r.skip(kPayloadHeaderSize);
     const std::size_t n_points = r.length(16);
     r.skip(16 * n_points);
     const std::size_t n_verification = r.length(16);
@@ -268,7 +231,7 @@ Adam2Message Adam2Message::decode(std::span<const std::byte> buffer) {
   check_type(m.type, MessageType::kAdam2Request, MessageType::kAdam2Response,
              "Adam2Message");
   m.sender = r.u64();
-  const std::size_t n = r.length(payload_fixed_size());
+  const std::size_t n = r.length(kInstancePayloadFixedSize);
   m.instances.reserve(n);
   for (std::size_t i = 0; i < n; ++i) m.instances.push_back(decode_payload(r));
   r.expect_done();
@@ -278,7 +241,8 @@ Adam2Message Adam2Message::decode(std::span<const std::byte> buffer) {
 std::size_t Adam2Message::encoded_size() const {
   std::size_t size = 1 + 8 + 4;  // type + sender + count
   for (const InstancePayload& p : instances) {
-    size += payload_fixed_size() + 16 * (p.points.size() + p.verification.size());
+    size += kInstancePayloadFixedSize +
+            16 * (p.points.size() + p.verification.size());
   }
   return size;
 }

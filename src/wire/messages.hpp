@@ -11,10 +11,14 @@
 // matching the paper's "approximately 800 bytes" (§VII-I).
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "stats/cdf.hpp"
@@ -72,6 +76,12 @@ inline constexpr std::uint8_t kFlagEmptySet = 0x01;  ///< Paper-literal join mar
 /// reserve exact scratch capacity before encoding.
 inline constexpr std::size_t kInstancePayloadFixedSize = 12 + 4 + 2 + 1 + 24 + 8;
 
+/// A u32-length-prefixed point series, as messages and agent snapshots
+/// carry it (one bulk copy on little-endian hosts), and its decoder, which
+/// throws DecodeError on a truncated or oversized series.
+void encode_points(Writer& w, std::span<const stats::CdfPoint> points);
+[[nodiscard]] std::vector<stats::CdfPoint> decode_points(Reader& r);
+
 /// Per-instance state as it travels between two peers.
 struct InstancePayload {
   InstanceId id;
@@ -122,9 +132,16 @@ struct Adam2Message {
   friend bool operator==(const Adam2Message&, const Adam2Message&) = default;
 };
 
+// CdfPoint is two packed IEEE-754 doubles — exactly the 16-byte wire record
+// — so on little-endian hosts an in-memory run already has the wire layout:
+// a series encodes with one bulk copy and a record decodes with one.
+static_assert(sizeof(stats::CdfPoint) == 16 &&
+              std::is_trivially_copyable_v<stats::CdfPoint>);
+
 /// Zero-copy view over an encoded point sequence: `count` little-endian
 /// (f64 t, f64 f) records starting at `data`. Iteration decodes on the fly;
-/// nothing is materialised.
+/// nothing is materialised. The decode is inline because the exchange's
+/// admission and merge loops run it once per received point.
 class PointsView {
  public:
   class iterator {
@@ -135,7 +152,7 @@ class PointsView {
     iterator() = default;
     iterator(const std::byte* at) : at_(at) {}
 
-    [[nodiscard]] stats::CdfPoint operator*() const;
+    [[nodiscard]] stats::CdfPoint operator*() const { return load(at_); }
     iterator& operator++() {
       at_ += 16;
       return *this;
@@ -158,7 +175,10 @@ class PointsView {
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
   /// Decodes record `i`. Precondition: i < size().
-  [[nodiscard]] stats::CdfPoint operator[](std::size_t i) const;
+  [[nodiscard]] stats::CdfPoint operator[](std::size_t i) const {
+    assert(i < count_);
+    return load(data_ + 16 * i);
+  }
 
   [[nodiscard]] iterator begin() const { return iterator(data_); }
   [[nodiscard]] iterator end() const { return iterator(data_ + 16 * count_); }
@@ -167,6 +187,16 @@ class PointsView {
   [[nodiscard]] std::vector<stats::CdfPoint> materialize() const;
 
  private:
+  static stats::CdfPoint load(const std::byte* at) {
+    stats::CdfPoint p;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&p, at, sizeof p);
+    } else {
+      p = {load_f64(at), load_f64(at + 8)};
+    }
+    return p;
+  }
+
   const std::byte* data_ = nullptr;
   std::size_t count_ = 0;
 };

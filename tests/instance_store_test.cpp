@@ -355,6 +355,7 @@ struct ReferenceStore {
 };
 
 constexpr double kFuzzAttribute = 500.0;
+constexpr std::uint16_t kFuzzMaxTtl = 25;  // Every ttl drawn below is <= 25.
 
 double fuzz_contribution(double t) { return kFuzzAttribute <= t ? 1.0 : 0.0; }
 
@@ -500,8 +501,8 @@ void run_fuzz(std::uint64_t seed) {
         with_view(payload, [&](const wire::InstancePayloadView& view) {
           InstanceSlot* slot = store.find(id);
           ASSERT_NE(slot, nullptr);
-          ASSERT_TRUE(slot->mergeable_with(view));
-          slot->average_with(view);
+          ASSERT_TRUE(admissible(view, kFuzzMaxTtl, slot));
+          slot->merge(view);
         });
         ref.map.find(id)->second.average_with(payload);
         break;

@@ -22,7 +22,7 @@ TEST(BufferTest, ScalarRoundTrip) {
   w.i64(-42);
   w.f64(3.14159);
 
-  Reader r(w.bytes());
+  Reader r(w.view());
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u16(), 0xbeef);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
@@ -35,7 +35,7 @@ TEST(BufferTest, ScalarRoundTrip) {
 TEST(BufferTest, LittleEndianLayout) {
   Writer w;
   w.u32(0x01020304);
-  const auto& bytes = w.bytes();
+  const auto& bytes = w.view();
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(static_cast<unsigned>(bytes[0]), 0x04u);
   EXPECT_EQ(static_cast<unsigned>(bytes[3]), 0x01u);
@@ -47,7 +47,7 @@ TEST(BufferTest, SpecialDoublesRoundTrip) {
   w.f64(-std::numeric_limits<double>::infinity());
   w.f64(0.0);
   w.f64(std::numeric_limits<double>::denorm_min());
-  Reader r(w.bytes());
+  Reader r(w.view());
   EXPECT_EQ(r.f64(), std::numeric_limits<double>::infinity());
   EXPECT_EQ(r.f64(), -std::numeric_limits<double>::infinity());
   EXPECT_EQ(r.f64(), 0.0);
@@ -57,7 +57,7 @@ TEST(BufferTest, SpecialDoublesRoundTrip) {
 TEST(BufferTest, TruncatedReadThrows) {
   Writer w;
   w.u16(7);
-  Reader r(w.bytes());
+  Reader r(w.view());
   EXPECT_EQ(r.u16(), 7);
   EXPECT_THROW((void)r.u8(), DecodeError);
 }
@@ -66,7 +66,7 @@ TEST(BufferTest, ExpectDoneThrowsOnTrailingBytes) {
   Writer w;
   w.u16(7);
   w.u8(1);
-  Reader r(w.bytes());
+  Reader r(w.view());
   EXPECT_EQ(r.u16(), 7);
   EXPECT_THROW(r.expect_done(), DecodeError);
 }
@@ -74,7 +74,7 @@ TEST(BufferTest, ExpectDoneThrowsOnTrailingBytes) {
 TEST(BufferTest, LengthGuardsAgainstHugeAllocations) {
   Writer w;
   w.u32(0xffffffff);  // Claims 4 billion elements...
-  Reader r(w.bytes());
+  Reader r(w.view());
   EXPECT_THROW((void)r.length(16), DecodeError);  // ...but no bytes follow.
 }
 
@@ -83,7 +83,7 @@ TEST(BufferTest, LengthAcceptsHonestSequences) {
   w.length(2);
   w.u64(1);
   w.u64(2);
-  Reader r(w.bytes());
+  Reader r(w.view());
   EXPECT_EQ(r.length(8), 2u);
 }
 
