@@ -34,22 +34,15 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
 
 #include "host/agent.hpp"
-#include "host/exchange.hpp"
 #include "host/fault.hpp"
-#include "host/node.hpp"
 #include "host/overlay.hpp"
-#include "host/registry.hpp"
-#include "host/traffic.hpp"
 #include "host/types.hpp"
-#include "host/view.hpp"
-#include "obs/recorder.hpp"
-#include "rng/rng.hpp"
+#include "sim/population.hpp"
 
 namespace adam2::sim {
 
@@ -69,49 +62,29 @@ struct AsyncConfig {
   host::FaultPlan faults;
 };
 
-class AsyncEngine final : public host::HostView {
+/// The event-driven engine has no synchronised rounds, so with a recorder
+/// attached its trace coverage is the lifecycle taxonomy: one kRoundEnd per
+/// maintenance cycle (with the traffic totals absorbed into the metrics
+/// registry), plus crash-restarts and churn joins/departures. Per-exchange
+/// fate events are a cycle-engine feature — here message legs resolve
+/// independently inside the event queue and are fully counted by the
+/// traffic.* metrics (DESIGN.md §11).
+class AsyncEngine final : public Population {
  public:
   AsyncEngine(AsyncConfig config, std::vector<stats::Value> initial_attributes,
               std::unique_ptr<host::Overlay> overlay,
               host::AgentFactory agent_factory,
               host::AttributeSource attribute_source);
 
-  AsyncEngine(const AsyncEngine&) = delete;
-  AsyncEngine& operator=(const AsyncEngine&) = delete;
-
   /// Processes events until simulated time reaches `time` (seconds).
   void run_until(double time);
 
   [[nodiscard]] double now() const { return now_; }
 
-  // -- HostView ----------------------------------------------------------
-  [[nodiscard]] bool is_live(host::NodeId id) const override;
-  [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override;
   /// Global round index: elapsed mean periods (used for instance
   /// eligibility; individual nodes tick at their own jittered pace).
   [[nodiscard]] host::Round round() const override {
     return static_cast<host::Round>(now_ / config_.gossip_period);
-  }
-  [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
-    return table_.live_ids();
-  }
-  void record_traffic(host::NodeId sender, host::NodeId receiver,
-                      host::Channel channel, std::size_t bytes) override;
-
-  // -- Introspection -----------------------------------------------------
-  [[nodiscard]] std::size_t live_count() const { return table_.live_count(); }
-  [[nodiscard]] host::NodeAgent& agent(host::NodeId id);
-  [[nodiscard]] const host::Node& node(host::NodeId id) const;
-  [[nodiscard]] host::Overlay& overlay() { return *overlay_; }
-  [[nodiscard]] rng::Rng& rng() { return rng_; }
-  [[nodiscard]] host::NodeId random_live_node();
-  [[nodiscard]] std::vector<stats::Value> live_attribute_values() const;
-  [[nodiscard]] const host::TrafficStats& total_traffic() const {
-    return total_traffic_;
-  }
-  [[nodiscard]] host::AgentContext context_for(host::NodeId id);
-  [[nodiscard]] const host::FaultInjector& fault_injector() const {
-    return conduit_.faults();
   }
 
   // -- Checkpoint / resume (host::snapshot, DESIGN.md §12) ---------------
@@ -127,17 +100,6 @@ class AsyncEngine final : public host::HostView {
   /// uninterrupted run. Throws wire::DecodeError on malformed or mismatched
   /// input, leaving the engine untouched.
   void restore_snapshot(std::span<const std::byte> bytes);
-
-  /// Attaches the observability recorder (nullptr detaches; not owned).
-  /// The event-driven engine has no synchronised rounds, so its trace
-  /// coverage is the lifecycle taxonomy: one kRoundEnd per maintenance cycle
-  /// (with the traffic totals absorbed into the metrics registry), plus
-  /// crash-restarts and churn joins/departures. Per-exchange fate events are
-  /// a cycle-engine feature — here message legs resolve independently inside
-  /// the event queue and are fully counted by the traffic.* metrics
-  /// (DESIGN.md §11).
-  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
-  [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
  private:
   enum class EventKind : std::uint8_t {
@@ -169,8 +131,13 @@ class AsyncEngine final : public host::HostView {
   void on_request(Event&& event);
   void on_response(Event&& event);
   void on_maintenance();
-  void apply_crashes();
-  void spawn_node(stats::Value attribute, bool bootstrap);
+  /// A churned-in node gets a busy-set entry and its first tick one jittered
+  /// period from now.
+  void on_join(host::NodeId id) override;
+  /// The busy lock dies with the old agent; a stale in-flight response is
+  /// ignored (departed), dropped by the birth_round guard (cold restart) or
+  /// merges harmlessly into the carried-over state (warm: same instances).
+  void on_agent_reset(host::NodeId id) override { clear_busy(id); }
   /// Runs one leg through the exchange fabric (partitions, fates, injected
   /// delay) and schedules each surviving copy with its own sampled
   /// latency, so duplicates genuinely reorder through the event queue.
@@ -179,28 +146,17 @@ class AsyncEngine final : public host::HostView {
   [[nodiscard]] double sample_latency();
   [[nodiscard]] double next_period();
 
-  AsyncConfig config_;
-  /// The shared exchange fabric (host/exchange.hpp): this engine schedules
-  /// deliveries, the conduit decides their fate.
-  host::Conduit conduit_;
-  rng::Rng rng_;
-  std::unique_ptr<host::Overlay> overlay_;
-  host::AgentFactory agent_factory_;
-  host::AttributeSource attribute_source_;
-
-  host::NodeTable table_;
   [[nodiscard]] bool is_busy(host::NodeId id) const;
   void set_busy(host::NodeId id);
   void clear_busy(host::NodeId id);
 
+  AsyncConfig config_;
   /// Indexed by id: the time a node's exchange lock expires, or NaN when it
   /// holds none. An entry outlives its time until a response, crash or
   /// churn clears it, and only live nodes hold one.
   std::vector<double> busy_until_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  host::TrafficStats total_traffic_;
-  obs::Recorder* recorder_ = nullptr;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
 };
 
