@@ -12,18 +12,15 @@ void bootstrap_joiner(Node& joiner, NodeTable& table, Overlay& overlay,
   for (int attempt = 0; attempt < policy.attempts; ++attempt) {
     const auto target = overlay.pick_gossip_target(joiner.id, joiner.pick_rng);
     if (!target || !table.is_live(*target)) {
-      ++joiner.traffic.failed_contacts;
       ++totals.failed_contacts;
       continue;
     }
-    host.record_traffic(joiner.id, *target, Channel::kBootstrap,
-                        request.size());
+    totals.record_message(Channel::kBootstrap, request.size());
     Node& neighbour = table.at(*target);
     AgentContext nctx = make_context(host, overlay, neighbour, round);
     auto response = neighbour.agent->handle_bootstrap_request(nctx, request);
     if (response.empty()) continue;
-    host.record_traffic(*target, joiner.id, Channel::kBootstrap,
-                        response.size());
+    totals.record_message(Channel::kBootstrap, response.size());
     if (joiner.agent->handle_bootstrap_response(ctx, response)) break;
   }
 }

@@ -20,10 +20,9 @@ struct BootstrapPolicy {
 
 /// Runs the bootstrap retry loop for a freshly spawned `joiner` that is
 /// already wired into `overlay`. Contact picks come from the joiner's control
-/// stream; failed contacts are counted on the joiner and on `totals`;
-/// transferred bytes go through `host.record_traffic` on the bootstrap
-/// channel. No-op when the joiner's agent declines to bootstrap (empty
-/// request).
+/// stream; failed contacts and the transferred bytes (bootstrap channel)
+/// count into `totals`; `host` only backs the agent contexts. No-op when the
+/// joiner's agent declines to bootstrap (empty request).
 void bootstrap_joiner(Node& joiner, NodeTable& table, Overlay& overlay,
                       HostView& host, Round round, TrafficStats& totals,
                       const BootstrapPolicy& policy = {});

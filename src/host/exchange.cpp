@@ -76,7 +76,6 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
   if (request.empty()) return;  // Outcome already kSilent.
 
   if (!target || !table.is_live(*target) || *target == initiator.id) {
-    ++initiator.traffic.failed_contacts;
     ++counters.failed_contacts;
     if (outcome != nullptr) {
       outcome->status = obs::ExchangeStatus::kFailedContact;
@@ -85,8 +84,7 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
     return;
   }
 
-  host.record_traffic(initiator.id, *target, Channel::kAggregation,
-                      request.size());
+  counters.record_message(Channel::kAggregation, request.size());
   // Both legs draw from the initiator's fault stream, so the unit is
   // self-contained and sharded runs replay bit-identically to one-thread
   // runs. The partition check applies to the request leg only: a blocked
@@ -122,8 +120,7 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
   if (outcome != nullptr) outcome->status = obs::ExchangeStatus::kNoResponse;
   if (response.empty()) return;
 
-  host.record_traffic(responder.id, initiator.id, Channel::kAggregation,
-                      response.size());
+  counters.record_message(Channel::kAggregation, response.size());
   std::vector<std::byte> response_scratch;
   const Delivery response_delivery =
       resolve(Leg{responder.id, initiator.id, round, &initiator.fault_rng,

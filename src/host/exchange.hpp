@@ -154,11 +154,12 @@ class Conduit {
 
   /// The cycle engine's whole exchange: make_request, failed-contact
   /// accounting, both legs through `resolve`, duplicate-copy delivery with
-  /// the "reply to the second copy wins" rule, and traffic recording through
-  /// `host` (so sharded phases can reroute totals per worker). Draws only
-  /// from the two participants' agent streams and the initiator's fault
-  /// stream, and touches only the two participants plus `counters` — the
-  /// unit stays parallel-safe.
+  /// the "reply to the second copy wins" rule, and traffic recording. Bytes,
+  /// failed contacts and fates all count into `counters`, the accumulator
+  /// the caller holds (a worker's slot in a sharded phase); `host` only
+  /// backs the agent contexts. Draws only from the two participants' agent
+  /// streams and the initiator's fault stream, and touches only the two
+  /// participants plus `counters` — the unit stays parallel-safe.
   /// When `outcome` is non-null it is filled with how far the exchange got
   /// (obs trace support); the null path is the exact pre-obs instruction
   /// stream, so detached runs stay bit-identical and allocation-free.

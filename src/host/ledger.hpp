@@ -16,8 +16,7 @@ class SharedTrafficLedger {
   /// (the global view of a point-to-point transfer).
   void record_message(Channel channel, std::size_t bytes) {
     std::lock_guard lock(mutex_);
-    totals_.on(channel).add_send(bytes);
-    totals_.on(channel).add_receive(bytes);
+    totals_.record_message(channel, bytes);
   }
 
   /// Merges a batch of per-node counters (e.g. on node shutdown).

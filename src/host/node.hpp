@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "host/agent.hpp"
-#include "host/traffic.hpp"
 #include "host/types.hpp"
 #include "rng/rng.hpp"
 #include "stats/cdf.hpp"
@@ -35,7 +34,6 @@ struct Node {
   stats::Value attribute = 0;
   Round birth_round = 0;
   bool alive = false;
-  TrafficStats traffic;
   rng::Rng rng{0};        ///< Agent stream.
   rng::Rng pick_rng{0};   ///< Engine control stream.
   rng::Rng fault_rng{0};  ///< Fault-injection stream (host::FaultInjector).

@@ -62,18 +62,6 @@ std::vector<stats::Value> NodeTable::live_attribute_values() const {
   return values;
 }
 
-void NodeTable::record_traffic(NodeId sender, NodeId receiver, Channel channel,
-                               std::size_t bytes, TrafficStats& totals) {
-  if (sender < nodes_.size()) {
-    nodes_[sender].traffic.on(channel).add_send(bytes);
-  }
-  if (receiver < nodes_.size()) {
-    nodes_[receiver].traffic.on(channel).add_receive(bytes);
-  }
-  totals.on(channel).add_send(bytes);
-  totals.on(channel).add_receive(bytes);
-}
-
 void NodeTable::reserve(std::size_t count) {
   nodes_.reserve(count);
   live_ids_.reserve(count);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "host/node.hpp"
-#include "host/traffic.hpp"
 #include "host/types.hpp"
 #include "rng/rng.hpp"
 #include "stats/cdf.hpp"
@@ -58,11 +57,6 @@ class NodeTable {
 
   /// Attribute values of all live nodes (the ground truth population).
   [[nodiscard]] std::vector<stats::Value> live_attribute_values() const;
-
-  /// Records one message on the per-node counters of both endpoints (ids
-  /// unknown to the table are skipped) and on `totals`.
-  void record_traffic(NodeId sender, NodeId receiver, Channel channel,
-                      std::size_t bytes, TrafficStats& totals);
 
   void reserve(std::size_t count);
 

@@ -1,5 +1,6 @@
 #include "host/snapshot.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <system_error>
@@ -47,8 +48,10 @@ void read_rng(wire::Reader& in, rng::Rng& rng) {
   state.cached_normal = in.f64();
   state.has_cached_normal = read_bool(in, "rng state");
   // Canonical form: no cached normal means a zero payload (what state()
-  // reports after the cache is consumed), so re-encode is byte-stable.
-  if (!state.has_cached_normal && state.cached_normal != 0.0) {
+  // reports after the cache is consumed), so re-encode is byte-stable. The
+  // bits are compared: -0.0 == 0.0, but it would re-encode as +0.0.
+  if (!state.has_cached_normal &&
+      std::bit_cast<std::uint64_t>(state.cached_normal) != 0) {
     throw wire::DecodeError("non-canonical cached normal in rng state");
   }
   rng.set_state(state);
@@ -131,11 +134,11 @@ std::string read_string(wire::Reader& in) {
   return std::string(reinterpret_cast<const char*>(view.data()), n);
 }
 
-// Lower bound on an encoded node record: fixed header (8+8+4+1), traffic
-// (21 u64), three rng states (41 bytes each). Used only as the allocation
-// guard for the node-count prefix.
+// Lower bound on an encoded node record: fixed header (8+8+4+1) and three
+// rng states (41 bytes each). Used only as the allocation guard for the
+// node-count prefix.
 namespace {
-constexpr std::size_t kMinNodeRecordBytes = 21 + 21 * 8 + 3 * 41;
+constexpr std::size_t kMinNodeRecordBytes = 21 + 3 * 41;
 }  // namespace
 
 void write_node_table(wire::Writer& out, const NodeTable& table) {
@@ -147,7 +150,6 @@ void write_node_table(wire::Writer& out, const NodeTable& table) {
     out.i64(node.attribute);
     out.u32(node.birth_round);
     out.u8(node.alive ? 1 : 0);
-    write_traffic(out, node.traffic);
     write_rng(out, node.rng);
     write_rng(out, node.pick_rng);
     write_rng(out, node.fault_rng);
@@ -180,7 +182,6 @@ void read_node_table(
     const Round birth_round = in.u32();
     const bool alive = read_bool(in, "node record");
     Node& node = table.restore_node(attribute, birth_round, alive);
-    read_traffic(in, node.traffic);
     read_rng(in, node.rng);
     read_rng(in, node.pick_rng);
     read_rng(in, node.fault_rng);

@@ -48,7 +48,7 @@ namespace adam2::host::snapshot {
 inline constexpr std::uint32_t kMagic = 0x4e533241U;
 /// Bumped on every layout change, however small, so an older snapshot is
 /// refused by its version number instead of misparsed (DESIGN.md §12.1).
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Thrown on the *encode* side only (e.g. an agent type without snapshot
 /// support). Decode-side rejection is always wire::DecodeError.
@@ -94,8 +94,8 @@ void write_string(wire::Writer& out, std::string_view text);
 
 /// Writes the kSectionNodes payload for `table` into an open section:
 /// every node record in id order (id, attribute, birth round, alive flag,
-/// traffic, all three stream states, and — for live nodes — the agent's
-/// state blob via NodeAgent::save_state), then the explicit live-id order
+/// all three stream states, and — for live nodes — the agent's state blob
+/// via NodeAgent::save_state), then the explicit live-id order
 /// (history-dependent, cannot be re-derived).
 /// Throws SnapshotError when a live agent does not support snapshotting.
 void write_node_table(wire::Writer& out, const NodeTable& table);

@@ -1,7 +1,7 @@
 // Traffic accounting: every encoded message a substrate transports is counted
-// here, per channel and per node, which makes the paper's cost evaluation
-// (§VII-I: ~800 B messages, ~40 kB sent per instance, ~120 kB per node for an
-// accurate CDF) directly measurable.
+// here, per channel, in one ledger per run, which makes the paper's cost
+// evaluation (§VII-I: ~800 B messages, ~40 kB sent per instance, ~120 kB per
+// node for an accurate CDF, all population means) directly measurable.
 #pragma once
 
 #include <array>
@@ -36,7 +36,8 @@ struct ChannelTraffic {
   }
 };
 
-/// Per-node (or global) traffic across all channels.
+/// Traffic across all channels: a run's ledger, a worker's share of it, or
+/// a runtime peer's batch.
 struct TrafficStats {
   std::array<ChannelTraffic, kChannelCount> channels{};
   std::uint64_t failed_contacts = 0;   ///< Gossip targets found dead.
@@ -60,6 +61,13 @@ struct TrafficStats {
   }
   [[nodiscard]] const ChannelTraffic& on(Channel c) const noexcept {
     return channels[static_cast<std::size_t>(c)];
+  }
+
+  /// Counts one message of `bytes` bytes on `c` as sent and received (the
+  /// global view of a point-to-point transfer).
+  void record_message(Channel c, std::size_t bytes) noexcept {
+    on(c).add_send(bytes);
+    on(c).add_receive(bytes);
   }
 
   /// Total bytes sent across every channel.

@@ -21,9 +21,9 @@ class HostView {
   [[nodiscard]] virtual Round round() const = 0;
   [[nodiscard]] virtual std::span<const NodeId> live_ids() const = 0;
 
-  /// Records one message of `bytes` bytes from `sender` to `receiver`.
-  virtual void record_traffic(NodeId sender, NodeId receiver, Channel channel,
-                              std::size_t bytes) = 0;
+  /// Records one message of `bytes` bytes on `channel`, counted as both
+  /// sent and received.
+  virtual void record_traffic(Channel channel, std::size_t bytes) = 0;
 };
 
 }  // namespace adam2::host

@@ -84,8 +84,7 @@ class Directory final : public host::Overlay, public host::HostView {
   [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
     return ids_;
   }
-  void record_traffic(host::NodeId, host::NodeId, host::Channel channel,
-                      std::size_t bytes) override {
+  void record_traffic(host::Channel channel, std::size_t bytes) override {
     ledger_.record_message(channel, bytes);
   }
 

@@ -243,8 +243,7 @@ void CyclonOverlay::shuffle_once(host::NodeId id, host::HostView& host,
   for (std::size_t slot = 0; slot < entries.size(); ++slot) {
     if ((sent_mask >> slot) & 1) request.descriptors.push_back(entries[slot]);
   }
-  host.record_traffic(id, target, host::Channel::kOverlay,
-                      request.encoded_size());
+  host.record_traffic(host::Channel::kOverlay, request.encoded_size());
 
   // Responder builds its reply from a random subset of its own view.
   const View peer_view = live_view(target);
@@ -264,8 +263,7 @@ void CyclonOverlay::shuffle_once(host::NodeId id, host::HostView& host,
       response.descriptors.push_back(peer_entries[slot]);
     }
   }
-  host.record_traffic(target, id, host::Channel::kOverlay,
-                      response.encoded_size());
+  host.record_traffic(host::Channel::kOverlay, response.encoded_size());
 
   for (const NodeDescriptor& d : request.descriptors) {
     peer_view.remember(d.attribute);

@@ -28,6 +28,7 @@
 #include "core/protocol.hpp"
 #include "core/system.hpp"
 #include "host/fault.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/peer.hpp"
 #include "runtime/udp.hpp"
@@ -580,16 +581,22 @@ TEST(ChaosTest, UdpWarmRestartRejoinsUnderFaults) {
 // -- Crash-restart on the simulators (host::restart_agent) -------------------
 // Two scripted instances whose TTL outlives the run, so a node's instance
 // state only grows and a crash is the only way to lose it. Each step notes
-// every node's birth round, active instances and crash count; a node whose
-// crash_restarts rose during the step crashed in it. Warm: the node keeps
-// its birth round and its instances. Cold: its birth round becomes the
-// crash round + 1 and it holds no instance.
+// every node's birth round and active instances; the recorder's
+// crash_restart events name the nodes that crashed in it. Warm: the node
+// keeps its birth round and its instances. Cold: its birth round becomes
+// the crash round + 1 and it holds no instance.
 
 struct CrashMark {
   host::Round birth_round = 0;
   std::size_t instances = 0;
-  std::uint64_t crashes = 0;
 };
+
+/// Lifecycle events only, so a run's whole trace stays in the ring.
+obs::RecorderConfig lifecycle_trace() {
+  obs::RecorderConfig config;
+  config.trace_exchanges = false;
+  return config;
+}
 
 host::AgentFactory long_lived_adam2() {
   core::Adam2Config protocol;
@@ -612,26 +619,29 @@ template <typename EngineT>
 std::vector<CrashMark> crash_marks(EngineT& engine) {
   std::vector<CrashMark> marks;
   for (host::NodeId id : engine.live_ids()) {  // No churn: ids are 0..n-1.
-    const host::Node& node = engine.node(id);
-    marks.push_back(
-        {node.birth_round,
-         dynamic_cast<core::Adam2Agent&>(engine.agent(id))
-             .active_instance_count(),
-         node.traffic.crash_restarts});
+    marks.push_back({engine.node(id).birth_round,
+                     dynamic_cast<core::Adam2Agent&>(engine.agent(id))
+                         .active_instance_count()});
   }
   return marks;
 }
 
-/// Checks the nodes that crashed since `before` (in round `crash_round`) and
+/// Checks the nodes that crashed (in round `crash_round`) since the
+/// recorder's trace held `seen` events, against their marks `before`, and
 /// returns how many of them held an instance going in, so callers can tell
 /// the check from a vacuous one.
 template <typename EngineT>
-std::size_t check_crashed(EngineT& engine, const std::vector<CrashMark>& before,
+std::size_t check_crashed(EngineT& engine, const obs::Recorder& recorder,
+                          std::size_t seen, const std::vector<CrashMark>& before,
                           bool warm, host::Round crash_round) {
+  const obs::TraceRing& trace = recorder.trace();
+  EXPECT_EQ(trace.dropped(), 0u);
   std::size_t held = 0;
   const std::vector<CrashMark> after = crash_marks(engine);
-  for (std::size_t id = 0; id < after.size(); ++id) {
-    if (after[id].crashes == before[id].crashes) continue;
+  for (std::size_t i = seen; i < trace.size(); ++i) {
+    if (trace.at(i).kind != obs::EventKind::kCrashRestart) continue;
+    const host::NodeId id = trace.at(i).a;
+    EXPECT_EQ(trace.at(i).round, crash_round) << "node " << id;
     if (before[id].instances > 0) ++held;
     if (warm) {
       EXPECT_EQ(after[id].birth_round, before[id].birth_round) << "node " << id;
@@ -663,13 +673,17 @@ TEST(ChaosTest, CycleCrashRestartIsWarmOrCold) {
       sim::CycleEngine engine(config, iota_values(60),
                               std::make_unique<sim::StaticRandomOverlay>(6),
                               long_lived_adam2(), nullptr, threads);
+      obs::Recorder recorder(lifecycle_trace());
+      engine.set_recorder(&recorder);
       start_two_instances(engine);
       std::size_t held = 0;
       for (int step = 0; step < 20; ++step) {
         const std::vector<CrashMark> before = crash_marks(engine);
+        const std::size_t seen = recorder.trace().size();
         const host::Round crash_round = engine.round();
         engine.run_round();
-        held += check_crashed(engine, before, warm, crash_round);
+        held += check_crashed(engine, recorder, seen, before, warm,
+                              crash_round);
       }
       EXPECT_GT(held, 0u) << "warm=" << warm << " threads=" << threads;
       const std::uint64_t crashes = engine.total_traffic().crash_restarts;
@@ -687,14 +701,17 @@ TEST(ChaosTest, AsyncCrashRestartIsWarmOrCold) {
     sim::AsyncEngine engine(config, iota_values(60),
                             std::make_unique<sim::StaticRandomOverlay>(6),
                             long_lived_adam2(), nullptr);
+    obs::Recorder recorder(lifecycle_trace());
+    engine.set_recorder(&recorder);
     start_two_instances(engine);
     std::size_t held = 0;
     // Crashes happen at the maintenance event of each whole second k (the
     // gossip period), i.e. in round k.
     for (host::Round k = 1; k <= 20; ++k) {
       const std::vector<CrashMark> before = crash_marks(engine);
+      const std::size_t seen = recorder.trace().size();
       engine.run_until(static_cast<double>(k) + 0.5);
-      held += check_crashed(engine, before, warm, k);
+      held += check_crashed(engine, recorder, seen, before, warm, k);
     }
     EXPECT_GT(held, 0u) << "warm=" << warm;
   }

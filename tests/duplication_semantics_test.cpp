@@ -227,8 +227,7 @@ class NullHost final : public host::HostView {
   [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
     return {};
   }
-  void record_traffic(host::NodeId, host::NodeId, host::Channel,
-                      std::size_t) override {}
+  void record_traffic(host::Channel, std::size_t) override {}
 };
 
 class NullOverlay final : public host::Overlay {

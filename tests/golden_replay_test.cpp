@@ -1,5 +1,5 @@
 // Golden determinism fixtures: seeded small-N runs whose end-state digest
-// (agent bytes + per-node and global traffic totals) is pinned to constants
+// (agent bytes + the global traffic totals) is pinned to constants
 // checked in here. A pinned value moves only in a deliberate, documented
 // re-capture (DESIGN.md §9.3 lists each one and why), so any refactor that
 // silently perturbs draw order, stream assignment, or exchange semantics
@@ -7,8 +7,8 @@
 // comparisons (which would drift together).
 //
 // The digest covers everything the replay-pair tests compare — live
-// membership, attributes, bitwise agent state, per-node traffic, global
-// counters — folded through FNV-1a so a single u64 mismatch pinpoints a
+// membership, attributes, bitwise agent state, global traffic counters —
+// folded through FNV-1a so a single u64 mismatch pinpoints a
 // divergence. Scenarios cover the cycle engine at 0, 1 and 8 threads and the
 // event-driven engine, each with faults disabled and under a non-trivial
 // fault plan.
@@ -177,7 +177,6 @@ std::uint64_t digest(EngineT& engine) {
     mix(h, static_cast<double>(node.attribute));
     const auto* agent = dynamic_cast<const DigestAgent*>(node.agent.get());
     mix(h, agent != nullptr ? agent->value() : 0.0);
-    mix_traffic(h, node.traffic);
   }
   mix_traffic(h, engine.total_traffic());
   return h;
@@ -293,15 +292,17 @@ TracedRun run_cycle_traced(std::size_t threads, bool faults) {
 // Re-captured when the fault plan's drop_rate became the one loss mechanism
 // (these fixtures no longer set a separate loss rate), and the cycle pair
 // again when Cyclon's maintenance began to walk the live ids instead of its
-// hash map of views, which under churn is another order (DESIGN.md §9.3). A
-// mismatch means the exchange pipeline consumed different draws, from
+// hash map of views, which under churn is another order, and all four when
+// the per-node traffic counters left the node records: each new value is
+// the old digest with the per-node term dropped, so no trajectory moved
+// (DESIGN.md §9.3). A mismatch means the exchange pipeline consumed different draws, from
 // different streams, or delivered differently — NOT a harmless
 // implementation detail.
 
-constexpr std::uint64_t kCycleGolden = 915570632779047949ULL;
-constexpr std::uint64_t kCycleFaultsGolden = 16362720084115346601ULL;
-constexpr std::uint64_t kAsyncGolden = 11663304154367937677ULL;
-constexpr std::uint64_t kAsyncFaultsGolden = 15131104098977902495ULL;
+constexpr std::uint64_t kCycleGolden = 17156205898842800717ULL;
+constexpr std::uint64_t kCycleFaultsGolden = 8462135588514758424ULL;
+constexpr std::uint64_t kAsyncGolden = 17199325521173786474ULL;
+constexpr std::uint64_t kAsyncFaultsGolden = 12356224210306195822ULL;
 
 TEST(GoldenReplayTest, SerialEngineMatchesCheckedInDigest) {
   EXPECT_EQ(run_cycle(0, false), kCycleGolden);

@@ -99,11 +99,6 @@ TEST(NodeTableTest, UnknownIdsThrowOrAreSkipped) {
   EXPECT_THROW((void)table.at(3), std::out_of_range);
   EXPECT_THROW(table.kill(3), std::out_of_range);
   EXPECT_FALSE(table.is_live(3));
-  // Traffic towards an unknown id counts on the known sender and the totals.
-  TrafficStats totals;
-  table.record_traffic(0, 3, Channel::kAggregation, 10, totals);
-  EXPECT_EQ(table.at(0).traffic.on(Channel::kAggregation).bytes_sent, 10u);
-  EXPECT_EQ(totals.on(Channel::kAggregation).bytes_received, 10u);
 }
 
 // -------------------------------------------------------------------- churn
@@ -368,9 +363,8 @@ class TableHost final : public HostView {
   [[nodiscard]] std::span<const NodeId> live_ids() const override {
     return table_.live_ids();
   }
-  void record_traffic(NodeId sender, NodeId receiver, Channel channel,
-                      std::size_t bytes) override {
-    table_.record_traffic(sender, receiver, channel, bytes, totals_);
+  void record_traffic(Channel channel, std::size_t bytes) override {
+    totals_.record_message(channel, bytes);
   }
 
  private:
@@ -429,9 +423,8 @@ TEST(BootstrapTest, AllContactsDeadCountsEveryAttempt) {
 
   const auto& agent = dynamic_cast<BootstrappingAgent&>(*joiner.agent);
   EXPECT_FALSE(agent.bootstrapped());
-  // One failed contact per retry, on the joiner and in the totals; no
-  // bootstrap bytes ever moved.
-  EXPECT_EQ(joiner.traffic.failed_contacts, 4u);
+  // One failed contact per retry in the totals; no bootstrap bytes ever
+  // moved.
   EXPECT_EQ(totals.failed_contacts, 4u);
   EXPECT_EQ(totals.on(Channel::kBootstrap).messages_sent, 0u);
 }

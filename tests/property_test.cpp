@@ -153,12 +153,6 @@ TEST_P(TrafficPropertyTest, AccountingIsConsistent) {
     const auto& t = total.on(channel);
     EXPECT_EQ(t.bytes_sent, t.bytes_received) << channel_name(channel);
     EXPECT_EQ(t.messages_sent, t.messages_received);
-
-    std::uint64_t node_bytes = 0;
-    for (host::NodeId id : system.engine().live_ids()) {
-      node_bytes += system.engine().node(id).traffic.on(channel).bytes_sent;
-    }
-    EXPECT_EQ(node_bytes, t.bytes_sent) << channel_name(channel);
   }
   EXPECT_GT(total.on(host::Channel::kAggregation).messages_sent, 0u);
 }
