@@ -16,14 +16,12 @@ std::vector<stats::CdfPoint> contribute(const std::vector<double>& thresholds,
   return points;
 }
 
-// Works for owned vectors and zero-copy wire::PointsView alike; both yield
-// stats::CdfPoint elements.
-template <typename PointRange>
-std::vector<stats::CdfPoint> contribute_at(const PointRange& received,
-                                           const ContributionFn& contribution) {
+std::vector<stats::CdfPoint> contribute_at(
+    const std::vector<stats::CdfPoint>& received,
+    const ContributionFn& contribution) {
   std::vector<stats::CdfPoint> points;
   points.reserve(received.size());
-  for (const stats::CdfPoint p : received) {
+  for (const stats::CdfPoint& p : received) {
     points.push_back({p.t, contribution(p.t)});
   }
   return points;
@@ -63,21 +61,6 @@ InstanceState InstanceState::start(
 }
 
 InstanceState InstanceState::join(const wire::InstancePayload& payload,
-                                  const ContributionFn& contribution,
-                                  double local_min, double local_max) {
-  InstanceState state;
-  state.id = payload.id;
-  state.start_round = payload.start_round;
-  state.ttl = payload.ttl;
-  state.weight = 0.0;
-  state.min_value = local_min;
-  state.max_value = local_max;
-  state.points = contribute_at(payload.points, contribution);
-  state.verification = contribute_at(payload.verification, contribution);
-  return state;
-}
-
-InstanceState InstanceState::join(const wire::InstancePayloadView& payload,
                                   const ContributionFn& contribution,
                                   double local_min, double local_max) {
   InstanceState state;

@@ -41,11 +41,6 @@ struct InstanceState : wire::InstancePayload {
                                           const ContributionFn& contribution,
                                           double local_min, double local_max);
 
-  /// Same, straight from a zero-copy payload view (exchange hot path).
-  [[nodiscard]] static InstanceState join(
-      const wire::InstancePayloadView& payload,
-      const ContributionFn& contribution, double local_min, double local_max);
-
   /// Wire view of the current state (identity — kept for readability).
   [[nodiscard]] const wire::InstancePayload& to_payload() const {
     return *this;

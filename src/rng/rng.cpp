@@ -45,17 +45,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double rate) noexcept {
-  assert(rate > 0.0);
-  // 1 - uniform() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - uniform()) / rate;
-}
-
-double Rng::pareto(double xm, double alpha) noexcept {
-  assert(xm > 0.0 && alpha > 0.0);
-  return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
 std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
   assert(!weights.empty());
   double total = 0.0;

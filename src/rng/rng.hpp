@@ -123,12 +123,6 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)).
   [[nodiscard]] double lognormal(double mu, double sigma) noexcept;
 
-  /// Exponential with the given rate (lambda > 0).
-  [[nodiscard]] double exponential(double rate) noexcept;
-
-  /// Pareto with scale xm > 0 and shape alpha > 0.
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
   /// Samples an index in [0, weights.size()) proportionally to the weights.
   /// Weights must be non-negative and not all zero.
   [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;

@@ -164,21 +164,6 @@ TEST(RngTest, LognormalMedianIsExpMu) {
   EXPECT_NEAR(xs[n / 2], std::exp(1.0), 0.1);
 }
 
-TEST(RngTest, ExponentialMeanIsInverseRate) {
-  Rng rng(15);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
-TEST(RngTest, ParetoRespectsScale) {
-  Rng rng(16);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.pareto(3.0, 2.0), 3.0);
-  }
-}
-
 TEST(RngTest, WeightedIndexMatchesWeights) {
   Rng rng(17);
   const std::array<double, 3> weights{1.0, 2.0, 7.0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 namespace adam2::lint {
@@ -64,6 +65,8 @@ struct IncludeDirective {
 struct Suppressions {
   std::set<std::string> file_rules;
   std::map<int, std::set<std::string>> line_rules;
+  /// Every name a directive carries, with its comment's first line.
+  std::vector<std::pair<int, std::string>> names;
 
   [[nodiscard]] bool allows(const std::string& rule, int line) const {
     if (file_rules.contains(rule)) return true;
@@ -108,6 +111,7 @@ void apply_annotations(std::string_view comment, int first_line, int last_line,
     std::string name;
     auto flush = [&] {
       if (name.empty()) return;
+      out.names.emplace_back(first_line, name);
       if (is_file) {
         out.file_rules.insert(name);
       } else {
@@ -689,16 +693,21 @@ std::vector<Diagnostic> lint_source(std::string_view path,
   return analyzer.run();
 }
 
-std::vector<Diagnostic> lint_file(const std::filesystem::path& path,
-                                  const Options& options) {
+namespace {
+
+std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return lint_source(path.generic_string(), buffer.str(), options);
+  return buffer.str();
 }
 
-std::vector<Diagnostic> lint_tree(
-    const std::vector<std::filesystem::path>& roots, const Options& options) {
+/// Calls `visit` on every source file under `roots` (a root may also be a
+/// single file), skipping directories named "build*", ".git" and
+/// "lint_fixtures".
+void for_each_source(const std::vector<std::filesystem::path>& roots,
+                     const std::function<void(const std::filesystem::path&)>&
+                         visit) {
   namespace fs = std::filesystem;
   static const std::set<std::string> kExtensions = {".hpp", ".h",  ".hh",
                                                     ".cpp", ".cc", ".cxx"};
@@ -708,11 +717,9 @@ std::vector<Diagnostic> lint_tree(
            name == "lint_fixtures";
   };
 
-  std::vector<Diagnostic> all;
   for (const fs::path& root : roots) {
     if (fs::is_regular_file(root)) {
-      auto diags = lint_file(root, options);
-      all.insert(all.end(), diags.begin(), diags.end());
+      visit(root);
       continue;
     }
     if (!fs::is_directory(root)) continue;
@@ -725,18 +732,52 @@ std::vector<Diagnostic> lint_tree(
       }
       if (it->is_regular_file() &&
           kExtensions.contains(it->path().extension().string())) {
-        auto diags = lint_file(it->path(), options);
-        all.insert(all.end(), diags.begin(), diags.end());
+        visit(it->path());
       }
       ++it;
     }
   }
+}
+
+}  // namespace
+
+std::vector<Diagnostic> lint_file(const std::filesystem::path& path,
+                                  const Options& options) {
+  return lint_source(path.generic_string(), read_file(path), options);
+}
+
+std::vector<Diagnostic> lint_tree(
+    const std::vector<std::filesystem::path>& roots, const Options& options) {
+  std::vector<Diagnostic> all;
+  for_each_source(roots, [&](const std::filesystem::path& path) {
+    auto diags = lint_file(path, options);
+    all.insert(all.end(), diags.begin(), diags.end());
+  });
   std::sort(all.begin(), all.end(), [](const Diagnostic& a, const Diagnostic& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;
     return a.rule < b.rule;
   });
   return all;
+}
+
+std::vector<AllowSite> allow_sites(
+    const std::vector<std::filesystem::path>& roots) {
+  const std::vector<std::string>& rules = rule_names();
+  std::vector<AllowSite> sites;
+  for_each_source(roots, [&](const std::filesystem::path& path) {
+    const Scan scan = scan_source(read_file(path));
+    for (const auto& [line, name] : scan.suppressions.names) {
+      if (std::find(rules.begin(), rules.end(), name) == rules.end()) continue;
+      sites.push_back({path.generic_string(), line, name});
+    }
+  });
+  std::sort(sites.begin(), sites.end(), [](const AllowSite& a, const AllowSite& b) {
+    if (a.file != b.file) return a.file < b.file;
+    if (a.line != b.line) return a.line < b.line;
+    return a.rule < b.rule;
+  });
+  return sites;
 }
 
 }  // namespace adam2::lint

@@ -133,4 +133,19 @@ struct Options {
     const std::vector<std::filesystem::path>& roots,
     const Options& options = {});
 
+/// One rule an `adam2-lint: allow(...)` or `allow-file(...)` directive
+/// suppresses.
+struct AllowSite {
+  std::string file;  ///< Path as walked.
+  int line = 0;      ///< First line of the comment carrying the directive.
+  std::string rule;  ///< One of rule_names().
+};
+
+/// Every suppression the linter honours under `roots`, walked as lint_tree
+/// walks them: directives in comments (not string literals) naming a known
+/// rule. A name that is no rule suppresses nothing and is not listed.
+/// Sorted by file, then line.
+[[nodiscard]] std::vector<AllowSite> allow_sites(
+    const std::vector<std::filesystem::path>& roots);
+
 }  // namespace adam2::lint
