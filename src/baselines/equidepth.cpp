@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/evaluation.hpp"
 #include "stats/summary.hpp"
 
 namespace adam2::baselines {
@@ -233,29 +234,10 @@ bool EquiDepthAgent::handle_bootstrap_response(
   return true;
 }
 
-namespace {
-
-std::vector<host::NodeId> sample_peers(sim::CycleEngine& engine,
-                                       std::size_t peer_sample) {
-  const auto live = engine.live_ids();
-  std::vector<host::NodeId> peers(live.begin(), live.end());
-  if (peer_sample > 0 && peers.size() > peer_sample) {
-    // Private stream per round: evaluating never perturbs the protocol.
-    rng::Rng sampler(0xE7A10001ULL ^
-                     (static_cast<std::uint64_t>(engine.round()) + 1) *
-                         0x9e3779b97f4a7c15ULL);
-    std::vector<host::NodeId> sampled;
-    sampled.reserve(peer_sample);
-    for (std::size_t idx :
-         sampler.sample_indices(peers.size(), peer_sample)) {
-      sampled.push_back(peers[idx]);
-    }
-    peers = std::move(sampled);
-  }
-  return peers;
-}
-
-}  // namespace
+/// The EquiDepth evaluators' peer-sampler salt; Adam2's evaluators use
+/// pick_peers' default. Changing either moves every sampled row of the
+/// figures that print them.
+constexpr std::uint64_t kPeerSampleSalt = 0xE7A10001ULL;
 
 EquiDepthPopulationErrors evaluate_equidepth(sim::CycleEngine& engine,
                                              const stats::EmpiricalCdf& truth,
@@ -265,7 +247,8 @@ EquiDepthPopulationErrors evaluate_equidepth(sim::CycleEngine& engine,
   EquiDepthPopulationErrors out;
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
   stats::RunningStat avg_stat;
-  for (host::NodeId id : sample_peers(engine, peer_sample)) {
+  for (host::NodeId id :
+       core::pick_peers(engine, peer_sample, kPeerSampleSalt)) {
     const auto* agent = dynamic_cast<const EquiDepthAgent*>(&engine.agent(id));
     const EquiDepthEstimate* est =
         (agent != nullptr && agent->estimate()) ? &*agent->estimate() : nullptr;
@@ -294,7 +277,8 @@ EquiDepthInstantErrors evaluate_equidepth_phase(
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
   stats::RunningStat entire_avg;
   stats::RunningStat bins_avg;
-  for (host::NodeId id : sample_peers(engine, peer_sample)) {
+  for (host::NodeId id :
+       core::pick_peers(engine, peer_sample, kPeerSampleSalt)) {
     if (born_by && engine.node(id).birth_round > *born_by) continue;
     const auto* agent = dynamic_cast<const EquiDepthAgent*>(&engine.agent(id));
     const auto synopsis =

@@ -21,9 +21,8 @@
 #include "core/protocol.hpp"
 // WorkerPool is the substrates' fork-join pool; the sharded evaluation mode
 // borrows it so the claiming counter and all synchronisation stay inside
-// host/. Documented layering exception (DESIGN.md §10): observer-side
-// tooling, no protocol state crosses the boundary.
-#include "host/pool.hpp"  // adam2-lint: allow(layering)
+// host/.
+#include "host/pool.hpp"
 #include "stats/error_metrics.hpp"
 #include "stats/summary.hpp"
 
@@ -60,31 +59,30 @@ struct PopulationErrors {
   std::size_t missing = 0;   ///< Peers lacking a usable estimate.
 };
 
-namespace detail {
-
-/// Applies the sampling option and returns the peer ids to evaluate.
-/// Sampling uses a private stream seeded from the round number, so observing
-/// the system never perturbs the protocol's randomness (evaluating or not
-/// evaluating leaves every later round bit-identical).
+/// The live peer ids an evaluator visits: all of them, or `peer_sample`
+/// (> 0) of them drawn uniformly. Sampling uses a private stream seeded from
+/// the round number and `salt`, so observing the system never perturbs the
+/// protocol's randomness (evaluating or not evaluating leaves every later
+/// round bit-identical). The EquiDepth evaluators pass their own salt.
 template <typename Host>
-std::vector<wire::NodeId> pick_peers(Host& engine,
-                                    const EvaluationOptions& options) {
+std::vector<wire::NodeId> pick_peers(Host& engine, std::size_t peer_sample,
+                                     std::uint64_t salt = 0xE7A10000ULL) {
   const auto live = engine.live_ids();
   std::vector<wire::NodeId> peers(live.begin(), live.end());
-  if (options.peer_sample > 0 && peers.size() > options.peer_sample) {
-    rng::Rng sampler(0xE7A10000ULL ^
-                     (static_cast<std::uint64_t>(engine.round()) + 1) *
-                         0x9e3779b97f4a7c15ULL);
+  if (peer_sample > 0 && peers.size() > peer_sample) {
+    rng::Rng sampler(salt ^ (static_cast<std::uint64_t>(engine.round()) + 1) *
+                                0x9e3779b97f4a7c15ULL);
     std::vector<wire::NodeId> sampled;
-    sampled.reserve(options.peer_sample);
-    for (std::size_t idx :
-         sampler.sample_indices(peers.size(), options.peer_sample)) {
+    sampled.reserve(peer_sample);
+    for (std::size_t idx : sampler.sample_indices(peers.size(), peer_sample)) {
       sampled.push_back(peers[idx]);
     }
     peers = std::move(sampled);
   }
   return peers;
 }
+
+namespace detail {
 
 /// Core aggregation loop: `errors_of` returns a peer's ErrorPair or nullopt
 /// when the peer has nothing usable.
@@ -101,7 +99,7 @@ template <typename Host, typename ErrorsOf>
 PopulationErrors aggregate(Host& engine, const EvaluationOptions& options,
                            ErrorsOf&& errors_of) {
   std::vector<wire::NodeId> peers;
-  for (wire::NodeId id : pick_peers(engine, options)) {
+  for (wire::NodeId id : pick_peers(engine, options.peer_sample)) {
     const auto& node = engine.node(id);
     if (options.born_by && node.birth_round > *options.born_by) continue;
     peers.push_back(id);
@@ -226,7 +224,7 @@ double confidence_estimation_error(Host& engine,
                                    const EvaluationOptions& options = {}) {
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
   stats::RunningStat relative;
-  for (wire::NodeId id : detail::pick_peers(engine, options)) {
+  for (wire::NodeId id : pick_peers(engine, options.peer_sample)) {
     const auto& node = engine.node(id);
     if (options.born_by && node.birth_round > *options.born_by) continue;
     const Estimate* est = detail::usable_estimate(engine, id, options);

@@ -73,25 +73,7 @@ void Adam2Agent::on_round_start(host::AgentContext& ctx) {
     }
     --slot.ttl;
   }
-  for (wire::InstanceId id : finished) {
-    // Finalisation leaves the hot path: copy the slot into the owning
-    // cold-path form (the finalize pipeline builds vectors and an Estimate
-    // anyway), recycle the slot, then finalise.
-    const InstanceSlot& slot = *store_.find(id);
-    InstanceState state;
-    state.id = slot.id;
-    state.start_round = slot.start_round;
-    state.ttl = slot.ttl;
-    state.flags = slot.flags;
-    state.weight = slot.weight;
-    state.min_value = slot.min_value;
-    state.max_value = slot.max_value;
-    state.points.assign(slot.points().begin(), slot.points().end());
-    state.verification.assign(slot.verification().begin(),
-                              slot.verification().end());
-    store_.erase(id);
-    finalize(ctx, std::move(state));
-  }
+  for (wire::InstanceId id : finished) finalize(id);
 
   // Probabilistic instance creation: Ps = 1 / (Np * R) per round (§IV).
   if (config_.restart_every_r > 0.0) {
@@ -274,24 +256,31 @@ void Adam2Agent::handle_response(host::AgentContext& ctx,
   }
 }
 
-void Adam2Agent::finalize(host::AgentContext& /*ctx*/, InstanceState&& state) {
-  finalized_.insert(state.id);
-
-  std::vector<stats::CdfPoint> points = std::move(state.points);
-  std::vector<stats::CdfPoint> verification = std::move(state.verification);
-  finalize_points(points, verification);
-
+void Adam2Agent::finalize(wire::InstanceId id) {
+  // Finalisation leaves the hot path: copy what the estimate needs out of
+  // the slot, recycle the slot, and only then record the tombstone (the
+  // invariant on finalized_).
+  const InstanceSlot& slot = *store_.find(id);
+  std::vector<stats::CdfPoint> points(slot.points().begin(),
+                                      slot.points().end());
+  std::vector<stats::CdfPoint> verification(slot.verification().begin(),
+                                            slot.verification().end());
   Estimate result;
-  result.instance = state.id;
-  result.completed_round = state.start_round + config_.instance_ttl;
-  result.min_value = state.min_value;
-  result.max_value = state.max_value;
+  result.instance = id;
+  result.completed_round = slot.start_round + config_.instance_ttl;
+  result.min_value = slot.min_value;
+  result.max_value = slot.max_value;
+  const double weight = slot.weight;
+  store_.erase(id);
+  finalized_.insert(id);
+
+  finalize_points(points, verification);
   result.points = points;
-  result.cdf =
-      stats::interpolate_with_extremes(points, state.min_value, state.max_value);
+  result.cdf = stats::interpolate_with_extremes(points, result.min_value,
+                                                result.max_value);
   if (config_.enforce_monotone) result.cdf = result.cdf.make_monotone();
-  if (state.weight > 1e-12) {
-    result.n_estimate = 1.0 / state.weight;
+  if (weight > 1e-12) {
+    result.n_estimate = 1.0 / weight;
     n_estimate_ = result.n_estimate;
   }
   if (!verification.empty()) {

@@ -20,12 +20,7 @@
 #include "core/instance.hpp"
 #include "core/instance_store.hpp"
 #include "core/tombstones.hpp"
-// The NodeAgent contract is the protocol <-> substrate boundary: host/
-// defines the interface, core/ implements it. Inverting the edge would drag
-// the whole contract cluster (agent, view, overlay) below core/ for no
-// behavioural gain. Documented layering exception (DESIGN.md §10) — the
-// only host/ surface core/ may touch is the abstract agent contract.
-#include "host/agent.hpp"  // adam2-lint: allow(layering)
+#include "host/agent.hpp"
 
 namespace adam2::core {
 
@@ -115,7 +110,9 @@ class Adam2Agent : public host::NodeAgent {
   [[nodiscard]] bool eligible(const host::AgentContext& ctx,
                               std::uint32_t start_round, wire::InstanceId id,
                               bool active) const;
-  void finalize(host::AgentContext& ctx, InstanceState&& state);
+  /// Turns the finished instance `id` into the node's estimate; erases its
+  /// slot, then records its tombstone.
+  void finalize(wire::InstanceId id);
   [[nodiscard]] std::vector<double> choose_thresholds(host::AgentContext& ctx);
   [[nodiscard]] std::vector<double> choose_verification(
       host::AgentContext& ctx, double lo, double hi);
@@ -145,7 +142,7 @@ class Adam2Agent : public host::NodeAgent {
   double n_estimate_ = 0.0;
   std::uint32_t next_seq_ = 0;
   std::size_t completed_ = 0;
-  /// Monotone counter backing InstanceState::touched_epoch (see
+  /// Monotone counter backing InstanceSlot::touched_epoch (see
   /// handle_request); bumping it invalidates all marks in O(1).
   std::uint64_t request_epoch_ = 0;
 };

@@ -14,6 +14,7 @@
 #include "core/config.hpp"
 #include "core/evaluation.hpp"
 #include "core/protocol.hpp"
+#include "obs/recorder.hpp"
 // Adam2System is the convenience facade that *assembles* a simulator around
 // the protocol; it deliberately sits on top of sim/ and is kept in core:: so
 // the examples' and experiments' entry point stays `core::Adam2System`.
@@ -21,9 +22,6 @@
 // name a concrete engine.
 #include "sim/cyclon.hpp"        // adam2-lint: allow(layering)
 #include "sim/cycle_engine.hpp"  // adam2-lint: allow(layering)
-// Same documented exception: the facade wires the recorder into the engine
-// it assembled and echoes its config into the run manifest.
-#include "obs/recorder.hpp"  // adam2-lint: allow(layering)
 
 namespace adam2::core {
 

@@ -143,80 +143,4 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
   }
 }
 
-SessionedPort::Initiate SessionedPort::initiate(
-    NodeAgent& agent, AgentContext& ctx,
-    const std::function<std::optional<NodeId>()>& pick_target,
-    ExchangeSession::Clock::duration timeout) {
-  if (session_.busy()) return Initiate::kLocked;  // Exchange atomicity.
-  session_.abandon();  // Any previous lock has expired unanswered.
-
-  auto request = agent.make_request(ctx);
-  if (request.empty()) return Initiate::kSilent;
-  const auto target = pick_target();
-  if (!target) return Initiate::kNoTarget;
-  counters_.on(Channel::kAggregation).add_send(request.size());
-  const std::uint64_t token = session_.next_token();
-  if (!send_copies(/*is_request=*/true, *target, token, request)) {
-    return Initiate::kSendFailed;
-  }
-  session_.arm(token, timeout);
-  return Initiate::kSent;
-}
-
-bool SessionedPort::on_request(NodeAgent& agent, AgentContext& ctx,
-                               NodeId from, std::uint64_t token,
-                               std::span<const std::byte> payload) {
-  if (session_.busy()) {
-    // Atomicity: our state could still change when our own outstanding
-    // response arrives, so we must not commit to an answer now — but NACK
-    // so the requester frees its own lock immediately instead of waiting
-    // out its response timeout.
-    ++counters_.busy_rejections;
-    transport_.send_busy(from, token);
-    return false;
-  }
-  counters_.on(Channel::kAggregation).add_receive(payload.size());
-  auto response = agent.handle_request(ctx, payload);
-  if (response.empty()) return true;
-  counters_.on(Channel::kAggregation).add_send(response.size());
-  send_copies(/*is_request=*/false, from, token, response);
-  return true;
-}
-
-bool SessionedPort::on_response(NodeAgent& agent, AgentContext& ctx,
-                                std::uint64_t token,
-                                std::span<const std::byte> payload) {
-  if (!session_.close_if_current(token)) {
-    // Stale: we already gave up on that exchange. Merging it now would
-    // violate atomicity (our state moved on meanwhile).
-    ++counters_.dropped_messages;
-    return false;
-  }
-  counters_.on(Channel::kAggregation).add_receive(payload.size());
-  agent.handle_response(ctx, payload);
-  return true;
-}
-
-bool SessionedPort::send_copies(bool is_request, NodeId to,
-                                std::uint64_t token,
-                                std::span<const std::byte> payload) {
-  // Wall-clock runtimes have no simulated partitions and no injected delay
-  // (real latency supplies itself): only the fault-plan fate applies.
-  std::vector<std::byte> scratch;
-  const Conduit::Delivery delivery = conduit_.resolve(
-      Conduit::Leg{/*from=*/0, to, /*round=*/0, &fault_stream_,
-                   /*partition_check=*/false, /*draw_delay=*/false},
-      payload, scratch, counters_);
-  if (delivery.copies == 0) {
-    return true;  // The sender cannot tell a dropped message from a sent one.
-  }
-  bool sent = false;
-  for (unsigned copy = 0; copy < delivery.copies; ++copy) {
-    sent = is_request
-               ? transport_.send_request(to, token, delivery.payload)
-               : transport_.send_response(to, token, delivery.payload);
-  }
-  return sent;
-}
-
 }  // namespace adam2::host

@@ -2,11 +2,11 @@
 // integer ids (DESIGN.md §11).
 //
 // The registry unifies what used to be three ad-hoc ledgers — the engines'
-// host::TrafficStats totals, the UDP runtime's SharedTrafficLedger snapshot,
-// and the benches' report_metric() scalars — behind one name → value map
-// that every exporter understands. Registration order defines the id and the
-// export order, so two runs that register the same metrics in the same order
-// produce byte-identical snapshots.
+// host::TrafficStats totals, the wall-clock runtime's runtime::Directory
+// totals, and the benches' report_metric() scalars — behind one name → value
+// map that every exporter understands. Registration order defines the id and
+// the export order, so two runs that register the same metrics in the same
+// order produce byte-identical snapshots.
 //
 // Not thread-safe by design: the lint `confinement` rule keeps concurrency
 // primitives out of obs/, so the threaded runtimes funnel all recording

@@ -48,7 +48,7 @@ Peer::Peer(const ClusterConfig& config, host::NodeId id, Directory& directory,
       rng_(rng::Rng(config.seed).split(id)),
       conduit_(config.faults),
       fault_rng_(conduit_.faults().node_stream(id)),
-      port_(conduit_, *this, fault_rng_, traffic_) {
+      port_(conduit_, endpoint_, id_, fault_rng_, traffic_) {
   if (!directory_.is_live(id_)) {
     throw std::invalid_argument("peer id outside the directory");
   }
@@ -178,8 +178,8 @@ void Peer::tick() {
   const auto outcome = port_.initiate(
       *agent_, ctx, [this] { return directory_.pick_gossip_target(id_, rng_); },
       config_.response_timeout);
-  if (outcome == host::SessionedPort::Initiate::kNoTarget ||
-      outcome == host::SessionedPort::Initiate::kSendFailed) {
+  if (outcome == SessionedPort::Initiate::kNoTarget ||
+      outcome == SessionedPort::Initiate::kSendFailed) {
     ++traffic_.failed_contacts;
   }
 }
@@ -200,30 +200,6 @@ void Peer::handle(Envelope&& envelope) {
     case EnvelopeKind::kWakeup:
       return;  // The loop drains tasks and checks stop_ next.
   }
-}
-
-bool Peer::send_request(host::NodeId to, std::uint64_t token,
-                        std::span<const std::byte> payload) {
-  return send_envelope(to, EnvelopeKind::kGossipRequest, token, payload);
-}
-
-bool Peer::send_response(host::NodeId to, std::uint64_t token,
-                         std::span<const std::byte> payload) {
-  return send_envelope(to, EnvelopeKind::kGossipResponse, token, payload);
-}
-
-void Peer::send_busy(host::NodeId to, std::uint64_t token) {
-  endpoint_.send(to, Envelope{EnvelopeKind::kGossipBusy, id_, token, {}});
-}
-
-bool Peer::send_envelope(host::NodeId to, EnvelopeKind kind,
-                         std::uint64_t token,
-                         std::span<const std::byte> payload) {
-  // The span aliases the agent's (or the conduit's corruption) scratch; the
-  // envelope outlives the callback, so copy into an owned payload.
-  return endpoint_.send(
-      to, Envelope{kind, id_, token,
-                   std::vector<std::byte>(payload.begin(), payload.end())});
 }
 
 }  // namespace adam2::runtime

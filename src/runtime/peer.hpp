@@ -27,9 +27,9 @@
 #include "host/agent.hpp"
 #include "host/exchange.hpp"
 #include "host/fault.hpp"
-#include "host/ledger.hpp"
 #include "host/traffic.hpp"
 #include "rng/rng.hpp"
+#include "runtime/session.hpp"
 #include "runtime/transport.hpp"
 
 namespace adam2::runtime {
@@ -84,28 +84,37 @@ class Directory final : public host::Overlay, public host::HostView {
   [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
     return ids_;
   }
+  /// Counts one message as sent and received on `channel` (the global view
+  /// of a point-to-point transfer). Any peer thread may call it.
   void record_traffic(host::Channel channel, std::size_t bytes) override {
-    ledger_.record_message(channel, bytes);
+    const std::lock_guard<std::mutex> lock(traffic_mutex_);
+    traffic_.record_message(channel, bytes);
   }
 
   /// Everything the peers have added so far (each adds its counters when it
   /// stops).
   [[nodiscard]] host::TrafficStats traffic() const {
-    return ledger_.snapshot();
+    const std::lock_guard<std::mutex> lock(traffic_mutex_);
+    return traffic_;
   }
-  void add_traffic(const host::TrafficStats& stats) { ledger_.merge(stats); }
+  /// Merges one peer's counters (on stop, or on a restart while stopped).
+  void add_traffic(const host::TrafficStats& stats) {
+    const std::lock_guard<std::mutex> lock(traffic_mutex_);
+    traffic_ += stats;
+  }
 
  private:
   std::vector<stats::Value> attributes_;
   std::vector<host::NodeId> ids_;
-  host::SharedTrafficLedger ledger_;
+  mutable std::mutex traffic_mutex_;
+  host::TrafficStats traffic_;
 };
 
 /// One node: an agent, its thread and its endpoint. The request→response
 /// state machine (busy lock, NACK, stale-token rejection, faulty sends)
-/// lives in host::SessionedPort; the Peer is the port's Transport over the
-/// endpoint, plus the timer, task and lifecycle plumbing.
-class Peer final : private host::SessionedPort::Transport {
+/// lives in the SessionedPort, which sends through the endpoint; the Peer
+/// adds the timer, task and lifecycle plumbing.
+class Peer final {
  public:
   using Task = std::function<void(host::NodeAgent&, host::AgentContext&)>;
 
@@ -154,15 +163,6 @@ class Peer final : private host::SessionedPort::Transport {
   host::AgentContext make_context();
   Clock::duration jittered_period();
 
-  // -- host::SessionedPort::Transport --------------------------------------
-  bool send_request(host::NodeId to, std::uint64_t token,
-                    std::span<const std::byte> payload) override;
-  bool send_response(host::NodeId to, std::uint64_t token,
-                     std::span<const std::byte> payload) override;
-  void send_busy(host::NodeId to, std::uint64_t token) override;
-  bool send_envelope(host::NodeId to, EnvelopeKind kind, std::uint64_t token,
-                     std::span<const std::byte> payload);
-
   const ClusterConfig config_;
   const host::NodeId id_;
   Directory& directory_;
@@ -180,9 +180,9 @@ class Peer final : private host::SessionedPort::Transport {
   host::TrafficStats traffic_;
   /// Endpoint rejections already counted, so each one is counted once.
   std::uint64_t rejected_seen_ = 0;
-  /// Declared after conduit_, fault_rng_ and traffic_ (it references all
-  /// three).
-  host::SessionedPort port_;
+  /// Declared after endpoint_, conduit_, fault_rng_ and traffic_ (it
+  /// references all four).
+  SessionedPort port_;
   std::mutex tasks_mutex_;
   std::deque<Task> tasks_;
   std::atomic<bool> stop_{false};

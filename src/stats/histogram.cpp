@@ -2,44 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace adam2::stats {
-
-std::vector<std::size_t> equi_width_counts(std::span<const Value> values,
-                                           std::size_t bins, double lo,
-                                           double hi) {
-  assert(bins >= 1);
-  assert(hi > lo);
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (Value v : values) {
-    auto idx = static_cast<std::ptrdiff_t>((static_cast<double>(v) - lo) / width);
-    idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                     static_cast<std::ptrdiff_t>(bins) - 1);
-    ++counts[static_cast<std::size_t>(idx)];
-  }
-  return counts;
-}
-
-std::vector<double> equi_depth_boundaries(std::span<const Value> values,
-                                          std::size_t bins) {
-  assert(bins >= 1);
-  assert(!values.empty());
-  std::vector<Value> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> boundaries;
-  boundaries.reserve(bins - 1);
-  for (std::size_t i = 1; i < bins; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(bins);
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size()))) -
-        1;
-    rank = std::min(rank, sorted.size() - 1);
-    boundaries.push_back(static_cast<double>(sorted[rank]));
-  }
-  return boundaries;
-}
 
 std::vector<WeightedValue> compress_equi_depth(
     std::vector<WeightedValue> samples, std::size_t capacity) {

@@ -1,6 +1,6 @@
-// Histogram utilities shared by the data generators and the EquiDepth
-// baseline: equi-width counting, and equi-depth (quantile) boundaries over
-// plain or weighted samples.
+// Equi-depth synopses for the EquiDepth baseline (baselines/equidepth.hpp):
+// weighted sample points, their compression into equal-weight centroids, and
+// the CDF those centroids describe.
 #pragma once
 
 #include <cstddef>
@@ -19,18 +19,6 @@ struct WeightedValue {
 
   friend bool operator==(const WeightedValue&, const WeightedValue&) = default;
 };
-
-/// Counts of `values` over `bins` equal-width buckets spanning [lo, hi].
-/// Values outside the range are clamped into the edge buckets.
-/// Precondition: bins >= 1 and hi > lo.
-[[nodiscard]] std::vector<std::size_t> equi_width_counts(
-    std::span<const Value> values, std::size_t bins, double lo, double hi);
-
-/// Equi-depth boundaries: the (i/bins)-quantiles of `values` for
-/// i = 1..bins-1. `values` need not be sorted. Precondition: bins >= 1,
-/// values non-empty.
-[[nodiscard]] std::vector<double> equi_depth_boundaries(
-    std::span<const Value> values, std::size_t bins);
 
 /// Compresses weighted samples to at most `capacity` centroids while
 /// preserving total weight: sorts by value and greedily merges adjacent

@@ -14,10 +14,10 @@
 //    duplicate_rate=1 means two handle_request and four handle_response
 //    calls, with three legs counted as duplicated (one request, two
 //    responses).
-//  * sessioned runtimes (threaded cluster, UDP peers): the SessionedPort's
-//    token discipline merges exactly one response copy; the second is stale
-//    by construction and counted as dropped. Both request copies carry the
-//    same token.
+//  * sessioned runtimes (threaded cluster, UDP peers): the
+//    runtime::SessionedPort's token discipline merges exactly one response
+//    copy; the second is stale by construction and counted as dropped. Both
+//    request copies carry the same token.
 //
 // Labelled `chaos` (runs under sanitizers in CI with the fault matrix).
 #include <gtest/gtest.h>
@@ -34,6 +34,8 @@
 #include "host/fault.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/peer.hpp"
+#include "runtime/session.hpp"
+#include "runtime/transport.hpp"
 #include "runtime/udp.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/cycle_engine.hpp"
@@ -214,7 +216,7 @@ TEST(DuplicationAsyncTest, EveryCopyOfEveryLegDelivers) {
 }
 
 // --------------------------------------------------------------------------
-// SessionedPort: the runtimes' token discipline against a scripted transport.
+// SessionedPort: the runtimes' token discipline against a recording endpoint.
 // --------------------------------------------------------------------------
 
 class NullHost final : public host::HostView {
@@ -248,8 +250,8 @@ class NullOverlay final : public host::Overlay {
   }
 };
 
-/// Records every envelope the port asks it to move.
-class RecordingTransport final : public host::SessionedPort::Transport {
+/// Records every envelope the port sends, by kind; receives nothing.
+class RecordingEndpoint final : public runtime::Endpoint {
  public:
   struct Sent {
     host::NodeId to;
@@ -257,20 +259,32 @@ class RecordingTransport final : public host::SessionedPort::Transport {
     std::vector<std::byte> payload;
   };
 
-  bool send_request(host::NodeId to, std::uint64_t token,
-                    std::span<const std::byte> payload) override {
-    requests.push_back(Sent{to, token, {payload.begin(), payload.end()}});
+  bool send(host::NodeId to, runtime::Envelope envelope) override {
+    EXPECT_EQ(envelope.from, kSelf);
+    Sent sent{to, envelope.token, std::move(envelope.payload)};
+    switch (envelope.kind) {
+      case runtime::EnvelopeKind::kGossipRequest:
+        requests.push_back(std::move(sent));
+        break;
+      case runtime::EnvelopeKind::kGossipResponse:
+        responses.push_back(std::move(sent));
+        break;
+      case runtime::EnvelopeKind::kGossipBusy:
+        busys.push_back(std::move(sent));
+        break;
+      case runtime::EnvelopeKind::kWakeup:
+        ADD_FAILURE() << "the port never sends a wakeup";
+        break;
+    }
     return true;
   }
-  bool send_response(host::NodeId to, std::uint64_t token,
-                     std::span<const std::byte> payload) override {
-    responses.push_back(Sent{to, token, {payload.begin(), payload.end()}});
-    return true;
-  }
-  void send_busy(host::NodeId to, std::uint64_t token) override {
-    busys.push_back(Sent{to, token, {}});
+  [[nodiscard]] std::optional<runtime::Envelope> receive(
+      runtime::Clock::time_point) override {
+    return std::nullopt;
   }
 
+  /// The node id the port under test stamps on its envelopes.
+  static constexpr host::NodeId kSelf = 5;
   std::vector<Sent> requests;
   std::vector<Sent> responses;
   std::vector<Sent> busys;
@@ -281,16 +295,17 @@ class SessionedPortDuplicationTest : public ::testing::Test {
   SessionedPortDuplicationTest()
       : conduit_(always_duplicate()),
         fault_rng_(conduit_.faults().node_stream(0)),
-        port_(conduit_, transport_, fault_rng_, counters_),
+        port_(conduit_, endpoint_, RecordingEndpoint::kSelf, fault_rng_,
+              counters_),
         ctx_{null_host_, null_overlay_, 0, 0, 0, 0, agent_rng_} {}
 
   Counts counts_;
   OrdinalAgent agent_{&counts_, /*max_initiations=*/100};
   host::Conduit conduit_;
   rng::Rng fault_rng_{0};
-  RecordingTransport transport_;
+  RecordingEndpoint endpoint_;
   host::TrafficStats counters_;
-  host::SessionedPort port_;
+  runtime::SessionedPort port_;
   NullHost null_host_;
   NullOverlay null_overlay_;
   rng::Rng agent_rng_{1};
@@ -301,10 +316,10 @@ TEST_F(SessionedPortDuplicationTest, InitiateSendsTwoCopiesOfOneToken) {
   const auto outcome =
       port_.initiate(agent_, ctx_, [] { return std::optional<host::NodeId>{1}; },
                      10ms);
-  EXPECT_EQ(outcome, host::SessionedPort::Initiate::kSent);
-  ASSERT_EQ(transport_.requests.size(), 2u);
-  EXPECT_EQ(transport_.requests[0].token, transport_.requests[1].token);
-  EXPECT_EQ(transport_.requests[0].payload, transport_.requests[1].payload);
+  EXPECT_EQ(outcome, runtime::SessionedPort::Initiate::kSent);
+  ASSERT_EQ(endpoint_.requests.size(), 2u);
+  EXPECT_EQ(endpoint_.requests[0].token, endpoint_.requests[1].token);
+  EXPECT_EQ(endpoint_.requests[0].payload, endpoint_.requests[1].payload);
   // One logical send, one duplication fault, one byte-accounting call.
   EXPECT_EQ(counters_.duplicated_messages, 1u);
   EXPECT_EQ(counters_.on(host::Channel::kAggregation).messages_sent, 1u);
@@ -315,8 +330,8 @@ TEST_F(SessionedPortDuplicationTest, FirstResponseMergesSecondIsStale) {
   ASSERT_EQ(port_.initiate(
                 agent_, ctx_, [] { return std::optional<host::NodeId>{1}; },
                 10ms),
-            host::SessionedPort::Initiate::kSent);
-  const std::uint64_t token = transport_.requests.at(0).token;
+            runtime::SessionedPort::Initiate::kSent);
+  const std::uint64_t token = endpoint_.requests.at(0).token;
   const auto reply = encode_u64(42);
 
   // The responder's reply was duplicated: two copies, same token. The first
@@ -339,8 +354,8 @@ TEST_F(SessionedPortDuplicationTest, EachRequestCopyIsAnsweredWithTwoCopies) {
   EXPECT_TRUE(port_.on_request(agent_, ctx_, 2, 7, request));
 
   EXPECT_EQ(counts_.requests_handled, 2u);
-  ASSERT_EQ(transport_.responses.size(), 4u);
-  for (const auto& sent : transport_.responses) {
+  ASSERT_EQ(endpoint_.responses.size(), 4u);
+  for (const auto& sent : endpoint_.responses) {
     EXPECT_EQ(sent.to, 2u);
     EXPECT_EQ(sent.token, 7u);
   }
@@ -352,11 +367,11 @@ TEST_F(SessionedPortDuplicationTest, BusyPortNacksInsteadOfAnswering) {
   ASSERT_EQ(port_.initiate(
                 agent_, ctx_, [] { return std::optional<host::NodeId>{1}; },
                 10ms),
-            host::SessionedPort::Initiate::kSent);
+            runtime::SessionedPort::Initiate::kSent);
   EXPECT_FALSE(port_.on_request(agent_, ctx_, 2, 9, encode_u64(9)));
-  ASSERT_EQ(transport_.busys.size(), 1u);
-  EXPECT_EQ(transport_.busys[0].to, 2u);
-  EXPECT_EQ(transport_.busys[0].token, 9u);
+  ASSERT_EQ(endpoint_.busys.size(), 1u);
+  EXPECT_EQ(endpoint_.busys[0].to, 2u);
+  EXPECT_EQ(endpoint_.busys[0].token, 9u);
   EXPECT_EQ(counters_.busy_rejections, 1u);
   EXPECT_EQ(counts_.requests_handled, 0u);
 }

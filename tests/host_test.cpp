@@ -1,7 +1,6 @@
 // Unit tests for the shared host substrate: node registry, bootstrap
-// policy, churn arithmetic, the exchange-atomicity session, the thread-safe
-// traffic ledger, and the worker pool's claim counter, unit gate and
-// exception forwarding.
+// policy, churn arithmetic, and the worker pool's claim counter, unit gate
+// and exception forwarding.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,13 +8,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "host/bootstrap.hpp"
 #include "host/churn.hpp"
-#include "host/exchange.hpp"
-#include "host/ledger.hpp"
 #include "host/pool.hpp"
 #include "host/registry.hpp"
 
@@ -116,51 +112,6 @@ TEST(ChurnTest, StochasticCountFractionAveragesOut) {
   constexpr int kTrials = 10000;
   for (int i = 0; i < kTrials; ++i) total += stochastic_count(0.25, rng);
   EXPECT_NEAR(static_cast<double>(total) / kTrials, 0.25, 0.02);
-}
-
-// ---------------------------------------------------------------- exchange
-
-TEST(ExchangeSessionTest, ArmedSessionIsBusyUntilClosed) {
-  ExchangeSession session;
-  EXPECT_FALSE(session.busy());
-  const auto token = session.next_token();
-  session.arm(token, std::chrono::seconds(60));
-  EXPECT_TRUE(session.busy());
-  EXPECT_TRUE(session.close_if_current(token));
-  EXPECT_FALSE(session.busy());
-}
-
-TEST(ExchangeSessionTest, StaleTokenIsRejected) {
-  ExchangeSession session;
-  const auto old_token = session.next_token();
-  session.arm(old_token, std::chrono::seconds(60));
-  const auto new_token = session.next_token();
-  session.arm(new_token, std::chrono::seconds(60));
-  // The old exchange was superseded; merging its response would break
-  // exchange atomicity.
-  EXPECT_FALSE(session.close_if_current(old_token));
-  EXPECT_TRUE(session.busy());
-  EXPECT_TRUE(session.close_if_current(new_token));
-}
-
-TEST(ExchangeSessionTest, DeadlineExpiryUnblocksInitiation) {
-  ExchangeSession session;
-  const auto token = session.next_token();
-  session.arm(token, std::chrono::microseconds(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_FALSE(session.busy());
-  // A late response for the expired exchange still matches until the
-  // session is explicitly abandoned or re-armed.
-  EXPECT_TRUE(session.close_if_current(token));
-}
-
-TEST(ExchangeSessionTest, AbandonDropsTheOpenExchange) {
-  ExchangeSession session;
-  const auto token = session.next_token();
-  session.arm(token, std::chrono::seconds(60));
-  session.abandon();
-  EXPECT_FALSE(session.busy());
-  EXPECT_FALSE(session.close_if_current(token));
 }
 
 // -------------------------------------------------------------- worker pool
@@ -271,52 +222,6 @@ TEST(WorkerPoolTest, TaskExceptionReachesCaller) {
                    [&](std::size_t u, std::size_t) { ++runs[u]; });
     EXPECT_EQ(runs, std::vector<int>(kUnits, 2)) << workers << " workers";
   }
-}
-
-// ------------------------------------------------------------------ ledger
-
-TEST(SharedTrafficLedgerTest, CountsMessagesOnBothDirections) {
-  SharedTrafficLedger ledger;
-  ledger.record_message(Channel::kAggregation, 100);
-  ledger.record_message(Channel::kOverlay, 40);
-  const TrafficStats stats = ledger.snapshot();
-  EXPECT_EQ(stats.on(Channel::kAggregation).messages_sent, 1u);
-  EXPECT_EQ(stats.on(Channel::kAggregation).bytes_sent, 100u);
-  EXPECT_EQ(stats.on(Channel::kAggregation).messages_received, 1u);
-  EXPECT_EQ(stats.on(Channel::kOverlay).bytes_sent, 40u);
-}
-
-TEST(SharedTrafficLedgerTest, ConcurrentRecordsAllLand) {
-  SharedTrafficLedger ledger;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ledger] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ledger.record_message(Channel::kAggregation, 10);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const TrafficStats stats = ledger.snapshot();
-  EXPECT_EQ(stats.on(Channel::kAggregation).messages_sent,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(stats.on(Channel::kAggregation).bytes_sent,
-            static_cast<std::uint64_t>(kThreads) * kPerThread * 10);
-}
-
-TEST(SharedTrafficLedgerTest, MergeFoldsNodeCounters) {
-  SharedTrafficLedger ledger;
-  TrafficStats local;
-  local.on(Channel::kAggregation).add_send(64);
-  ++local.failed_contacts;
-  ledger.merge(local);
-  ledger.merge(local);
-  const TrafficStats stats = ledger.snapshot();
-  EXPECT_EQ(stats.on(Channel::kAggregation).bytes_sent, 128u);
-  EXPECT_EQ(stats.failed_contacts, 2u);
 }
 
 // --------------------------------------------------------------- bootstrap

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "stats/sketch.hpp"  // downward include: core (3) -> stats (1)
+#include "stats/sketch.hpp"  // downward include: core (4) -> stats (1)
 
 namespace fixture {
 

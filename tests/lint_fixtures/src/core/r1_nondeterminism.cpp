@@ -25,6 +25,11 @@ long bad_clock_now() {
   return std::chrono::steady_clock::now().time_since_epoch().count();  // 25
 }
 
+// An alias hides the clock from a `*_clock::now()` match: the rule flags the
+// name where the alias is made (line 30), so the call below needs no hit.
+using Clock = std::chrono::steady_clock;  // line 30
+long bad_aliased_now() { return Clock::now().time_since_epoch().count(); }
+
 // Negative controls: member access and non-call uses must NOT fire.
 struct Msg {
   double time = 0.0;

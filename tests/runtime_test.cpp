@@ -8,6 +8,7 @@
 
 #include "core/protocol.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/session.hpp"
 #include "runtime/transport.hpp"
 #include "wire/buffer.hpp"
 
@@ -15,6 +16,51 @@ namespace adam2::runtime {
 namespace {
 
 using namespace std::chrono_literals;
+
+// --------------------------------------------------------- ExchangeSession
+
+TEST(ExchangeSessionTest, ArmedSessionIsBusyUntilClosed) {
+  ExchangeSession session;
+  EXPECT_FALSE(session.busy());
+  const auto token = session.next_token();
+  session.arm(token, std::chrono::seconds(60));
+  EXPECT_TRUE(session.busy());
+  EXPECT_TRUE(session.close_if_current(token));
+  EXPECT_FALSE(session.busy());
+}
+
+TEST(ExchangeSessionTest, StaleTokenIsRejected) {
+  ExchangeSession session;
+  const auto old_token = session.next_token();
+  session.arm(old_token, std::chrono::seconds(60));
+  const auto new_token = session.next_token();
+  session.arm(new_token, std::chrono::seconds(60));
+  // The old exchange was superseded; merging its response would break
+  // exchange atomicity.
+  EXPECT_FALSE(session.close_if_current(old_token));
+  EXPECT_TRUE(session.busy());
+  EXPECT_TRUE(session.close_if_current(new_token));
+}
+
+TEST(ExchangeSessionTest, DeadlineExpiryUnblocksInitiation) {
+  ExchangeSession session;
+  const auto token = session.next_token();
+  session.arm(token, std::chrono::microseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(session.busy());
+  // A late response for the expired exchange still matches until the
+  // session is explicitly abandoned or re-armed.
+  EXPECT_TRUE(session.close_if_current(token));
+}
+
+TEST(ExchangeSessionTest, AbandonDropsTheOpenExchange) {
+  ExchangeSession session;
+  const auto token = session.next_token();
+  session.arm(token, std::chrono::seconds(60));
+  session.abandon();
+  EXPECT_FALSE(session.busy());
+  EXPECT_FALSE(session.close_if_current(token));
+}
 
 // ----------------------------------------------------------------- Mailbox
 

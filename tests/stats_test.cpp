@@ -244,31 +244,6 @@ TEST(ErrorMetricsTest, EstimationErrorsAgainstVerification) {
 
 // ---------------------------------------------------------------- Histogram
 
-TEST(HistogramTest, EquiWidthCountsSumToTotal) {
-  const std::vector<Value> values{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const auto counts = equi_width_counts(values, 5, 0.0, 10.0);
-  std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  EXPECT_EQ(total, values.size());
-}
-
-TEST(HistogramTest, EquiWidthClampsOutliers) {
-  const std::vector<Value> values{-100, 5, 200};
-  const auto counts = equi_width_counts(values, 2, 0.0, 10.0);
-  EXPECT_EQ(counts[0], 1u);  // -100 clamped into the first bucket.
-  EXPECT_EQ(counts[1], 2u);  // 5 is in [5,10]; 200 clamped into the last.
-}
-
-TEST(HistogramTest, EquiDepthBoundariesAreQuantiles) {
-  std::vector<Value> values;
-  for (int i = 1; i <= 100; ++i) values.push_back(i);
-  const auto bounds = equi_depth_boundaries(values, 4);
-  ASSERT_EQ(bounds.size(), 3u);
-  EXPECT_DOUBLE_EQ(bounds[0], 25.0);
-  EXPECT_DOUBLE_EQ(bounds[1], 50.0);
-  EXPECT_DOUBLE_EQ(bounds[2], 75.0);
-}
-
 TEST(HistogramTest, CompressPreservesTotalWeight) {
   rng::Rng rng(11);
   std::vector<WeightedValue> samples;

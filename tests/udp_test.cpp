@@ -1,4 +1,5 @@
-// Real-socket path: Adam2 over loopback UDP datagrams.
+// Real-socket path: Adam2 over loopback UDP datagrams, and the static
+// Directory every runtime deployment shares (membership and traffic ledger).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -100,6 +101,50 @@ TEST(DirectoryTest, KnownValuesExcludeSelf) {
   Directory directory({10, 20, 30});
   const auto values = directory.known_attribute_values(1, directory);
   EXPECT_EQ(values, (std::vector<stats::Value>{10, 30}));
+}
+
+TEST(DirectoryTest, CountsMessagesOnBothDirections) {
+  Directory directory({1, 2});
+  directory.record_traffic(host::Channel::kAggregation, 100);
+  directory.record_traffic(host::Channel::kOverlay, 40);
+  const host::TrafficStats stats = directory.traffic();
+  EXPECT_EQ(stats.on(host::Channel::kAggregation).messages_sent, 1u);
+  EXPECT_EQ(stats.on(host::Channel::kAggregation).bytes_sent, 100u);
+  EXPECT_EQ(stats.on(host::Channel::kAggregation).messages_received, 1u);
+  EXPECT_EQ(stats.on(host::Channel::kOverlay).bytes_sent, 40u);
+}
+
+TEST(DirectoryTest, ConcurrentRecordsAllLand) {
+  Directory directory({1, 2});
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&directory] {
+      for (int i = 0; i < kPerThread; ++i) {
+        directory.record_traffic(host::Channel::kAggregation, 10);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const host::TrafficStats stats = directory.traffic();
+  EXPECT_EQ(stats.on(host::Channel::kAggregation).messages_sent,
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(stats.on(host::Channel::kAggregation).bytes_sent,
+            static_cast<std::uint64_t>(kThreads) * kPerThread * 10);
+}
+
+TEST(DirectoryTest, AddTrafficMergesPeerCounters) {
+  Directory directory({1, 2});
+  host::TrafficStats local;
+  local.on(host::Channel::kAggregation).add_send(64);
+  ++local.failed_contacts;
+  directory.add_traffic(local);
+  directory.add_traffic(local);
+  const host::TrafficStats stats = directory.traffic();
+  EXPECT_EQ(stats.on(host::Channel::kAggregation).bytes_sent, 128u);
+  EXPECT_EQ(stats.failed_contacts, 2u);
 }
 
 TEST(UdpPeerTest, Adam2ConvergesOverRealSockets) {

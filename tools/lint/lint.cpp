@@ -397,12 +397,14 @@ class Analyzer {
                       "take time from their engine (rounds / virtual time).");
         continue;
       }
-      if (t.text.size() > 6 && t.text.ends_with("_clock") &&
-          is_punct(i + 1, "::") && is_ident(i + 2, "now") && !clock_ok) {
+      // Any *_clock name, not only `*_clock::now()`: an alias
+      // (`using Clock = std::chrono::steady_clock;`) would hide the later
+      // `Clock::now()` from a token scanner.
+      if (t.text.size() > 6 && t.text.ends_with("_clock") && !clock_ok) {
         emit(t.line, "nondeterminism",
-             t.text + "::now() outside the wall-clock whitelist "
-                      "(src/runtime/, bench/, tests/); simulated components "
-                      "must not read real time.");
+             t.text + " outside the wall-clock whitelist (src/runtime/, "
+                      "bench/, tests/); simulated components must not read "
+                      "real time.");
       }
     }
   }
@@ -488,8 +490,8 @@ class Analyzer {
              "src/" + from + "/ (layer " + std::to_string(self->second) +
                  ") must not include \"" + inc.target + "\" (layer " +
                  std::to_string(target->second) +
-                 "): the DESIGN.md DAG is rng < stats < data/wire < core < "
-                 "host/obs < sim/runtime < baselines.");
+                 "): the DESIGN.md DAG is rng < stats < data/wire < host/obs "
+                 "< core < sim/runtime < baselines.");
       }
     }
   }

@@ -13,19 +13,24 @@
 // per file with `// adam2-lint: allow-file(<rule>)`):
 //
 //   nondeterminism  (R1)  std::random_device, rand()/srand(), time(),
-//                         clock_gettime/gettimeofday anywhere; *_clock::now()
-//                         outside the wall-clock whitelist (src/runtime/,
-//                         bench/, tests/). Protects: seeded replay.
+//                         clock_gettime/gettimeofday anywhere; any *_clock
+//                         name outside the wall-clock whitelist (src/runtime/,
+//                         bench/, tests/), so an alias (`using Clock =
+//                         std::chrono::steady_clock;`) is caught where it is
+//                         made, not only at `steady_clock::now()`. Protects:
+//                         seeded replay.
 //   rng-copy        (R2)  rng::Rng by-value parameters and copy-initialised
 //                         locals. A copied generator silently forks the
 //                         stream: both copies replay the same tail and the
 //                         original's draw positions shift. Owning members
 //                         and factory returns (`node_stream(id)`) are fine.
 //   layering        (R3)  #include edges must respect the DESIGN.md DAG
-//                         rng < stats < data/wire < core < host/obs <
+//                         rng < stats < data/wire < host/obs < core <
 //                         sim/runtime < baselines; tools/bench/tests/examples
-//                         sit on top. In particular src/obs/ may never
-//                         include sim/ or runtime/ — observability is
+//                         sit on top. The protocol (core/) implements the
+//                         substrate's agent contract (host/), so host/ and
+//                         obs/ never include core/, and src/obs/ never
+//                         includes sim/ or runtime/ — observability is
 //                         recorded *into*, it does not reach back into the
 //                         engines. Protects: substrate-agnostic agents.
 //   unordered-iter  (R4)  iteration (`for (x : m)`, `m.begin()`) over
@@ -82,16 +87,16 @@ struct Options {
   /// Layer rank per top-level src/ directory; an include may only point at a
   /// rank <= the includer's. Directories absent from the map (and files not
   /// under src/) rank as "top" and may include anything. obs/ sits beside
-  /// host/ (rank 4): engines above record into it, and it must never reach
-  /// back into sim/ or runtime/ — an obs/ file including either is a
-  /// layering violation.
+  /// host/ (rank 3), below the protocol (core/, rank 4) that implements
+  /// host's agent contract: engines above record into obs/, and it must
+  /// never reach up into core/, sim/ or runtime/.
   std::map<std::string, int> layers = {
       {"rng", 0},  {"stats", 1}, {"data", 2},    {"wire", 2},
-      {"core", 3}, {"host", 4},  {"obs", 4},     {"sim", 5},
+      {"host", 3}, {"obs", 3},   {"core", 4},    {"sim", 5},
       {"runtime", 5},            {"baselines", 6},
   };
 
-  /// Logical-path prefixes whose files may call *_clock::now() (wall-clock
+  /// Logical-path prefixes whose files may name a *_clock (wall-clock
   /// substrates and timing harnesses).
   std::vector<std::string> clock_whitelist = {"src/runtime/", "bench/",
                                               "tests/"};
