@@ -11,8 +11,10 @@
 //     handle_response between two live agents) must perform zero heap
 //     allocations, verified with a counting global operator new; so must a
 //     warmed Cyclon overlay maintenance pass over 2000 nodes.
+//   * The instance lifecycle (create, join, merge, expire) must not allocate
+//     once its high-water marks have been seen.
 //   * A freshly built Adam2Agent must cost at most 1 KB, sizeof included:
-//     an idle agent holds no encode buffer, point page or tombstones.
+//     an idle agent holds no encode buffer, instance slot or tombstones.
 //   * The zero-copy Adam2MessageView must materialize exactly what
 //     Adam2Message::decode produces for builder-encoded bytes.
 //
@@ -32,7 +34,6 @@
 #include <new>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common.hpp"
@@ -351,8 +352,8 @@ void accept_zero_alloc_maintain(int& failures) {
 
 /// The full instance lifecycle — initiator-side creation, joining off a
 /// parsed wire view, the merge sweep, and TTL expiry — must be
-/// allocation-free at steady state: slot rows, arena blocks, and the wire
-/// scratch are all recycled once their high-water marks have been seen.
+/// allocation-free at steady state: retired slots with their series, and
+/// the wire scratch, are reused once their high-water marks have been seen.
 /// (This extends the warmed-up-exchange check above, which never
 /// creates or expires an instance inside its window.)
 void accept_zero_alloc_lifecycle(int& failures) {
@@ -424,13 +425,11 @@ void accept_zero_alloc_lifecycle(int& failures) {
   bench::report_metric("lifecycle_steady_allocs", static_cast<double>(allocs));
   bench::report_metric("lifecycle_steady_iterations",
                        static_cast<double>(kSteadyIters));
-  bench::report_metric("lifecycle_heap_pages",
-                       static_cast<double>(initiator.arena().heap_pages()));
 }
 
 /// An idle agent holds only state it uses (DESIGN.md §7.5): the encode
-/// scratch is per thread, the arena takes its first page on first use, and
-/// tombstones and combine history allocate only once they hold something.
+/// scratch is per thread, and the instance store, tombstones and combine
+/// history allocate only once they hold something.
 /// What building one costs, sizeof included, is the per-node protocol
 /// overhead of every simulated node before any instance reaches it.
 void accept_agent_footprint(int& failures) {
@@ -450,195 +449,6 @@ void accept_agent_footprint(int& failures) {
   bench::report_metric("agent_idle_bytes", static_cast<double>(bytes));
   bench::report_metric("node_record_bytes",
                        static_cast<double>(sizeof(host::Node)));
-}
-
-// Shared driver for the store-vs-map comparison: one round of the agent's
-// per-exchange work over `Container` — encode every live instance in
-// insertion order, merge the parsed echo back in, look every id up, then
-// expire the oldest instance and start a fresh one. The two container
-// adapters below execute identical op sequences so the timing difference is
-// purely the memory layout.
-struct StoreAdapter {
-  core::InstanceStore store;
-
-  void start(wire::InstanceId id, const std::vector<double>& thresholds,
-             const std::vector<double>& verification,
-             const core::ContributionFn& fn) {
-    store.start(id, id.seq, 25, thresholds, verification, fn, 300.0, 300.0);
-  }
-  void encode(wire::Adam2MessageBuilder& builder) const {
-    for (const core::InstanceSlot& slot : store) builder.add(slot.ref());
-  }
-  void merge(const wire::InstancePayloadView& payload) {
-    core::InstanceSlot* slot = store.find(payload.id);
-    if (slot != nullptr && core::admissible(payload, 25, slot)) {
-      slot->merge(payload);
-    }
-  }
-  [[nodiscard]] double lookup_weight(wire::InstanceId id) const {
-    const core::InstanceSlot* slot = store.find(id);
-    return slot != nullptr ? slot->weight : 0.0;
-  }
-  void erase(wire::InstanceId id) { store.erase(id); }
-};
-
-/// The pre-arena agent layout, ingredient for ingredient:
-/// std::unordered_map of owning InstanceState plus an insertion-order id
-/// vector walked for every traversal.
-struct MapAdapter {
-  std::unordered_map<wire::InstanceId, core::InstanceState,
-                     wire::InstanceIdHash>
-      map;
-  std::vector<wire::InstanceId> order;
-
-  void start(wire::InstanceId id, const std::vector<double>& thresholds,
-             const std::vector<double>& verification,
-             const core::ContributionFn& fn) {
-    map.emplace(id, core::InstanceState::start(id, id.seq, 25, thresholds,
-                                               verification, fn, 300.0,
-                                               300.0));
-    order.push_back(id);
-  }
-  void encode(wire::Adam2MessageBuilder& builder) const {
-    for (const wire::InstanceId id : order) builder.add(map.find(id)->second);
-  }
-  void merge(const wire::InstancePayloadView& payload) {
-    auto it = map.find(payload.id);
-    if (it != map.end() && it->second.mergeable_with(payload)) {
-      it->second.average_with(payload);
-    }
-  }
-  [[nodiscard]] double lookup_weight(wire::InstanceId id) const {
-    auto it = map.find(id);
-    return it != map.end() ? it->second.weight : 0.0;
-  }
-  void erase(wire::InstanceId id) {
-    map.erase(id);
-    std::erase(order, id);
-  }
-};
-
-template <typename Container>
-class StoreWorkload {
- public:
-  StoreWorkload(std::size_t active, std::size_t lambda) : thresholds_(lambda) {
-    contribution_ = [](double t) { return 300.0 <= t ? 1.0 : 0.0; };
-    for (std::size_t i = 0; i < active; ++i) start_next();
-  }
-
-  /// One exchange-shaped round; returns a checksum of the lookups.
-  double round() {
-    wire::Adam2MessageBuilder builder(scratch_,
-                                      wire::MessageType::kAdam2Request, 1);
-    container_.encode(builder);
-    const auto view = wire::Adam2MessageView::parse(builder.finish());
-    for (const wire::InstancePayloadView& payload : view) {
-      container_.merge(payload);
-    }
-    double sum = 0.0;
-    for (int sweep = 0; sweep < 2; ++sweep) {
-      for (const wire::InstanceId id : live_) {
-        sum += container_.lookup_weight(id);
-      }
-    }
-    for (std::size_t i = 0; i < kChurnPerRound; ++i) {
-      container_.erase(live_.front());
-      live_.erase(live_.begin());
-      start_next();
-    }
-    return sum;
-  }
-
-  static constexpr std::size_t kChurnPerRound = 16;
-
-  [[nodiscard]] std::span<const std::byte> encoded() {
-    wire::Adam2MessageBuilder builder(scratch_,
-                                      wire::MessageType::kAdam2Request, 1);
-    container_.encode(builder);
-    return builder.finish();
-  }
-
- private:
-  void start_next() {
-    const wire::InstanceId id{1, seq_++};
-    // Distinct threshold sets per instance (same sequence on both sides).
-    for (std::size_t i = 0; i < thresholds_.size(); ++i) {
-      thresholds_[i] =
-          static_cast<double>(i) * 20.0 + static_cast<double>(id.seq % 7);
-    }
-    container_.start(id, thresholds_, verification_, contribution_);
-    live_.push_back(id);
-  }
-
-  Container container_;
-  std::vector<double> thresholds_;
-  std::vector<double> verification_{100.0, 300.0, 600.0, 900.0};
-  core::ContributionFn contribution_;
-  std::vector<wire::InstanceId> live_;
-  wire::Writer scratch_;
-  std::uint32_t seq_ = 0;
-};
-
-/// Store-level insert/lookup/merge/expire microbench at a paper-scale
-/// instance count: the arena-backed InstanceStore against the pre-arena
-/// unordered_map layout, running identical op sequences. 16k instances is
-/// the aggregate active-instance footprint a monolithic engine process
-/// sweeps per round at large N — per-agent maps scatter that footprint over
-/// individual heap nodes (which is what this baseline reproduces), while
-/// per-agent arenas keep it dense. The speedup is printed and recorded in
-/// the JSON report, with no target: one 15-round timing swings by more than
-/// the gap a target could name on a shared host. The bit-identity of the
-/// two layouts' final encoded states is what gates acceptance.
-void accept_store_speedup(int& failures) {
-  constexpr std::size_t kActive = 16384;
-  // The repo's canonical protocol config (protocol_test): lambda 12 plus 4
-  // verification points. The point arithmetic is identical in both layouts,
-  // so a very large lambda only dilutes the container difference under
-  // shared (unchanged) work.
-  constexpr std::size_t kLambda = 12;
-  constexpr int kRounds = 15;
-
-  using clock = std::chrono::steady_clock;
-  const auto time_once = [&](auto& workload) {
-    double sink = 0.0;
-    const auto begin = clock::now();
-    for (int i = 0; i < kRounds; ++i) sink += workload.round();
-    const std::chrono::duration<double> d = clock::now() - begin;
-    benchmark::DoNotOptimize(sink);
-    return d.count();
-  };
-
-  StoreWorkload<MapAdapter> map_workload(kActive, kLambda);
-  StoreWorkload<StoreAdapter> store_workload(kActive, kLambda);
-  // Interleaved best-of-3: frequency drift on shared runners then biases
-  // both layouts alike instead of whichever happened to run second.
-  double map_s = 1e300;
-  double store_s = 1e300;
-  (void)time_once(map_workload);    // Warm-up.
-  (void)time_once(store_workload);  // Warm-up.
-  for (int rep = 0; rep < 3; ++rep) {
-    map_s = std::min(map_s, time_once(map_workload));
-    store_s = std::min(store_s, time_once(store_workload));
-  }
-
-  // Both layouts ran the same schedule: their full encoded states must be
-  // byte-identical (merge arithmetic, iteration order, wire encode).
-  const auto map_bytes = map_workload.encoded();
-  std::vector<std::byte> map_copy(map_bytes.begin(), map_bytes.end());
-  const auto store_bytes = store_workload.encoded();
-  check(map_copy.size() == store_bytes.size() &&
-            std::equal(map_copy.begin(), map_copy.end(), store_bytes.begin()),
-        "instance store byte-identical to map baseline after workload",
-        failures);
-
-  const double speedup = store_s > 0.0 ? map_s / store_s : 0.0;
-  std::printf(
-      "  store: map %.6fs arena %.6fs speedup %.2fx (%zu instances, "
-      "lambda %zu)\n",
-      map_s, store_s, speedup, kActive, kLambda);
-  bench::report_metric("store_map_baseline_s", map_s);
-  bench::report_metric("store_arena_s", store_s);
-  bench::report_metric("store_speedup_merge_lookup", speedup);
 }
 
 /// The zero-copy view of builder-encoded bytes must materialize exactly what
@@ -671,7 +481,6 @@ int run_acceptance(const bench::BenchEnv& env) {
   accept_zero_alloc_lifecycle(failures);
   accept_zero_alloc_maintain(failures);
   accept_agent_footprint(failures);
-  accept_store_speedup(failures);
   accept_evaluator(env, failures);
   bench::report_metric("acceptance_failures", static_cast<double>(failures));
   return failures == 0 ? 0 : 1;

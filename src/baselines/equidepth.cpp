@@ -7,6 +7,16 @@
 #include "stats/summary.hpp"
 
 namespace adam2::baselines {
+namespace {
+
+/// The running phase `id` in `phases`, or phases.end().
+template <typename Phases>
+auto find_phase(Phases& phases, wire::InstanceId id) {
+  return std::find_if(phases.begin(), phases.end(),
+                      [id](const auto& phase) { return phase.id == id; });
+}
+
+}  // namespace
 
 EquiDepthAgent::EquiDepthAgent(EquiDepthConfig config) : config_(config) {
   assert(config_.bins >= 2);
@@ -20,21 +30,15 @@ bool EquiDepthAgent::eligible(const host::AgentContext& ctx,
 }
 
 void EquiDepthAgent::on_round_start(host::AgentContext& ctx) {
-  std::vector<wire::InstanceId> finished;
-  for (const wire::InstanceId id : active_order_) {
-    Phase& phase = active_.find(id)->second;
-    if (phase.ttl == 0) {
-      finished.push_back(id);
+  // A phase with ttl 0 finishes now; the others burn one round.
+  for (auto it = active_.begin(); it != active_.end();) {
+    if (it->ttl > 0) {
+      --it->ttl;
+      ++it;
       continue;
     }
-    --phase.ttl;
-  }
-  for (wire::InstanceId id : finished) {
-    auto it = active_.find(id);
-    Phase phase = std::move(it->second);
-    active_.erase(it);
-    std::erase(active_order_, id);
-    finalize(std::move(phase));
+    finalize(std::move(*it));
+    it = active_.erase(it);
   }
 
   if (config_.restart_every_r > 0.0) {
@@ -54,8 +58,7 @@ wire::InstanceId EquiDepthAgent::start_phase(host::AgentContext& ctx) {
   phase.ttl = config_.phase_ttl;
   phase.synopsis = {{static_cast<double>(ctx.attribute), 1.0}};
   const wire::InstanceId id = phase.id;
-  active_.emplace(id, std::move(phase));
-  active_order_.push_back(id);
+  active_.push_back(std::move(phase));
   return id;
 }
 
@@ -77,12 +80,10 @@ std::span<const std::byte> EquiDepthAgent::make_request(
   if (active_.empty()) return {};
   // One phase per message keeps the format simple; concurrent phases take
   // turns. (The paper's comparison runs one phase at a time.) The oldest
-  // active phase gossips: a deterministic pick, where *active_.begin() would
-  // let the hash table's bucket layout choose the wire content.
-  const Phase& phase = active_.find(active_order_.front())->second;
-  wire_scratch_ =
-      message_for(phase, wire::MessageType::kEquiDepthRequest, ctx.self)
-          .encode();
+  // active phase gossips.
+  wire_scratch_ = message_for(active_.front(),
+                              wire::MessageType::kEquiDepthRequest, ctx.self)
+                      .encode();
   return wire_scratch_;
 }
 
@@ -134,20 +135,19 @@ std::span<const std::byte> EquiDepthAgent::handle_request(
   }
   if (!eligible(ctx, incoming)) return {};
 
-  auto it = active_.find(incoming.phase);
+  const auto it = find_phase(active_, incoming.phase);
   if (it == active_.end()) {
     Phase joined = join_phase(ctx, incoming);
     auto reply = message_for(joined, wire::MessageType::kEquiDepthResponse,
                              ctx.self);
     merge(joined, incoming.synopsis);
-    active_.emplace(incoming.phase, std::move(joined));
-    active_order_.push_back(incoming.phase);
+    active_.push_back(std::move(joined));
     wire_scratch_ = reply.encode();
     return wire_scratch_;
   }
   auto reply =
-      message_for(it->second, wire::MessageType::kEquiDepthResponse, ctx.self);
-  merge(it->second, incoming.synopsis);
+      message_for(*it, wire::MessageType::kEquiDepthResponse, ctx.self);
+  merge(*it, incoming.synopsis);
   wire_scratch_ = reply.encode();
   return wire_scratch_;
 }
@@ -161,15 +161,14 @@ void EquiDepthAgent::handle_response(host::AgentContext& ctx,
     return;
   }
   if (!eligible(ctx, incoming)) return;
-  auto it = active_.find(incoming.phase);
+  const auto it = find_phase(active_, incoming.phase);
   if (it == active_.end()) {
     Phase joined = join_phase(ctx, incoming);
     merge(joined, incoming.synopsis);
-    active_.emplace(incoming.phase, std::move(joined));
-    active_order_.push_back(incoming.phase);
+    active_.push_back(std::move(joined));
     return;
   }
-  merge(it->second, incoming.synopsis);
+  merge(*it, incoming.synopsis);
 }
 
 void EquiDepthAgent::finalize(Phase&& phase) {
@@ -187,9 +186,9 @@ void EquiDepthAgent::finalize(Phase&& phase) {
 
 std::vector<stats::WeightedValue> EquiDepthAgent::phase_synopsis(
     wire::InstanceId id) const {
-  auto it = active_.find(id);
+  const auto it = find_phase(active_, id);
   return it == active_.end() ? std::vector<stats::WeightedValue>{}
-                             : it->second.synopsis;
+                             : it->synopsis;
 }
 
 std::vector<std::byte> EquiDepthAgent::make_bootstrap_request(

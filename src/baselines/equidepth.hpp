@@ -14,7 +14,7 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/tombstones.hpp"
 #include "host/agent.hpp"
@@ -90,11 +90,10 @@ class EquiDepthAgent final : public host::NodeAgent {
       const Phase& phase, wire::MessageType type, host::NodeId self) const;
 
   EquiDepthConfig config_;
-  std::unordered_map<wire::InstanceId, Phase, wire::InstanceIdHash> active_;
-  /// Join/start order of the keys in active_. Traversals (TTL pass, the
-  /// which-phase-gossips-now pick) walk this vector so gossip content never
-  /// depends on hash-bucket layout (adam2_lint rule `unordered-iter`).
-  std::vector<wire::InstanceId> active_order_;
+  /// Running phases in join/start order, found by a scan (a node runs a
+  /// few at once). Traversals (TTL pass, the which-phase-gossips-now pick)
+  /// walk this order, so gossip content is a function of protocol history.
+  std::vector<Phase> active_;
   std::optional<EquiDepthEstimate> estimate_;
   double n_estimate_ = 0.0;
   std::uint32_t next_seq_ = 0;

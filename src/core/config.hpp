@@ -70,9 +70,6 @@ struct Adam2Config {
   /// Np used before the first completed instance provides an estimate.
   double initial_n_estimate = 0.0;
 
-  /// Repair tiny gossip-noise inversions in the final interpolation.
-  bool enforce_monotone = true;
-
   /// Combine the interpolation points of the last k instances into the
   /// working estimate (§VII-D; 1 = use only the newest instance). Only
   /// useful while the attribute CDF is static or slowly changing.

@@ -28,20 +28,8 @@ std::vector<stats::CdfPoint> contribute_at(
 }
 
 using point_ops::average_points;
-using point_ops::same_thresholds;
 
 }  // namespace
-
-bool InstanceState::mergeable_with(const wire::InstancePayload& other) const {
-  return other.id == id && same_thresholds(points, other.points) &&
-         same_thresholds(verification, other.verification);
-}
-
-bool InstanceState::mergeable_with(
-    const wire::InstancePayloadView& other) const {
-  return other.id == id && same_thresholds(points, other.points) &&
-         same_thresholds(verification, other.verification);
-}
 
 InstanceState InstanceState::start(
     wire::InstanceId id, wire::Round round, std::uint16_t ttl,
@@ -76,15 +64,6 @@ InstanceState InstanceState::join(const wire::InstancePayload& payload,
 }
 
 void InstanceState::average_with(const wire::InstancePayload& other) {
-  assert(other.id == id);
-  average_points(points, other.points);
-  average_points(verification, other.verification);
-  weight = (weight + other.weight) / 2.0;
-  min_value = std::min(min_value, other.min_value);
-  max_value = std::max(max_value, other.max_value);
-}
-
-void InstanceState::average_with(const wire::InstancePayloadView& other) {
   assert(other.id == id);
   average_points(points, other.points);
   average_points(verification, other.verification);

@@ -46,24 +46,11 @@ struct InstanceState : wire::InstancePayload {
     return *this;
   }
 
-  /// Whether `other` can be merged into this state: same instance, same
-  /// number of interpolation and verification points, identical thresholds.
-  /// average_with REQUIRES this. A payload that parsed but fails the check —
-  /// in-flight corruption that survived framing, or a foreign restart of the
-  /// same id — must be dropped by the caller; merging it would read or write
-  /// out of bounds.
-  [[nodiscard]] bool mergeable_with(const wire::InstancePayload& other) const;
-  [[nodiscard]] bool mergeable_with(
-      const wire::InstancePayloadView& other) const;
-
   /// The symmetric merge of §IV: element-wise averaging of every f and the
   /// weight, min/max of the extremes. The payload must belong to the same
-  /// instance and carry identical thresholds (see mergeable_with).
+  /// instance and carry identical thresholds (point_ops::same_thresholds);
+  /// merging misaligned series would read or write out of bounds.
   void average_with(const wire::InstancePayload& other);
-
-  /// Same merge reading the peer's sequences directly off the wire buffer
-  /// (no materialised vectors — the exchange hot path).
-  void average_with(const wire::InstancePayloadView& other);
 
   /// Scratch mark used by Adam2Agent::handle_request to remember which
   /// active instances the current request mentioned, making the

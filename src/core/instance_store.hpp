@@ -1,52 +1,45 @@
-// Arena-backed container for a node's live aggregation instances.
+// A node's live aggregation instances: one vector of slots, live ones first.
 //
-// Replaces the map-of-vectors layout (a node-based hash map from InstanceId
-// to InstanceState plus a separate insertion-order vector) that made the
-// per-round merge loop chase pointers through three allocation tiers per
-// instance. The store keeps:
+// A node starts an instance with probability 1/(Np*R) per round and keeps
+// it for its TTL (§IV), so it holds about TTL/R instances at once — a
+// handful. The store is therefore one std::vector<InstanceSlot> whose first
+// size() slots are the live instances in join/start order:
 //
-//  * dense slot rows (`slots_`): one InstanceSlot per live instance — the
-//    full fixed header inline plus descriptors of its H/V point blocks;
-//    freed rows are recycled through a freelist;
-//  * a flat open-addressing index (`index_`): power-of-two bucket array of
-//    slot row numbers, linear probing, backward-shift deletion (no
-//    tombstones), keyed by InstanceId;
-//  * the iteration order (`order_`): slot row numbers in join/start order.
-//    Every traversal — TTL pass, wire emission, the unmentioned-instances
-//    reply pass — walks this, never the index: emitted payload order is a
-//    function of protocol history, not of any hash layout (adam2_lint rule
-//    `unordered-iter`);
-//  * a stats::PointArena holding every instance's H and V series in slab
-//    pages, recycled on expiry. An empty store holds no page: the arena
-//    takes its first one when the first instance starts or joins.
+//  * find() scans the live slots;
+//  * start(), join() and restore() take the first retired slot (the one
+//    just past the live ones), or append a new slot;
+//  * erase() rotates the erased slot just past the live ones. The other
+//    slots keep their order, and the retired slot keeps its series'
+//    capacity for the next instance;
+//  * iteration walks the live slots. Every traversal — TTL pass, wire
+//    emission, the unmentioned-instances reply pass — sees join/start
+//    order, so emitted payload order is a function of protocol history.
 //
 // Steady-state instance lifecycle (start / join / expire at a stable
 // lambda) therefore performs zero heap allocations once all high-water
-// marks have been seen (bench/micro_core pins this).
+// marks have been seen (bench/micro_core pins this), and the store's heap
+// follows the peak number of live instances, not the lifecycles seen.
 //
 // Reference validity (DESIGN.md §7.5): InstanceSlot& / InstanceSlot* and
-// iterators are invalidated by any start/join/erase — they may only be
-// held within one handling pass that does not mutate the set of
-// instances. The CdfPoint storage behind points()/verification() spans is
-// stable for the lifetime of the owning instance (arena blocks never
-// move), but is recycled at erase.
+// iterators are invalidated by any start/join/restore/erase/clear — they
+// may only be held within one handling pass that does not mutate the set
+// of instances. The CdfPoint storage behind points()/verification() spans
+// moves with its slot and so is stable for the lifetime of the owning
+// instance, but is reused once the slot retires.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/instance.hpp"
-#include "stats/point_arena.hpp"
 #include "wire/messages.hpp"
 
 namespace adam2::core {
 
-/// One live instance: the wire header inline, the point series in the
-/// store's arena. Field semantics are identical to InstanceState /
-/// wire::InstancePayload — this is the same state in a flat layout.
+/// One instance: the wire header inline and its own point series. Field
+/// semantics are identical to InstanceState / wire::InstancePayload.
 class InstanceSlot {
  public:
   wire::InstanceId id;
@@ -60,21 +53,19 @@ class InstanceSlot {
   std::uint64_t touched_epoch = 0;
 
   /// H: interpolation points, in the initiator's threshold order.
-  [[nodiscard]] std::span<stats::CdfPoint> points() {
-    return {points_.data, points_count_};
-  }
+  [[nodiscard]] std::span<stats::CdfPoint> points() { return points_; }
   [[nodiscard]] std::span<const stats::CdfPoint> points() const {
-    return {points_.data, points_count_};
+    return points_;
   }
   /// V: verification points.
   [[nodiscard]] std::span<stats::CdfPoint> verification() {
-    return {verification_.data, verification_count_};
+    return verification_;
   }
   [[nodiscard]] std::span<const stats::CdfPoint> verification() const {
-    return {verification_.data, verification_count_};
+    return verification_;
   }
 
-  /// Wire-encoding view of this slot (spans alias the arena storage).
+  /// Wire-encoding view of this slot (spans alias the slot's series).
   [[nodiscard]] wire::InstancePayloadRef ref() const {
     return {id,        start_round, ttl,      flags,         weight,
             min_value, max_value,   points(), verification()};
@@ -90,10 +81,8 @@ class InstanceSlot {
  private:
   friend class InstanceStore;
 
-  stats::PointArena::Block points_;
-  stats::PointArena::Block verification_;
-  std::uint32_t points_count_ = 0;
-  std::uint32_t verification_count_ = 0;
+  std::vector<stats::CdfPoint> points_;
+  std::vector<stats::CdfPoint> verification_;
 };
 
 /// The exchange's semantic admission gate (DESIGN.md §8.3): one walk over a
@@ -111,13 +100,11 @@ class InstanceSlot {
 
 class InstanceStore {
  public:
-  InstanceStore();
-  // The arena is not copyable: slots hold raw pointers into its pages.
-  InstanceStore(const InstanceStore&) = delete;
-  InstanceStore& operator=(const InstanceStore&) = delete;
+  using iterator = std::vector<InstanceSlot>::iterator;
+  using const_iterator = std::vector<InstanceSlot>::const_iterator;
 
-  [[nodiscard]] std::size_t size() const { return order_.size(); }
-  [[nodiscard]] bool empty() const { return order_.empty(); }
+  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
 
   /// The slot for `id`, or nullptr. Invalidated by any start/join/erase.
   [[nodiscard]] InstanceSlot* find(wire::InstanceId id);
@@ -139,9 +126,8 @@ class InstanceStore {
                      const ContributionFn& contribution, double local_min,
                      double local_max);
 
-  /// Removes `id` (which must be present), recycling its slot row and point
-  /// blocks. O(size) for the order-vector erase — identical to the old
-  /// std::erase(active_order_, id).
+  /// Removes `id`, which must be present. O(size): the later live slots
+  /// move up one place.
   void erase(wire::InstanceId id);
 
   /// Checkpoint restore (host::snapshot, DESIGN.md §12): re-creates an
@@ -157,80 +143,26 @@ class InstanceStore {
                         std::span<const stats::CdfPoint> points,
                         std::span<const stats::CdfPoint> verification);
 
-  /// Removes every instance, recycling all slot rows and point blocks.
-  void clear();
+  /// Retires every instance; the slots keep their capacity.
+  void clear() { live_ = 0; }
 
-  // Insertion-order iteration (join/start order), yielding InstanceSlot&.
-  template <bool Const>
-  class basic_iterator {
-   public:
-    using StoreT = std::conditional_t<Const, const InstanceStore, InstanceStore>;
-    using SlotT = std::conditional_t<Const, const InstanceSlot, InstanceSlot>;
-    using value_type = InstanceSlot;
-    using difference_type = std::ptrdiff_t;
-
-    basic_iterator() = default;
-    basic_iterator(StoreT* store, std::size_t pos) : store_(store), pos_(pos) {}
-
-    [[nodiscard]] SlotT& operator*() const {
-      return store_->slots_[store_->order_[pos_]];
-    }
-    [[nodiscard]] SlotT* operator->() const { return &**this; }
-    basic_iterator& operator++() {
-      ++pos_;
-      return *this;
-    }
-    basic_iterator operator++(int) {
-      basic_iterator old = *this;
-      ++pos_;
-      return old;
-    }
-    friend bool operator==(const basic_iterator& a, const basic_iterator& b) {
-      return a.pos_ == b.pos_;
-    }
-
-   private:
-    StoreT* store_ = nullptr;
-    std::size_t pos_ = 0;
-  };
-  using iterator = basic_iterator<false>;
-  using const_iterator = basic_iterator<true>;
-
-  [[nodiscard]] iterator begin() { return {this, 0}; }
-  [[nodiscard]] iterator end() { return {this, order_.size()}; }
-  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
-  [[nodiscard]] const_iterator end() const { return {this, order_.size()}; }
-
-  // -- Introspection (tests, benches) ---------------------------------------
-
-  /// The backing arena (heap-page / freelist counters).
-  [[nodiscard]] const stats::PointArena& arena() const { return arena_; }
-  /// Slot rows ever materialised (live + freelisted). Differential tests
-  /// pin this to stop growing under steady churn.
-  [[nodiscard]] std::size_t slot_rows() const { return slots_.size(); }
+  /// Join/start-order iteration over the live slots.
+  [[nodiscard]] iterator begin() { return slots_.begin(); }
+  [[nodiscard]] iterator end() { return begin() + live_end(); }
+  [[nodiscard]] const_iterator begin() const { return slots_.begin(); }
+  [[nodiscard]] const_iterator end() const { return begin() + live_end(); }
 
  private:
-  static constexpr std::uint32_t kNpos = 0xffffffffu;
-  static constexpr std::size_t kInitialBuckets = 16;
-
-  [[nodiscard]] std::size_t bucket_of(wire::InstanceId id) const {
-    return wire::InstanceIdHash{}(id) & mask_;
+  [[nodiscard]] std::ptrdiff_t live_end() const {
+    return static_cast<std::ptrdiff_t>(live_);
   }
-  /// Claims a slot row for `id` (freelist first), indexes it, appends it to
-  /// the iteration order.
-  InstanceSlot& emplace_row(wire::InstanceId id);
-  void insert_index(std::uint32_t row);
-  void rehash(std::size_t buckets);
-  /// Backward-shift deletion at `hole`: keeps every remaining element
-  /// reachable from its home bucket without tombstones.
-  void erase_bucket(std::size_t hole);
+  /// The first retired slot (appended if there is none), made live for
+  /// `id` with flags and touched_epoch zeroed; the caller sets the rest.
+  InstanceSlot& claim(wire::InstanceId id);
 
-  stats::PointArena arena_;
+  /// Live slots first, in join/start order, then the retired ones.
   std::vector<InstanceSlot> slots_;
-  std::vector<std::uint32_t> free_rows_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> index_;
-  std::size_t mask_ = 0;
+  std::size_t live_ = 0;
 };
 
 }  // namespace adam2::core

@@ -1,6 +1,6 @@
 // Element-wise operations on CdfPoint sequences for the owning
-// InstanceState (cold paths, tests, and the reference model that the
-// arena-backed InstanceSlot's admissible()/merge are fuzzed against).
+// InstanceState (cold paths, tests, and the reference model that
+// InstanceSlot's admissible()/merge are fuzzed against).
 //
 // `Range` is anything yielding stats::CdfPoint by value on iteration — an
 // owned vector, a std::span, or the zero-copy wire::PointsView straight off
@@ -15,9 +15,9 @@
 
 namespace adam2::core::point_ops {
 
-/// Same element count and bitwise-identical thresholds (the
-/// `mergeable_with` precondition: averaging misaligned sequences would be
-/// meaningless and, with mismatched counts, out of bounds).
+/// Same element count and bitwise-identical thresholds (average_points'
+/// precondition: averaging misaligned sequences would be meaningless and,
+/// with mismatched counts, out of bounds).
 template <typename Range>
 [[nodiscard]] bool same_thresholds(std::span<const stats::CdfPoint> mine,
                                    const Range& theirs) {

@@ -162,8 +162,10 @@ std::span<const std::byte> Adam2Agent::handle_request(
   // The reply is encoded into the thread's reply scratch while the request
   // is iterated in place; the two must not alias (they never do: the
   // request lives in a request scratch or in a substrate-owned envelope).
+  // An empty request holds no bytes to alias, and its data() may be null
+  // like that of a thread's still-empty scratch.
   wire::Writer& scratch = exchange_scratch().reply;
-  assert(request.data() != scratch.view().data());
+  assert(request.empty() || request.data() != scratch.view().data());
 
   std::optional<wire::Adam2MessageView> parsed;
   try {
@@ -276,9 +278,10 @@ void Adam2Agent::finalize(wire::InstanceId id) {
 
   finalize_points(points, verification);
   result.points = points;
+  // make_monotone() repairs tiny gossip-noise inversions.
   result.cdf = stats::interpolate_with_extremes(points, result.min_value,
-                                                result.max_value);
-  if (config_.enforce_monotone) result.cdf = result.cdf.make_monotone();
+                                                result.max_value)
+                   .make_monotone();
   if (weight > 1e-12) {
     result.n_estimate = 1.0 / weight;
     n_estimate_ = result.n_estimate;

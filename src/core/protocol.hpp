@@ -120,11 +120,10 @@ class Adam2Agent : public host::NodeAgent {
 
   Adam2Config config_;
   std::size_t lambda_;  ///< Live lambda (config_.lambda + adaptive tuning).
-  /// Live instances in a flat, arena-backed layout (DESIGN.md §7.5). The
-  /// store preserves join/start iteration order: every traversal (TTL pass,
-  /// wire emission, the unmentioned-instances reply pass) walks that order,
-  /// never a hash layout — emitted payload order is part of the replay
-  /// contract (adam2_lint rules `unordered-iter`, `hot-path-container`).
+  /// Live instances, one vector of slots in join/start order (DESIGN.md
+  /// §7.5). Every traversal (TTL pass, wire emission, the
+  /// unmentioned-instances reply pass) walks that order: emitted payload
+  /// order is part of the replay contract.
   InstanceStore store_;
   std::optional<Estimate> estimate_;
   /// Raw per-instance estimates kept for point combining (§VII-D), oldest

@@ -14,7 +14,7 @@ constexpr std::array<double, 9> kByteBounds = {64,   128,  256,  512,  1024,
 }  // namespace
 
 Recorder::Recorder(RecorderConfig config)
-    : config_(config), trace_(config.trace_capacity) {
+    : config_(config) {
   using host::Channel;
   for (std::size_t c = 0; c < host::kChannelCount; ++c) {
     const std::string prefix =

@@ -38,7 +38,6 @@
 namespace adam2::obs {
 
 struct RecorderConfig {
-  std::size_t trace_capacity = TraceRing::kDefaultCapacity;
   /// Record a kExchange trace event per initiated exchange. Metrics are
   /// always updated; turning this off keeps long runs inside the ring.
   bool trace_exchanges = true;

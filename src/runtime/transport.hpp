@@ -16,7 +16,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "host/types.hpp"
@@ -94,7 +93,8 @@ class Mailbox {
 class Network {
  public:
   /// Registers `mailbox` as the endpoint for `id`. The mailbox must outlive
-  /// every later send.
+  /// every later send. Ids index a vector, so they should be dense, as a
+  /// Cluster's 0..N-1 are.
   void attach(host::NodeId id, Mailbox* mailbox);
 
   /// Routes an envelope; returns false (and drops it) when the destination
@@ -107,7 +107,8 @@ class Network {
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<host::NodeId, Mailbox*> endpoints_;
+  /// Indexed by node id; null where no mailbox is attached.
+  std::vector<Mailbox*> endpoints_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;

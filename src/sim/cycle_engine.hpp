@@ -99,10 +99,6 @@ class CycleEngine final : public Population {
   [[nodiscard]] host::Round round() const override { return round_; }
 
   // -- Experiment control (the rest is Population's) ----------------------
-  [[nodiscard]] host::Node& mutable_node(host::NodeId id) {
-    return table_.at(id);
-  }
-
   /// Updates a node's attribute (dynamic-attribute scenarios, §VII-F).
   void set_attribute(host::NodeId id, stats::Value value) {
     table_.set_attribute(id, value);

@@ -51,22 +51,6 @@ struct InstanceId {
   friend auto operator<=>(const InstanceId&, const InstanceId&) = default;
 };
 
-struct InstanceIdHash {
-  [[nodiscard]] std::size_t operator()(const InstanceId& id) const noexcept {
-    // splitmix64 finalizer: libstdc++'s std::hash<uint64_t> is the identity,
-    // so without the avalanche rounds sequential seqs from one initiator map
-    // to consecutive buckets — which turns open-addressing tables into one
-    // dense probe cluster (every miss/erase scans the whole run).
-    std::uint64_t x = id.initiator * 0x9e3779b97f4a7c15ULL + id.seq;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-};
-
 /// Payload flag bits.
 inline constexpr std::uint8_t kFlagEmptySet = 0x01;  ///< Paper-literal join marker.
 

@@ -31,15 +31,11 @@ EXPECTED = {
     "exchange_steady_iterations": "exact",
     "final_state_digest_hi": "exact",
     "final_state_digest_lo": "exact",
-    "lifecycle_heap_pages": "exact",
     "lifecycle_steady_allocs": "exact",
     "lifecycle_steady_iterations": "exact",
     "maintain_steady_allocs": "exact",
     "node_record_bytes": "exact",
     "peak_rss_mb": "timing",
-    "store_arena_s": "timing",
-    "store_map_baseline_s": "timing",
-    "store_speedup_merge_lookup": "timing",
     "total_bytes_sent": "exact",
 }
 

@@ -1,35 +1,41 @@
 // core::InstanceStore correctness suite.
 //
-// Two layers of protection for the arena-backed instance-state migration:
+// Three layers of protection for the store of a node's live instances:
 //
 //  1. Pinned protocol digests. Seeded Adam2 runs (serial, sharded x8, with
 //     and without a fault plan, plus a multi-value population) fold every
 //     observable bit of protocol state — live membership, the agents' gossip
 //     request bytes, completed estimates, traffic counters — into an FNV-1a
-//     digest pinned to constants. The flat store reproduced the
-//     map-of-vectors layout's digests exactly (the layout change is an
-//     optimisation, not a protocol change); they have moved only in the
-//     documented re-captures of DESIGN.md §9.3.
+//     digest pinned to constants. A change of the store's layout is not a
+//     protocol change and must leave them as they are; they have moved only
+//     in the documented re-captures of DESIGN.md §9.3.
 //
 //  2. Differential fuzz. Seeded random op sequences (start / join / merge /
-//     expire / lookup) driven in lockstep against a reference model built
-//     from the old layout's ingredients (std::unordered_map + insertion-order
-//     vector of owning InstanceState). Iteration order, header fields, point
-//     values, and the encoded wire bytes must match after every step; arena
-//     pages and slot storage must stop growing once the working set has been
-//     seen (freelist reuse).
+//     expire / lookup / restore) driven in lockstep against a reference
+//     model: a std::map of owning InstanceState plus an insertion-order
+//     vector. Iteration order, header fields, point values, and the encoded
+//     wire bytes must match after every step.
+//
+//  3. Heap accounting. This binary replaces the global operator new and
+//     delete, so the tests can count what the store's own calls allocate:
+//     its live heap must follow the peak working set, and a fixed-lambda
+//     lifecycle must stop allocating once that set has been seen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <map>
 #include <memory>
-#include <unordered_map>
+#include <new>
 #include <vector>
 
 #include "core/instance_store.hpp"
 #include "rng/rng.hpp"
-#include "stats/point_arena.hpp"
 
 #include "core/multi.hpp"
 #include "core/protocol.hpp"
@@ -39,8 +45,67 @@
 #include "sim/cyclon.hpp"
 #include "wire/messages.hpp"
 
+// -- Heap accounting ----------------------------------------------------------
+// While g_counting is on, every allocation is counted and its size added to
+// g_live_bytes, and every release subtracts its size again; a header in
+// front of each block keeps the size for the release. count_heap() switches
+// counting on around single store calls, so gtest and the test's own
+// containers stay out of the figures. The aligned forms keep their default
+// definitions, which neither call nor are called by these.
+//
+// GCC flags free() inside the replaced operator delete as mismatched with the
+// (also replaced, malloc-backed) operator new at inlined call sites; the pair
+// is consistent by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+namespace {
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  auto* block = static_cast<std::byte*>(std::malloc(kHeader + size));
+  if (block == nullptr) throw std::bad_alloc();
+  std::memcpy(block, &size, sizeof size);
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                           std::memory_order_relaxed);
+  }
+  return block + kHeader;
+}
+
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  std::byte* block = static_cast<std::byte*>(p) - kHeader;
+  if (g_counting.load(std::memory_order_relaxed)) {
+    std::size_t size = 0;
+    std::memcpy(&size, block, sizeof size);
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(size),
+                           std::memory_order_relaxed);
+  }
+  std::free(block);
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+
 namespace adam2::core {
 namespace {
+
+/// Runs `call` (one store call) with heap accounting on.
+template <typename Call>
+void count_heap(Call&& call) {
+  g_counting.store(true, std::memory_order_relaxed);
+  call();
+  g_counting.store(false, std::memory_order_relaxed);
+}
 
 // -- Digest helpers ----------------------------------------------------------
 
@@ -246,111 +311,16 @@ TEST(InstanceStoreGolden, MultiValueRunMatchesPinnedDigest) {
             kMultiValueGolden);
 }
 
-// -- PointArena unit tests ---------------------------------------------------
-
-TEST(PointArenaTest, RoundsRequestsUpToPowerOfTwoClasses) {
-  EXPECT_EQ(stats::PointArena::class_of(1), 8u);
-  EXPECT_EQ(stats::PointArena::class_of(8), 8u);
-  EXPECT_EQ(stats::PointArena::class_of(9), 16u);
-  EXPECT_EQ(stats::PointArena::class_of(50), 64u);
-  EXPECT_EQ(stats::PointArena::class_of(64), 64u);
-  EXPECT_EQ(stats::PointArena::class_of(65), 128u);
-}
-
-TEST(PointArenaTest, IdleArenaHoldsNoPage) {
-  const stats::PointArena arena;
-  EXPECT_EQ(arena.reserved_points(), 0u);
-  EXPECT_EQ(arena.heap_pages(), 0u);
-  EXPECT_EQ(arena.free_blocks(), 0u);
-}
-
-TEST(PointArenaTest, FirstPageHoldsOneDefaultLambdaSeries) {
-  stats::PointArena arena;
-  // One series at the paper's lambda = 50 (class 64) fills the first page.
-  const auto h = arena.allocate(50);
-  EXPECT_NE(h.data, nullptr);
-  EXPECT_EQ(arena.heap_pages(), 1u);
-  EXPECT_EQ(arena.reserved_points(), 64u);
-  // The next page doubles.
-  const auto v = arena.allocate(4);
-  EXPECT_NE(v.data, nullptr);
-  EXPECT_EQ(arena.heap_pages(), 2u);
-  EXPECT_EQ(arena.reserved_points(), 64u + 128u);
-}
-
-TEST(PointArenaTest, FreedBlocksOfOneClassComeBackLastInFirstOut) {
-  stats::PointArena arena;
-  std::vector<stats::PointArena::Block> blocks;
-  for (int i = 0; i < 5; ++i) blocks.push_back(arena.allocate(20));  // 32.
-  const std::size_t reserved = arena.reserved_points();
-  for (const auto& b : blocks) arena.release(b.data, b.capacity);
-  EXPECT_EQ(arena.free_blocks(), 5u);
-  for (int i = 4; i >= 0; --i) {
-    const auto b = arena.allocate(17);
-    EXPECT_EQ(b.data, blocks[static_cast<std::size_t>(i)].data) << i;
-    EXPECT_EQ(b.capacity, 32u);
-  }
-  EXPECT_EQ(arena.free_blocks(), 0u);
-  EXPECT_EQ(arena.reserved_points(), reserved);
-}
-
-TEST(PointArenaTest, OversizedRequestGetsAPageOfItsOwnClass) {
-  stats::PointArena arena;
-  const auto big = arena.allocate(3000);  // Class 4096 > any page size.
-  EXPECT_EQ(big.capacity, 4096u);
-  EXPECT_EQ(arena.heap_pages(), 1u);
-  EXPECT_EQ(arena.reserved_points(), 4096u);
-}
-
-TEST(PointArenaTest, EmptyRequestIsTheNullBlock) {
-  stats::PointArena arena;
-  const auto b = arena.allocate(0);
-  EXPECT_EQ(b.data, nullptr);
-  EXPECT_EQ(b.capacity, 0u);
-  arena.release(b.data, b.capacity);  // No-op, must not crash.
-}
-
-TEST(PointArenaTest, ReleasedBlocksAreRecycledExactly) {
-  stats::PointArena arena;
-  const auto a = arena.allocate(50);
-  arena.release(a.data, a.capacity);
-  EXPECT_EQ(arena.free_blocks(), 1u);
-  const auto b = arena.allocate(33);  // Same class (64) -> same block back.
-  EXPECT_EQ(b.data, a.data);
-  EXPECT_EQ(arena.free_blocks(), 0u);
-}
-
-TEST(PointArenaTest, SteadyChurnStopsReservingAfterWarmup) {
-  // Deterministic FIFO churn over a fixed class profile: once one full
-  // working set has been seen, every further lifecycle is freelist reuse.
-  static constexpr std::size_t kCounts[] = {5, 12, 33, 64};
-  stats::PointArena arena;
-  std::vector<stats::PointArena::Block> live;
-  std::size_t warm_reserved = 0;
-  for (int round = 0; round < 1000; ++round) {
-    live.push_back(arena.allocate(kCounts[round % 4]));
-    if (live.size() > 32) {
-      arena.release(live.front().data, live.front().capacity);
-      live.erase(live.begin());
-    }
-    if (round == 200) warm_reserved = arena.reserved_points();
-    if (round > 200) {
-      EXPECT_EQ(arena.reserved_points(), warm_reserved);
-    }
-  }
-}
-
 // -- Differential fuzz: InstanceStore vs reference model ---------------------
 //
-// The reference model is built from the old layout's exact ingredients: an
-// unordered_map of owning InstanceState plus an insertion-order id vector.
-// Both sides execute the same seeded op sequence; after every round the
-// full observable state must match — membership, iteration order, header
-// fields, every point value bit for bit, and the encoded wire bytes of a
-// message carrying all live instances.
+// The reference model is a map of owning InstanceState plus an
+// insertion-order id vector. Both sides execute the same seeded op
+// sequence; after every round the full observable state must match —
+// membership, iteration order, header fields, every point value bit for
+// bit, and the encoded wire bytes of a message carrying all live instances.
 
 struct ReferenceStore {
-  std::unordered_map<wire::InstanceId, InstanceState, wire::InstanceIdHash> map;
+  std::map<wire::InstanceId, InstanceState> map;
   std::vector<wire::InstanceId> order;
 };
 
@@ -455,6 +425,8 @@ void run_fuzz(std::uint64_t seed) {
   ReferenceStore ref;
   rng::Rng rng(seed);
   std::uint32_t next_seq = 0;
+  const ContributionFn contribution = fuzz_contribution;
+  const std::int64_t heap_before = g_live_bytes.load();
 
   for (int round = 0; round < 900; ++round) {
     // Creation ops only while empty (0 = start, 1 = join, 5 = checkpoint
@@ -472,8 +444,10 @@ void run_fuzz(std::uint64_t seed) {
         if (rng.below(2) == 0) verification = {100.0, 300.0, 600.0, 900.0};
         const auto round_no = static_cast<std::uint32_t>(rng.below(100));
         const auto ttl = static_cast<std::uint16_t>(1 + rng.below(25));
-        store.start(id, round_no, ttl, thresholds, verification,
-                    fuzz_contribution, kFuzzAttribute, kFuzzAttribute);
+        count_heap([&] {
+          store.start(id, round_no, ttl, thresholds, verification,
+                      contribution, kFuzzAttribute, kFuzzAttribute);
+        });
         ref.map.emplace(id, InstanceState::start(id, round_no, ttl, thresholds,
                                                  verification,
                                                  fuzz_contribution,
@@ -486,7 +460,9 @@ void run_fuzz(std::uint64_t seed) {
         const wire::InstanceId id{2 + rng.below(8), next_seq++};
         const wire::InstancePayload payload = random_payload(rng, id);
         with_view(payload, [&](const wire::InstancePayloadView& view) {
-          store.join(view, fuzz_contribution, kFuzzAttribute, kFuzzAttribute);
+          count_heap([&] {
+            store.join(view, contribution, kFuzzAttribute, kFuzzAttribute);
+          });
         });
         ref.map.emplace(id, InstanceState::join(payload, fuzz_contribution,
                                                 kFuzzAttribute,
@@ -509,7 +485,7 @@ void run_fuzz(std::uint64_t seed) {
       }
       case 3: {  // Expiry.
         const wire::InstanceId id = ref.order[rng.below(ref.order.size())];
-        store.erase(id);
+        count_heap([&] { store.erase(id); });
         ref.map.erase(id);
         std::erase(ref.order, id);
         break;
@@ -534,9 +510,12 @@ void run_fuzz(std::uint64_t seed) {
           }
         }
         state.touched_epoch = rng.below(1000);
-        store.restore(state.id, state.start_round, state.ttl, state.flags,
-                      state.weight, state.min_value, state.max_value,
-                      state.touched_epoch, state.points, state.verification);
+        count_heap([&] {
+          store.restore(state.id, state.start_round, state.ttl, state.flags,
+                        state.weight, state.min_value, state.max_value,
+                        state.touched_epoch, state.points,
+                        state.verification);
+        });
         ref.map.emplace(id, state);
         ref.order.push_back(id);
         break;
@@ -551,14 +530,16 @@ void run_fuzz(std::uint64_t seed) {
     }
     expect_equivalent(store, ref);
 
-    // The live set is capped at 48 instances of at most (class 64 + class
-    // 8) points each, so slot rows and arena reservations must stay within
-    // the bound the recycling design implies — however the random op mix
-    // interleaves classes, memory use is a function of the peak working
-    // set, never of the number of lifecycles.
-    EXPECT_LE(store.slot_rows(), 49u);
-    EXPECT_LE(store.arena().reserved_points(),
-              49 * (64 + 8) + 2 * stats::PointArena::kPageCapacity);
+    // The live set is capped at 48 instances of at most 50 H and 4 V
+    // points each, and a series is sized to its points, so the store's heap
+    // must stay within 49 such slots (in a slot vector grown by doubling)
+    // — however the random op mix interleaves sizes, memory use is a
+    // function of the peak working set, never of the number of lifecycles.
+    constexpr std::size_t kSlots = 49;
+    EXPECT_LE(g_live_bytes.load() - heap_before,
+              static_cast<std::int64_t>(
+                  std::bit_ceil(kSlots) * sizeof(InstanceSlot) +
+                  kSlots * (50 + 4) * sizeof(stats::CdfPoint)));
   }
 }
 
@@ -568,38 +549,31 @@ TEST(InstanceStoreFuzz, MatchesReferenceModelSeedC) { run_fuzz(42); }
 
 TEST(InstanceStoreTest, FixedLambdaLifecycleReachesExactSteadyState) {
   // The production shape: instances at one lambda, FIFO expiry (TTL). After
-  // the first full working set, every counter the allocator owns must be
-  // exactly constant — creation, join, and expiry recycle rows and blocks.
+  // the first full working set, creation and expiry reuse retired slots and
+  // their series: the store allocates nothing more.
   InstanceStore store;
   std::vector<double> thresholds(50);
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     thresholds[i] = static_cast<double>(i) * 20.0;
   }
   const std::vector<double> verification{100.0, 300.0, 600.0, 900.0};
+  const ContributionFn contribution = fuzz_contribution;
   std::vector<wire::InstanceId> live;
-  std::size_t warm_rows = 0;
-  std::size_t warm_pages = 0;
-  std::size_t warm_reserved = 0;
+  std::uint64_t warm_allocations = 0;
   for (std::uint32_t round = 0; round < 500; ++round) {
     const wire::InstanceId id{1, round};
-    store.start(id, round, 25, thresholds, verification, fuzz_contribution,
-                kFuzzAttribute, kFuzzAttribute);
+    count_heap([&] {
+      store.start(id, round, 25, thresholds, verification, contribution,
+                  kFuzzAttribute, kFuzzAttribute);
+    });
     live.push_back(id);
     if (live.size() > 25) {
-      store.erase(live.front());
+      count_heap([&] { store.erase(live.front()); });
       live.erase(live.begin());
     }
-    if (round == 100) {
-      warm_rows = store.slot_rows();
-      warm_pages = store.arena().heap_pages();
-      warm_reserved = store.arena().reserved_points();
-    }
-    if (round > 100) {
-      EXPECT_EQ(store.slot_rows(), warm_rows);
-      EXPECT_EQ(store.arena().heap_pages(), warm_pages);
-      EXPECT_EQ(store.arena().reserved_points(), warm_reserved);
-    }
+    if (round == 100) warm_allocations = g_allocations.load();
   }
+  EXPECT_EQ(g_allocations.load() - warm_allocations, 0u);
 }
 
 TEST(InstanceStoreTest, EmptySetMarkersEncodeIdenticallyFromSlotAndPayload) {

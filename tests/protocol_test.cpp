@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -609,12 +610,12 @@ TEST(EvaluationTest, ObservationDoesNotPerturbTheProtocol) {
 // ------------------------------------------------- wire payload ordering
 
 TEST(ProtocolTest, RequestPayloadsFollowJoinOrderNotBucketOrder) {
-  // Regression for the adam2_lint `unordered-iter` fix: active instances are
-  // keyed by an unordered_map, but the wire payload sequence must be a
-  // function of protocol history (join/start order), never of the hash
-  // table's bucket layout. One node joins instances started by many distinct
-  // initiators — whose InstanceIdHash values scatter across buckets — and
-  // its own gossip request must still list them in exact arrival order.
+  // Regression for the adam2_lint `unordered-iter` fix: the wire payload
+  // sequence must be a function of protocol history (join/start order),
+  // never of how the store lays out or looks up its instances. One node
+  // joins instances started by many distinct initiators, in an order that
+  // follows neither their ids nor any sort of them, and its own gossip
+  // request must still list them in exact arrival order.
   SystemConfig config = small_system();
   config.protocol.instance_ttl = 50;
   Adam2System system(config, iota_values(32));
@@ -765,6 +766,21 @@ TEST(ProtocolScratchTest, ReplyDoesNotOverwriteTheRequestItAnswers) {
   const bool disjoint = reply.data() + reply.size() <= request.data() ||
                         request.data() + request.size() <= reply.data();
   EXPECT_TRUE(disjoint);
+}
+
+TEST(ProtocolTest, EmptyRequestOnAFreshThreadGetsAnEmptyReply) {
+  // A corrupted frame can be cut to no bytes, and a thread that has never
+  // replied holds an empty reply scratch: both data() pointers may then be
+  // null, which is not aliasing. The undecodable request is dropped.
+  Adam2System system(small_system(), iota_values(16));
+  auto ctx = system.engine().context_for(0);
+  auto& agent = system.agent_of(0);
+  (void)agent.start_instance(ctx);
+  bool replied = true;
+  std::thread fresh(
+      [&] { replied = !agent.handle_request(ctx, {}).empty(); });
+  fresh.join();
+  EXPECT_FALSE(replied);
 }
 
 TEST(ProtocolTombstoneTest, FinalisedInstanceStaysRefusedFor128Instances) {

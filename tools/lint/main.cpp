@@ -1,5 +1,5 @@
 // adam2_lint CLI: lints the given files/directories (default: src tools bench
-// tests, resolved against the current directory) and prints one
+// tests examples, resolved against the current directory) and prints one
 // `file:line: [rule] message` diagnostic per violation. Exits 1 when any
 // diagnostic is emitted, 2 on usage errors — so CI can simply run it.
 #include <filesystem>
@@ -15,8 +15,8 @@ namespace {
 void usage(std::ostream& out) {
   out << "usage: adam2_lint [--rule <name>]... [--quiet] [path...]\n"
          "  Lints the adam2 tree against the DESIGN.md section 10 invariants.\n"
-         "  Default paths: src tools bench tests (under the current "
-         "directory).\n"
+         "  Default paths: src tools bench tests examples (under the "
+         "current directory).\n"
          "  --rule <name>  enable only the named rule(s); repeatable. Rules:\n";
   for (const std::string& rule : adam2::lint::rule_names()) {
     out << "                   " << rule << "\n";
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   }
   if (!selected.empty()) options.rules = std::move(selected);
   if (roots.empty()) {
-    for (const char* dir : {"src", "tools", "bench", "tests"}) {
+    for (const char* dir : {"src", "tools", "bench", "tests", "examples"}) {
       if (std::filesystem::exists(dir)) roots.emplace_back(dir);
     }
     if (roots.empty()) {
