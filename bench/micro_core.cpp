@@ -10,7 +10,8 @@
 //   * A steady-state Adam2 gossip exchange (make_request -> handle_request ->
 //     handle_response between two live agents) must perform zero heap
 //     allocations, verified with a counting global operator new; so must a
-//     warmed Cyclon overlay maintenance pass over 2000 nodes.
+//     warmed Cyclon overlay maintenance pass over 2000 nodes, inline and on
+//     a 4-worker pool.
 //   * The instance lifecycle (create, join, merge, expire) must not allocate
 //     once its high-water marks have been seen.
 //   * A freshly built Adam2Agent must cost at most 1 KB, sizeof included:
@@ -45,6 +46,7 @@
 #include "host/agent.hpp"
 #include "host/node.hpp"
 #include "host/overlay.hpp"
+#include "host/pool.hpp"
 #include "host/view.hpp"
 #include "sim/cyclon.hpp"
 #include "stats/error_metrics.hpp"
@@ -323,31 +325,45 @@ void accept_zero_alloc_exchange(int& failures) {
       static_cast<double>(a.active_instance_count()));
 }
 
-/// Warmed Cyclon maintenance must not allocate: views are pooled
-/// fixed-stride blocks with ring value caches, and the walk order and the
-/// shuffle messages are reused scratch.
+/// Warmed Cyclon maintenance must not allocate, inline or on a 4-worker
+/// pool: views are pooled fixed-stride blocks with ring value caches, the
+/// walk order, its decision ring, the per-worker shuffle messages and the
+/// pool's claim tables are reused scratch.
 void accept_zero_alloc_maintain(int& failures) {
   constexpr std::size_t kNodes = 2000;
   constexpr int kPasses = 20;
-  PopulationHostView host(kNodes);
-  sim::CyclonOverlay overlay(sim::CyclonConfig{});
-  rng::Rng rng(3);
-  overlay.build_initial(host.live_ids(), host, rng);
-  // Warm up: every value cache fills and the scratch reaches its capacity.
-  for (int i = 0; i < kPasses; ++i) overlay.maintain(host, rng);
+  for (const std::size_t workers : {1, 4}) {
+    PopulationHostView host(kNodes);
+    sim::CyclonOverlay overlay(sim::CyclonConfig{});
+    host::WorkerPool pool(workers);
+    rng::Rng rng(3);
+    overlay.build_initial(host.live_ids(), host, rng);
+    const auto pass = [&] {
+      if (workers == 1) {
+        overlay.maintain(host, rng);
+      } else {
+        overlay.maintain(host, rng, pool);
+      }
+    };
+    // Warm up: every value cache fills and the scratch reaches its capacity.
+    for (int i = 0; i < kPasses; ++i) pass();
 
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < kPasses; ++i) overlay.maintain(host, rng);
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < kPasses; ++i) pass();
+    const std::uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - before;
 
-  char what[96];
-  std::snprintf(what, sizeof what,
-                "warmed Cyclon maintenance allocation-free (%llu allocs / %d "
-                "passes)",
-                static_cast<unsigned long long>(allocs), kPasses);
-  check(allocs == 0, what, failures);
-  bench::report_metric("maintain_steady_allocs", static_cast<double>(allocs));
+    char what[112];
+    std::snprintf(what, sizeof what,
+                  "warmed Cyclon maintenance on %zu worker(s) "
+                  "allocation-free (%llu allocs / %d passes)",
+                  workers, static_cast<unsigned long long>(allocs), kPasses);
+    check(allocs == 0, what, failures);
+    bench::report_metric(workers == 1 ? "maintain_steady_allocs"
+                                      : "maintain_pooled_steady_allocs",
+                         static_cast<double>(allocs));
+  }
 }
 
 /// The full instance lifecycle — initiator-side creation, joining off a

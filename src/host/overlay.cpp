@@ -9,4 +9,8 @@ void Overlay::build_initial(std::span<const NodeId> ids, const HostView& host,
 
 void Overlay::maintain(HostView& /*host*/, rng::Rng& /*rng*/) {}
 
+void Overlay::maintain(HostView& host, rng::Rng& rng, WorkerPool& /*pool*/) {
+  maintain(host, rng);
+}
+
 }  // namespace adam2::host

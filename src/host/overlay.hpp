@@ -23,6 +23,7 @@
 namespace adam2::host {
 
 class NodeTable;
+class WorkerPool;
 
 class Overlay {
  public:
@@ -54,8 +55,12 @@ class Overlay {
   [[nodiscard]] virtual std::vector<stats::Value> known_attribute_values(
       NodeId id, const HostView& host) const = 0;
 
-  /// Per-round maintenance (e.g. Cyclon view shuffles). Default: none.
+  /// Per-round maintenance (e.g. Cyclon view shuffles) on the calling
+  /// thread. Default: none.
   virtual void maintain(HostView& host, rng::Rng& rng);
+  /// The same pass with `pool`'s workers, giving the state, draws and
+  /// traffic of the one-worker pass. Default: maintain(host, rng).
+  virtual void maintain(HostView& host, rng::Rng& rng, WorkerPool& pool);
 
   // -- Checkpoint hooks (host::snapshot, DESIGN.md §12) ----------------------
   //

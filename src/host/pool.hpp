@@ -7,12 +7,23 @@
 // runtime at small N). A pool of one worker spawns no thread at all: every
 // call then runs its tasks inline on the calling thread, in index order.
 //
+// Two calls:
+//  * run_indexed — independent tasks, claimed in chunks;
+//  * run_ordered — units that must give the result of running them in plan
+//    order. One walk decides the units in order on one worker; each
+//    decision claims the participant slots the unit touches, and the other
+//    workers apply the decided units, taking runs of them in order. A
+//    claim waits until the slot's previous claimant has been applied (the
+//    walk applies units itself meanwhile), so every participant sees its
+//    units decided and applied in plan order, whatever the interleaving.
+//    Nothing per unit takes a mutex or a condition variable: waits spin
+//    briefly, then yield.
+//
 // A task that throws fails the whole call the same way at any worker count:
-// the exception reaches the caller of run_indexed / run_gated, and tasks not
-// yet started may be skipped. With threads, the first exception is kept and
-// rethrown once every worker has returned; a gated run releases its waiters
-// instead of leaving them blocked on a unit that will never be ready. The
-// pool stays usable afterwards.
+// the exception reaches the caller, and tasks not yet started may be
+// skipped. With threads, the first exception is kept and rethrown once
+// every worker has returned; no worker is left waiting on a unit that will
+// never be decided or applied. The pool stays usable afterwards.
 #pragma once
 
 #include <atomic>
@@ -20,23 +31,77 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace adam2::host {
+
+/// A non-owning reference to a callable, so that handing a lambda to the
+/// pool allocates nothing (a std::function may). The callable must outlive
+/// the call it is passed to.
+template <class Signature>
+class CallRef;
+
+template <class R, class... Args>
+class CallRef<R(Args...)> {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, CallRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  CallRef(F&& f)  // Implicit, so a lambda converts where a CallRef is taken.
+      : object_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
 
 class WorkerPool {
  public:
   /// `task(index, worker)`: `worker` in [0, size()) names the executing
   /// worker, so callers can give each worker its own accumulator.
-  using Task = std::function<void(std::size_t, std::size_t)>;
+  using Task = CallRef<void(std::size_t, std::size_t)>;
 
-  /// Marks an unused participant slot in run_gated.
-  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+  /// The walk's hold on participant slots during run_ordered.
+  class Claims {
+   public:
+    /// Call before the deciding unit reads or writes the state of
+    /// participant `slot` (< the call's slot count; std::out_of_range
+    /// otherwise). Waits until the slot's previous claimant has been
+    /// applied, then records the deciding unit as its claimant. Claiming a
+    /// slot twice in one unit is harmless.
+    void claim(std::uint32_t slot);
+
+   private:
+    friend class WorkerPool;
+    struct Call;
+    Claims(WorkerPool* pool, Call* call, std::size_t slot_count)
+        : pool_(pool), call_(call), slot_count_(slot_count) {}
+
+    WorkerPool* pool_;  // Null when the units run inline.
+    Call* call_;
+    std::size_t slot_count_;
+    std::uint32_t unit_ = 0;  // The unit being decided.
+  };
+
+  /// `decide(unit, claims)` returns whether the unit has an apply step.
+  using Decide = CallRef<bool(std::size_t, Claims&)>;
+
+  /// Units decided but not yet applied at any one time in run_ordered, at
+  /// most: the walk waits before it runs further ahead.
+  static constexpr std::size_t kMaxPending = 4096;
 
   /// Spawns `workers` threads; 0 and 1 both mean one inline worker.
   explicit WorkerPool(std::size_t workers);
@@ -47,47 +112,69 @@ class WorkerPool {
 
   /// Runs `task(i, worker)` once for every i in [0, count), claimed in
   /// chunks by the workers; returns when all indices are done.
-  void run_indexed(std::size_t count, const Task& task);
+  void run_indexed(std::size_t count, Task task);
 
-  /// Runs `task(u, worker)` once for every unit u in [0, units) under a
-  /// dependency gate. Unit u touches the participant slots
-  /// `unit_slots[2u]` and `unit_slots[2u + 1]` (each < `slot_count`, or
-  /// kNoSlot). Units that share a slot run one after another in ascending
-  /// unit order; units with disjoint slots may run concurrently. The result
-  /// therefore equals running the units in order, whatever the interleaving
-  /// — the sharded engine's bit-identity rests on this. The gate's
-  /// release/acquire chain publishes each unit's writes to the next unit of
-  /// the same slot.
-  void run_gated(std::span<const std::uint32_t> unit_slots,
-                 std::size_t slot_count, const Task& task);
+  /// Runs the units [0, units) as if each ran `decide(u)`, then
+  /// `apply(u, worker)` when decide returned true, in ascending u. One walk
+  /// calls `decide` in unit order, so only decide may draw from a stream
+  /// shared by all units; before it touches a participant's state it
+  /// claims that participant's slot (< `slot_count`). The workers apply
+  /// the decided units, the walk's own worker while a claim waits and once
+  /// the walk is done. An apply touches only its unit's claimed
+  /// participants (plus per-worker state), and the claims make each
+  /// participant see its units decided and applied in unit order, so the
+  /// result equals the in-order run whatever the interleaving — the sharded
+  /// engine's bit-identity rests on this. With one worker, decide(u) and
+  /// apply(u, 0) run back to back inline.
+  ///
+  /// At most pending_limit() units are decided and not yet applied, so a
+  /// caller can pass decisions to the apply step in a ring of that many
+  /// entries, unit u in entry u % pending_limit().
+  void run_ordered(std::size_t units, std::size_t slot_count, Decide decide,
+                   Task apply);
 
   [[nodiscard]] std::size_t size() const {
     return threads_.empty() ? 1 : threads_.size();
+  }
+
+  /// 1 when the units run inline, else kMaxPending.
+  [[nodiscard]] std::size_t pending_limit() const {
+    return threads_.empty() ? 1 : kMaxPending;
   }
 
  private:
   /// Runs `task(worker)` on every worker thread; returns when all are done,
   /// then rethrows the first exception a worker's task threw. Not
   /// reentrant; the calling thread does not execute the task.
-  void run(const std::function<void(std::size_t)>& task);
+  void run(CallRef<void(std::size_t)> task);
   void worker_main(std::size_t index);
+
+  /// Applies the next unit not yet handed out, if the walk has published
+  /// it; returns whether it did.
+  bool apply_next(Claims::Call& call, std::size_t worker);
+  /// Applies unit `u` unless it is already done, and marks it done.
+  void apply_unit(Claims::Call& call, std::size_t u, std::size_t worker);
+  /// The walk, deciding unit `deciding`: returns once unit `unit` has been
+  /// applied, applying units itself meanwhile. Throws WalkAborted once an
+  /// apply failed.
+  void await_applied(Claims::Call& call, std::size_t unit,
+                     std::size_t deciding);
 
   std::mutex mutex_;
   std::condition_variable start_;
   std::condition_variable done_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
+  const CallRef<void(std::size_t)>* task_ = nullptr;
   std::uint64_t generation_ = 0;
   std::size_t running_ = 0;
   bool stop_ = false;
   std::exception_ptr error_;  // First exception of the current run.
 
-  // run_gated scratch, reused across calls (indices are unit numbers).
-  std::vector<std::uint32_t> slot_offsets_;  // Per-slot start in slot_units_.
-  std::vector<std::uint32_t> slot_units_;    // Unit-ordered list per slot.
-  std::vector<std::uint32_t> slot_cursor_;   // Per-slot progress.
-  std::vector<std::uint32_t> ready_;         // Units free to run.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> pending_;  // Per-unit gate.
-  std::size_t pending_capacity_ = 0;
+  // run_ordered scratch, reused across calls. `claimant_` is the walk's
+  // alone; `applied_` is set by whoever finished a unit (the walk for a unit
+  // without an apply step) and read by the walk's claims.
+  std::vector<std::uint32_t> claimant_;  // Per slot: last claimant, or none.
+  std::unique_ptr<std::atomic<std::uint8_t>[]> applied_;  // Per unit.
+  std::size_t applied_capacity_ = 0;
 
   std::vector<std::thread> threads_;  // Last: workers use every member above.
 };

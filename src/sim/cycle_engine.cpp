@@ -1,5 +1,6 @@
 #include "sim/cycle_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "host/snapshot.hpp"
@@ -7,6 +8,8 @@
 namespace adam2::sim {
 
 namespace snap = host::snapshot;
+
+constexpr std::size_t kPrefetchAhead = 8;  // Exchange-walk units.
 
 CycleEngine::CycleEngine(EngineConfig config,
                          std::vector<stats::Value> initial_attributes,
@@ -43,28 +46,48 @@ void CycleEngine::run_round() {
   });
   merge_worker_totals();
 
-  // 2. Overlay maintenance (serial: shuffles mutate shared views).
-  overlay_->maintain(*this, rng_);
+  // 2. Overlay maintenance: the shuffles' in-order decisions and their
+  //    applies (host::Overlay::maintain on the pool).
+  overlay_->maintain(*this, rng_, pool_);
 
   // 3. One exchange per live node, in an order shuffled from the global
-  //    stream. With a recorder attached every exchange fills its plan
-  //    position's outcome slot; draining them in order afterwards gives the
-  //    same record stream at any thread count.
+  //    stream. The walk picks each target from the initiator's control
+  //    stream and claims both participants; the apply is the exchange. With
+  //    a recorder attached every exchange fills its plan position's outcome
+  //    slot; draining them in order afterwards gives the same record stream
+  //    at any thread count.
   const auto initiators = table_.live_ids();
   order_.assign(initiators.begin(), initiators.end());
   rng_.shuffle(order_);
+  targets_.resize(std::min(order_.size(), pool_.pending_limit()));
   if (recorder_ != nullptr) outcomes_.assign(order_.size(), {});
-  if (pool_.size() == 1) {
-    // Each target is picked right before its exchange, from the initiator's
-    // control stream: the draws the sharded path makes up front.
-    for (std::size_t p = 0; p < order_.size(); ++p) {
-      host::Node& initiator = table_.at(order_[p]);
-      exchange(p, initiator,
-               overlay_->pick_gossip_target(order_[p], initiator.pick_rng));
-    }
-  } else {
-    run_gated_exchanges();
-  }
+  // A node's id is its slot.
+  pool_.run_ordered(
+      order_.size(), table_.size(),
+      [&](std::size_t p, host::WorkerPool::Claims& claims) {
+        // Start loading a control stream a few units ahead: the walk is
+        // serial, and node records lie scattered.
+        if (p + kPrefetchAhead < order_.size()) {
+          __builtin_prefetch(&table_.at(order_[p + kPrefetchAhead]).pick_rng,
+                             1);
+        }
+        const host::NodeId initiator = order_[p];
+        std::optional<host::NodeId>& target = targets_[p % targets_.size()];
+        target = overlay_->pick_gossip_target(initiator,
+                                              table_.at(initiator).pick_rng);
+        claims.claim(static_cast<std::uint32_t>(initiator));
+        // The target too when the exchange can reach it (liveness is
+        // frozen during this phase, so the check is exact).
+        if (target && *target != initiator && table_.is_live(*target)) {
+          claims.claim(static_cast<std::uint32_t>(*target));
+        }
+        return true;
+      },
+      [&](std::size_t p, std::size_t worker) {
+        const WorkerBinding binding(worker_totals_[worker]);
+        exchange(p, table_.at(order_[p]), targets_[p % targets_.size()]);
+      });
+  merge_worker_totals();
   if (recorder_ != nullptr) {
     for (const obs::ExchangeOutcome& outcome : outcomes_) {
       recorder_->exchange(round_, outcome);
@@ -75,35 +98,6 @@ void CycleEngine::run_round() {
   //    recorder's sample of the settled state.
   finish_round(config_.churn_rate);
   ++round_;
-}
-
-void CycleEngine::run_gated_exchanges() {
-  const std::size_t units = order_.size();
-  targets_.resize(units);
-  pool_.run_indexed(units, [&](std::size_t p, std::size_t) {
-    targets_[p] = overlay_->pick_gossip_target(order_[p],
-                                               table_.at(order_[p]).pick_rng);
-  });
-
-  // Participants per unit: the initiator always; the target when the
-  // exchange can actually reach it. (The conduit re-checks validity, so a
-  // conservative mismatch here could only over-serialise, never diverge —
-  // but liveness is frozen during this phase, so the check is exact.)
-  unit_slots_.assign(2 * units, host::WorkerPool::kNoSlot);
-  // A node's id is its slot in the gate.
-  for (std::size_t p = 0; p < units; ++p) {
-    unit_slots_[2 * p] = static_cast<std::uint32_t>(order_[p]);
-    const std::optional<host::NodeId>& target = targets_[p];
-    if (target && *target != order_[p] && table_.is_live(*target)) {
-      unit_slots_[2 * p + 1] = static_cast<std::uint32_t>(*target);
-    }
-  }
-  pool_.run_gated(unit_slots_, table_.size(),
-                  [&](std::size_t p, std::size_t worker) {
-                    const WorkerBinding binding(worker_totals_[worker]);
-                    exchange(p, table_.at(order_[p]), targets_[p]);
-                  });
-  merge_worker_totals();
 }
 
 void CycleEngine::exchange(std::size_t position, host::Node& initiator,

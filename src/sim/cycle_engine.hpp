@@ -4,8 +4,9 @@
 //   1. round start — every live agent gets on_round_start (TTL bookkeeping,
 //      instance creation). Sharded: an agent only touches its own node's
 //      state and reads host/overlay state that is immutable this phase;
-//   2. maintenance — serial: the overlay's peer-sampling shuffles mutate
-//      shared views;
+//   2. maintenance — the overlay's peer-sampling shuffles
+//      (host::Overlay::maintain on the pool): an in-order walk decides each
+//      shuffle, and the workers apply them;
 //   3. exchanges   — every live node, in an order shuffled from the global
 //      stream, initiates one gossip exchange with an overlay-chosen
 //      neighbour: request -> response, both as encoded byte buffers with
@@ -19,9 +20,10 @@
 //
 // Random-stream discipline (the key to thread-count independence):
 //
-//  * the global engine stream (`rng_`) is consumed only in serial phases —
-//    overlay maintenance, the exchange-order shuffle, churn victim/attribute
-//    draws, node-stream derivation;
+//  * the global engine stream (`rng_`) is drawn only in serial phases and by
+//    the in-order walks of host::WorkerPool::run_ordered — overlay
+//    maintenance's decisions, the exchange-order shuffle, churn
+//    victim/attribute draws, node-stream derivation;
 //  * each node's agent stream (`Node::rng`) is consumed only inside that
 //    node's agent callbacks;
 //  * each node's control stream (`Node::pick_rng`) is consumed only for
@@ -31,13 +33,14 @@
 //  * each node's fault stream (`Node::fault_rng`) is consumed only for the
 //    fates of the exchanges it initiates and its own crash draw.
 //
-// No stream is shared between nodes inside the exchange phase, so the
-// phase may run in any schedule that keeps each node's exchanges in plan
-// order. With one thread the engine picks each target right before its
-// exchange. With more, it draws every target first and hands one unit per
-// initiator to host::WorkerPool::run_gated, whose gate runs the units that
-// share a participant in plan order. A seed therefore gives bit-identical
-// results at any thread count (golden replay tests).
+// Phases 2 and 3 run on host::WorkerPool::run_ordered: one walk decides
+// the units in plan order (a shuffle's masks, an exchange's target) and
+// claims the participants each unit touches; the workers apply the units.
+// A claim waits until the participant's previous unit has been applied, so
+// every node sees its shuffles and exchanges in plan order, and every draw
+// happens in the one-worker order. With one worker, each unit is decided
+// and applied back to back. A seed therefore gives bit-identical results
+// at any thread count (golden replay tests).
 #pragma once
 
 #include <cstddef>
@@ -132,16 +135,12 @@ class CycleEngine final : public Population {
 
  private:
   /// The exchange at plan position `position`: `initiator` towards the
-  /// pre-picked `target` (request -> response, fault fates and
+  /// target the walk picked (request -> response, fault fates and
   /// failed-contact accounting). Every draw comes from the initiator's
   /// streams, so the unit touches only the two participants' state plus
   /// `totals()` (and its outcome slot when a recorder is attached).
   void exchange(std::size_t position, host::Node& initiator,
                 const std::optional<host::NodeId>& target);
-
-  /// Sharded exchange phase: draws every initiator's target, then runs one
-  /// gated unit per initiator on the pool.
-  void run_gated_exchanges();
 
   /// Ends a sharded phase: folds the worker slots into the global totals
   /// (commutative integer sums, so the result does not depend on which
@@ -154,12 +153,12 @@ class CycleEngine final : public Population {
   host::WorkerPool pool_;
   std::vector<host::TrafficStats> worker_totals_;  // One slot per worker.
 
-  // Per-round exchange plan: shuffled initiation order, pre-drawn targets
-  // and the participants' ids as gate slots (sharded only; 2 per unit:
-  // initiator, target).
+  // Per-round exchange plan: the initiators in the order shuffled from the
+  // global stream, and a ring of the targets the walk picked for the
+  // exchanges not yet run (position p in entry p % size;
+  // WorkerPool::pending_limit).
   std::vector<host::NodeId> order_;
   std::vector<std::optional<host::NodeId>> targets_;
-  std::vector<std::uint32_t> unit_slots_;
 
   // Exchange-outcome slots, one per plan position, used only with a
   // recorder attached: each unit fills its own slot and the main thread

@@ -11,6 +11,8 @@ namespace {
 
 using wire::NodeDescriptor;
 
+constexpr std::size_t kPrefetchAhead = 8;  // Walk units.
+
 /// Picks `want` distinct random slots out of [0, size) in addition to the
 /// bits already set in `mask`. Rejection sampling on a 64-bit slot mask —
 /// views are small (<= 64), so this is allocation-free and fast.
@@ -196,24 +198,64 @@ std::vector<stats::Value> CyclonOverlay::known_attribute_values(
 }
 
 void CyclonOverlay::maintain(host::HostView& host, rng::Rng& rng) {
+  host::WorkerPool inline_pool(1);
+  maintain(host, rng, inline_pool);
+}
+
+void CyclonOverlay::maintain(host::HostView& host, rng::Rng& rng,
+                             host::WorkerPool& pool) {
   // Back to front: the walk every churn-free pinned digest was captured with.
   const auto live = host.live_ids();
   order_.assign(live.rbegin(), live.rend());
   rng.shuffle(order_);
-  for (host::NodeId id : order_) shuffle_once(id, host, rng);
+  shuffles_.resize(std::min(order_.size(), pool.pending_limit()));
+  while (messages_.size() < pool.size()) {
+    Messages& added = messages_.emplace_back();
+    added.request.reserve(1 + config_.shuffle_size);
+    added.response.reserve(config_.shuffle_size);
+  }
+  // A node's id is its slot: every live id indexes block_of.
+  pool.run_ordered(
+      order_.size(), pool_.block_of.size(),
+      [&](std::size_t unit, host::WorkerPool::Claims& claims) {
+        return decide_shuffle(unit, host, rng, claims);
+      },
+      [&](std::size_t unit, std::size_t worker) {
+        apply_shuffle(order_[unit], shuffles_[unit % shuffles_.size()], host,
+                      messages_[worker]);
+      });
 }
 
-void CyclonOverlay::shuffle_once(host::NodeId id, host::HostView& host,
-                                 rng::Rng& rng) {
-  const auto live_view = [this](host::NodeId node) {
-    const std::uint32_t block = block_of(node);
-    if (block == kNoBlock) {
-      throw std::logic_error("cyclon: a live node has no view");
+CyclonOverlay::View CyclonOverlay::live_view(host::NodeId id) {
+  const std::uint32_t block = block_of(id);
+  if (block == kNoBlock) {
+    throw std::logic_error("cyclon: a live node has no view");
+  }
+  return at(block);
+}
+
+bool CyclonOverlay::decide_shuffle(std::size_t unit, host::HostView& host,
+                                   rng::Rng& rng,
+                                   host::WorkerPool::Claims& claims) {
+  // Start loading the view a few units ahead: the walk is the pass's
+  // critical path, and views lie scattered across the pool.
+  if (unit + kPrefetchAhead < order_.size()) {
+    const std::uint32_t ahead = block_of(order_[unit + kPrefetchAhead]);
+    if (ahead != kNoBlock) {
+      __builtin_prefetch(&pool_.blocks[ahead], 1);
+      const auto* bytes = reinterpret_cast<const char*>(
+          pool_.slots.data() + ahead * config_.view_size);
+      for (std::size_t line = 0;
+           line < config_.view_size * sizeof(NodeDescriptor); line += 64) {
+        __builtin_prefetch(bytes + line, 1);
+      }
     }
-    return at(block);
-  };
+  }
+  Shuffle& shuffle = shuffles_[unit % shuffles_.size()];
+  const host::NodeId id = order_[unit];
+  claims.claim(static_cast<std::uint32_t>(id));
   const View view = live_view(id);
-  if (view.block.size == 0) return;
+  if (view.block.size == 0) return false;
 
   for (NodeDescriptor& d : view.entries()) ++d.age;
 
@@ -225,55 +267,58 @@ void CyclonOverlay::shuffle_once(host::NodeId id, host::HostView& host,
   const auto oldest_slot = static_cast<std::size_t>(oldest - entries.begin());
   if (!host.is_live(target)) {
     view.erase(oldest_slot);  // Evict the dead entry; retry next round.
-    return;
+    return false;
   }
 
   // Send the oldest entry plus shuffle_size - 1 random others, and a fresh
   // self-descriptor.
   const std::size_t extra =
       std::min(config_.shuffle_size - 1, entries.size() - 1);
-  const std::uint64_t sent_mask =
+  shuffle.target = target;
+  shuffle.sent_mask =
       pick_slots(1ULL << oldest_slot, entries.size(), extra, rng);
+  host.record_traffic(host::Channel::kOverlay,
+                      wire::ShuffleMessage::encoded_size(
+                          1 + std::popcount(shuffle.sent_mask)));
 
-  wire::ShuffleMessage& request = request_scratch_;
-  request.type = wire::MessageType::kShuffleRequest;
-  request.sender = id;
-  request.descriptors.clear();
-  request.descriptors.push_back({id, 0, host.attribute_of(id)});
+  // The responder replies with a random subset of its own view.
+  claims.claim(static_cast<std::uint32_t>(target));
+  const std::size_t peer_size = live_view(target).block.size;
+  const std::size_t peer_count = std::min(config_.shuffle_size, peer_size);
+  shuffle.peer_mask =
+      peer_size == 0 ? 0 : pick_slots(0, peer_size, peer_count, rng);
+  host.record_traffic(
+      host::Channel::kOverlay,
+      wire::ShuffleMessage::encoded_size(std::popcount(shuffle.peer_mask)));
+  return true;
+}
+
+void CyclonOverlay::apply_shuffle(host::NodeId id, const Shuffle& shuffle,
+                                  const host::HostView& host,
+                                  Messages& messages) {
+  const View view = at(block_of(id));
+  const View peer_view = at(block_of(shuffle.target));
+
+  // Both messages' descriptors, copied before either view changes.
+  std::vector<NodeDescriptor>& request = messages.request;
+  request.clear();
+  request.push_back({id, 0, host.attribute_of(id)});
+  const auto entries = view.entries();
   for (std::size_t slot = 0; slot < entries.size(); ++slot) {
-    if ((sent_mask >> slot) & 1) request.descriptors.push_back(entries[slot]);
+    if ((shuffle.sent_mask >> slot) & 1) request.push_back(entries[slot]);
   }
-  host.record_traffic(host::Channel::kOverlay, request.encoded_size());
-
-  // Responder builds its reply from a random subset of its own view.
-  const View peer_view = live_view(target);
+  std::vector<NodeDescriptor>& response = messages.response;
+  response.clear();
   const auto peer_entries = peer_view.entries();
-  const std::size_t peer_count =
-      std::min(config_.shuffle_size, peer_entries.size());
-  const std::uint64_t peer_mask =
-      peer_entries.empty()
-          ? 0
-          : pick_slots(0, peer_entries.size(), peer_count, rng);
-  wire::ShuffleMessage& response = response_scratch_;
-  response.type = wire::MessageType::kShuffleResponse;
-  response.sender = target;
-  response.descriptors.clear();
   for (std::size_t slot = 0; slot < peer_entries.size(); ++slot) {
-    if ((peer_mask >> slot) & 1) {
-      response.descriptors.push_back(peer_entries[slot]);
-    }
-  }
-  host.record_traffic(host::Channel::kOverlay, response.encoded_size());
-
-  for (const NodeDescriptor& d : request.descriptors) {
-    peer_view.remember(d.attribute);
-  }
-  for (const NodeDescriptor& d : response.descriptors) {
-    view.remember(d.attribute);
+    if ((shuffle.peer_mask >> slot) & 1) response.push_back(peer_entries[slot]);
   }
 
-  install(target, peer_view, request.descriptors, peer_mask);
-  install(id, view, response.descriptors, sent_mask);
+  for (const NodeDescriptor& d : request) peer_view.remember(d.attribute);
+  for (const NodeDescriptor& d : response) view.remember(d.attribute);
+
+  install(shuffle.target, peer_view, request, shuffle.peer_mask);
+  install(id, view, response, shuffle.sent_mask);
 }
 
 void CyclonOverlay::install(host::NodeId self, const View& view,

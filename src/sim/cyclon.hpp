@@ -20,11 +20,20 @@
 // maps each node to its block. `maintain` walks the live ids in
 // host::NodeTable order, which a snapshot restores exactly, and a warmed
 // `maintain` allocates nothing.
+//
+// Maintenance runs on host::WorkerPool::run_ordered. Each shuffle splits in
+// two. The in-order decision ages the initiator's view, takes its oldest
+// entry (or evicts it when dead), draws both descriptor masks from the
+// global stream and records both messages' overlay traffic. The apply step
+// copies the masked descriptors and installs them in both views. Every draw
+// and every write happens in the one-worker order, so the views, the value
+// caches and the traffic counts are the same at any worker count.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
+#include "host/pool.hpp"
 #include "sim/overlay.hpp"
 #include "wire/messages.hpp"
 
@@ -60,6 +69,10 @@ class CyclonOverlay final : public host::Overlay {
   /// node must have a view (add_node, build_initial and restore_state keep
   /// that true); throws std::logic_error otherwise.
   void maintain(host::HostView& host, rng::Rng& rng) override;
+  /// The same shuffles with `pool`'s workers: the state, draws and traffic
+  /// equal those of the one-worker pass.
+  void maintain(host::HostView& host, rng::Rng& rng,
+                host::WorkerPool& pool) override;
 
   [[nodiscard]] const CyclonConfig& config() const { return config_; }
 
@@ -125,8 +138,35 @@ class CyclonOverlay final : public host::Overlay {
   [[nodiscard]] std::array<std::span<const stats::Value>, 2> cached(
       std::uint32_t block) const;
 
-  /// One shuffle initiated by `id` with its oldest live view entry.
-  void shuffle_once(host::NodeId id, host::HostView& host, rng::Rng& rng);
+  /// One shuffle as decided by the walk: the initiator's oldest entry, and
+  /// the slots each of them sends.
+  struct Shuffle {
+    host::NodeId target = 0;
+    std::uint64_t sent_mask = 0;  ///< Initiator slots sent to the target.
+    std::uint64_t peer_mask = 0;  ///< Target slots sent back.
+  };
+
+  /// The block of live node `id`; throws std::logic_error if it has none.
+  [[nodiscard]] View live_view(host::NodeId id);
+
+  /// The in-order half of the shuffle initiated by `order_[unit]` with its
+  /// oldest view entry: ages the view and, when that entry is dead, evicts
+  /// it (no apply step). Otherwise draws both masks from `rng` into the
+  /// unit's decision, records both messages and returns true.
+  bool decide_shuffle(std::size_t unit, host::HostView& host, rng::Rng& rng,
+                      host::WorkerPool::Claims& claims);
+  /// One worker's copies of a shuffle's two messages, reused so that a
+  /// warmed apply allocates nothing; a cache line each, since the workers
+  /// write them side by side.
+  struct alignas(64) Messages {
+    std::vector<wire::NodeDescriptor> request;
+    std::vector<wire::NodeDescriptor> response;
+  };
+
+  /// The rest of `id`'s shuffle: swaps the masked descriptors and caches
+  /// their values.
+  void apply_shuffle(host::NodeId id, const Shuffle& shuffle,
+                     const host::HostView& host, Messages& messages);
 
   /// Installs `received` into `view`, replacing sent-away slots (bits set in
   /// `sent_mask`) first, then filling free capacity, never duplicating ids
@@ -137,10 +177,12 @@ class CyclonOverlay final : public host::Overlay {
 
   CyclonConfig config_;
   Pool pool_;
-  // Scratch reused across rounds (hot path: one shuffle per node per round).
+  // Scratch reused across rounds (hot path: one shuffle per node per
+  // round): the walk order, and a ring of the decisions not yet applied
+  // (unit u in entry u % size; WorkerPool::pending_limit).
   std::vector<host::NodeId> order_;
-  wire::ShuffleMessage request_scratch_;
-  wire::ShuffleMessage response_scratch_;
+  std::vector<Shuffle> shuffles_;
+  std::vector<Messages> messages_;  // One per worker.
 };
 
 }  // namespace adam2::sim

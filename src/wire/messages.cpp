@@ -348,8 +348,8 @@ std::vector<std::byte> ShuffleMessage::encode() const {
   return w.take();
 }
 
-std::size_t ShuffleMessage::encoded_size() const {
-  return 1 + 8 + 4 + 20 * descriptors.size();
+std::size_t ShuffleMessage::encoded_size(std::size_t descriptors) {
+  return 1 + 8 + 4 + 20 * descriptors;
 }
 
 ShuffleMessage ShuffleMessage::decode(std::span<const std::byte> buffer) {

@@ -366,7 +366,11 @@ struct ShuffleMessage {
 
   [[nodiscard]] std::vector<std::byte> encode() const;
   [[nodiscard]] static ShuffleMessage decode(std::span<const std::byte> buffer);
-  [[nodiscard]] std::size_t encoded_size() const;
+  [[nodiscard]] std::size_t encoded_size() const {
+    return encoded_size(descriptors.size());
+  }
+  /// The encoded size of a message carrying `descriptors` descriptors.
+  [[nodiscard]] static std::size_t encoded_size(std::size_t descriptors);
 
   friend bool operator==(const ShuffleMessage&, const ShuffleMessage&) = default;
 };

@@ -33,6 +33,7 @@ EXPECTED = {
     "final_state_digest_lo": "exact",
     "lifecycle_steady_allocs": "exact",
     "lifecycle_steady_iterations": "exact",
+    "maintain_pooled_steady_allocs": "exact",
     "maintain_steady_allocs": "exact",
     "node_record_bytes": "exact",
     "peak_rss_mb": "timing",

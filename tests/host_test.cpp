@@ -3,9 +3,11 @@
 // and exception forwarding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -130,11 +132,24 @@ TEST(WorkerPoolTest, RunIndexedVisitsEveryIndexOnce) {
   }
 }
 
-// The gate behind the sharded cycle engine: random unit -> slot plans (an
-// initiator slot per unit, a target slot for most) must run every unit
-// exactly once, and every slot must see its units in ascending plan order.
-// The per-slot logs are unsynchronised on purpose: the gate alone keeps two
-// units of one slot apart, which ThreadSanitizer checks in CI.
+constexpr std::uint32_t kNoSlot = 0xffffffffU;  // A unit with no target.
+
+/// Claims unit u's slots `unit_slots[2u]` and `unit_slots[2u + 1]`.
+void claim_both(std::span<const std::uint32_t> unit_slots, std::size_t u,
+                WorkerPool::Claims& claims) {
+  for (std::size_t k = 0; k < 2; ++k) {
+    if (unit_slots[2 * u + k] != kNoSlot) claims.claim(unit_slots[2 * u + k]);
+  }
+}
+
+// The ordered primitive behind the sharded cycle engine: random unit ->
+// slot plans (an initiator slot per unit, a target slot for most) must run
+// every unit exactly once, and every slot must see its units in ascending
+// plan order. One unit in seven does its work in decide and has no apply
+// step, as a Cyclon shuffle with a dead target does. Each decide also
+// checks that every earlier unit of its slots is done. The per-slot logs
+// are unsynchronised on purpose: the claims alone keep two units of one
+// slot apart, which ThreadSanitizer checks in CI.
 TEST(WorkerPoolTest, GatedUnitsRunOnceInPlanOrderPerSlot) {
   constexpr std::size_t kUnits = 400;
   constexpr std::size_t kSlots = 24;
@@ -148,64 +163,129 @@ TEST(WorkerPoolTest, GatedUnitsRunOnceInPlanOrderPerSlot) {
         const auto initiator = static_cast<std::uint32_t>(rng.below(kSlots));
         auto target = static_cast<std::uint32_t>(rng.below(kSlots));
         if (target == initiator || rng.below(5) == 0) {
-          target = WorkerPool::kNoSlot;  // No reachable target.
+          target = kNoSlot;  // No reachable target.
         }
         unit_slots[2 * u] = initiator;
         unit_slots[2 * u + 1] = target;
         expected[initiator].push_back(u);
-        if (target != WorkerPool::kNoSlot) expected[target].push_back(u);
+        if (target != kNoSlot) expected[target].push_back(u);
       }
 
       std::vector<int> runs(kUnits, 0);
       std::vector<std::vector<std::uint32_t>> seen(kSlots);
-      pool.run_gated(unit_slots, kSlots, [&](std::size_t u, std::size_t) {
+      const auto log = [&](std::size_t u) {
         ++runs[u];
         for (std::size_t k = 0; k < 2; ++k) {
           const std::uint32_t s = unit_slots[2 * u + k];
-          if (s != WorkerPool::kNoSlot) {
-            seen[s].push_back(static_cast<std::uint32_t>(u));
-          }
+          if (s != kNoSlot) seen[s].push_back(static_cast<std::uint32_t>(u));
         }
-      });
+      };
+      int stale_decisions = 0;  // The walk's alone.
+      pool.run_ordered(
+          kUnits, kSlots,
+          [&](std::size_t u, WorkerPool::Claims& claims) {
+            claim_both(unit_slots, u, claims);
+            for (std::size_t k = 0; k < 2; ++k) {
+              const std::uint32_t s = unit_slots[2 * u + k];
+              if (s == kNoSlot) continue;
+              const auto earlier = std::ranges::lower_bound(expected[s], u);
+              if (seen[s].size() !=
+                  static_cast<std::size_t>(earlier - expected[s].begin())) {
+                ++stale_decisions;
+              }
+            }
+            if (u % 7 != 3) return true;
+            log(u);
+            return false;
+          },
+          [&](std::size_t u, std::size_t worker) {
+            EXPECT_LT(worker, pool.size());
+            log(u);
+          });
       EXPECT_EQ(runs, std::vector<int>(kUnits, 1))
           << workers << " workers, plan " << plan;
       EXPECT_EQ(seen, expected) << workers << " workers, plan " << plan;
+      EXPECT_EQ(stale_decisions, 0) << workers << " workers, plan " << plan;
     }
   }
 }
 
-TEST(WorkerPoolTest, TaskExceptionReachesCaller) {
-  // Units chained through shared slots: once unit 3 throws, every later
-  // unit waits on it, so a gate that did not release its waiters would
-  // hang the workers instead of failing the call.
-  constexpr std::size_t kUnits = 200;
-  constexpr std::uint32_t kSlots = 8;
-  std::vector<std::uint32_t> unit_slots(2 * kUnits);
-  for (std::uint32_t u = 0; u < kUnits; ++u) {
-    unit_slots[2 * u] = u % kSlots;
-    unit_slots[2 * u + 1] = (u + 1) % kSlots;
+// Decisions reach their applies through a ring of pending_limit() entries:
+// the walk never runs more than that far ahead of the applied units, even
+// when no claim holds it back. The logs are unsynchronised on purpose; the
+// pool's ordering alone makes them safe, which ThreadSanitizer checks in CI.
+TEST(WorkerPoolTest, DecisionsFitARingOfPendingLimitEntries) {
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    WorkerPool pool(workers);
+    const std::size_t units = 3 * WorkerPool::kMaxPending + 5;
+    std::vector<std::size_t> ring(std::min(units, pool.pending_limit()));
+    std::vector<int> applied(units, 0);
+    int overrun = 0;  // The walk's alone.
+    int mismatched = 0;
+    std::vector<int> mismatched_by_worker(pool.size(), 0);
+    pool.run_ordered(
+        units, 1,
+        [&](std::size_t u, WorkerPool::Claims&) {
+          if (u >= ring.size() && applied[u - ring.size()] == 0) ++overrun;
+          ring[u % ring.size()] = u;
+          return true;
+        },
+        [&](std::size_t u, std::size_t worker) {
+          if (ring[u % ring.size()] != u) ++mismatched_by_worker[worker];
+          applied[u] = 1;
+        });
+    for (int count : mismatched_by_worker) mismatched += count;
+    EXPECT_EQ(overrun, 0) << workers << " workers";
+    EXPECT_EQ(mismatched, 0) << workers << " workers";
+    EXPECT_EQ(applied, std::vector<int>(units, 1)) << workers << " workers";
   }
+}
+
+/// `call`'s std::runtime_error message, or "no exception".
+std::string message_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::runtime_error& error) {
+    return std::string(error.what());
+  }
+  return std::string("no exception");
+}
+
+/// Units chained through shared slots: unit u claims slots u % 8 and
+/// (u + 1) % 8, so every unit waits on the one before it.
+std::vector<std::uint32_t> chained_slots(std::size_t units) {
+  std::vector<std::uint32_t> unit_slots(2 * units);
+  for (std::uint32_t u = 0; u < units; ++u) {
+    unit_slots[2 * u] = u % 8;
+    unit_slots[2 * u + 1] = (u + 1) % 8;
+  }
+  return unit_slots;
+}
+
+TEST(WorkerPoolTest, TaskExceptionReachesCaller) {
+  // Once unit 3's apply throws, every later unit waits on it, so a walk
+  // that did not give up would hang the call instead of failing it.
+  constexpr std::size_t kUnits = 200;
+  constexpr std::size_t kSlots = 8;
+  const std::vector<std::uint32_t> unit_slots = chained_slots(kUnits);
+  const auto claim = [&](std::size_t u, WorkerPool::Claims& claims) {
+    claim_both(unit_slots, u, claims);
+    return true;
+  };
   const auto throw_at = [](std::size_t bad) {
     return [bad](std::size_t i, std::size_t) {
       if (i == bad) throw std::runtime_error("task " + std::to_string(i));
     };
-  };
-  const auto message_of = [](const std::function<void()>& call) {
-    try {
-      call();
-    } catch (const std::runtime_error& error) {
-      return std::string(error.what());
-    }
-    return std::string("no exception");
   };
   for (std::size_t workers : {1u, 2u, 8u}) {
     WorkerPool pool(workers);
     EXPECT_EQ(message_of([&] { pool.run_indexed(kUnits, throw_at(150)); }),
               "task 150")
         << workers << " workers";
-    EXPECT_EQ(
-        message_of([&] { pool.run_gated(unit_slots, kSlots, throw_at(3)); }),
-        "task 3")
+    EXPECT_EQ(message_of([&] {
+                pool.run_ordered(kUnits, kSlots, claim, throw_at(3));
+              }),
+              "task 3")
         << workers << " workers";
     // Every task throwing still yields one exception on the caller.
     EXPECT_THROW(pool.run_indexed(kUnits,
@@ -218,9 +298,59 @@ TEST(WorkerPoolTest, TaskExceptionReachesCaller) {
     // The same pool then completes normal calls.
     std::vector<int> runs(kUnits, 0);
     pool.run_indexed(kUnits, [&](std::size_t i, std::size_t) { ++runs[i]; });
-    pool.run_gated(unit_slots, kSlots,
-                   [&](std::size_t u, std::size_t) { ++runs[u]; });
+    pool.run_ordered(kUnits, kSlots, claim,
+                     [&](std::size_t u, std::size_t) { ++runs[u]; });
     EXPECT_EQ(runs, std::vector<int>(kUnits, 2)) << workers << " workers";
+  }
+}
+
+TEST(WorkerPoolTest, DecideExceptionFinishesTheDecidedUnits) {
+  // The walk throws at unit 100: the units it decided before are applied,
+  // none after, and the caller gets the walk's exception.
+  constexpr std::size_t kUnits = 200;
+  constexpr std::size_t kSlots = 8;
+  const std::vector<std::uint32_t> unit_slots = chained_slots(kUnits);
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    WorkerPool pool(workers);
+    std::vector<int> runs(kUnits, 0);
+    const auto apply = [&](std::size_t u, std::size_t) { ++runs[u]; };
+    EXPECT_EQ(message_of([&] {
+                pool.run_ordered(
+                    kUnits, kSlots,
+                    [&](std::size_t u, WorkerPool::Claims& claims) {
+                      if (u == 100) throw std::runtime_error("decide 100");
+                      claim_both(unit_slots, u, claims);
+                      return true;
+                    },
+                    apply);
+              }),
+              "decide 100")
+        << workers << " workers";
+    std::vector<int> expected(kUnits, 0);
+    std::fill_n(expected.begin(), 100, 1);
+    EXPECT_EQ(runs, expected) << workers << " workers";
+
+    // A claim beyond the slot count fails the call the same way.
+    EXPECT_THROW(pool.run_ordered(
+                     kUnits, kSlots,
+                     [&](std::size_t u, WorkerPool::Claims& claims) {
+                       claims.claim(static_cast<std::uint32_t>(u));
+                       return true;
+                     },
+                     apply),
+                 std::out_of_range)
+        << workers << " workers";
+
+    // The same pool then completes a normal call.
+    std::ranges::fill(runs, 0);
+    pool.run_ordered(
+        kUnits, kSlots,
+        [&](std::size_t u, WorkerPool::Claims& claims) {
+          claim_both(unit_slots, u, claims);
+          return true;
+        },
+        apply);
+    EXPECT_EQ(runs, std::vector<int>(kUnits, 1)) << workers << " workers";
   }
 }
 

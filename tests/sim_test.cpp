@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "host/pool.hpp"
 #include "host/registry.hpp"
 #include "sim/cyclon.hpp"
 #include "sim/cycle_engine.hpp"
@@ -620,6 +621,102 @@ TEST(CyclonTest, SaveRestoreSaveAfterChurnIsByteIdentical) {
   wire::Writer resaved;
   restored.save_state(resaved);
   EXPECT_EQ(resaved.take(), saved.take());
+}
+
+/// A ListHost that counts the overlay messages and bytes it is told of.
+class CountingHost final : public host::HostView {
+ public:
+  explicit CountingHost(std::vector<host::NodeId> ids) : list(std::move(ids)) {}
+
+  [[nodiscard]] bool is_live(host::NodeId id) const override {
+    return list.is_live(id);
+  }
+  [[nodiscard]] stats::Value attribute_of(host::NodeId id) const override {
+    return list.attribute_of(id);
+  }
+  [[nodiscard]] host::Round round() const override { return 0; }
+  [[nodiscard]] std::span<const host::NodeId> live_ids() const override {
+    return list.live;
+  }
+  void record_traffic(host::Channel channel, std::size_t size) override {
+    ASSERT_EQ(channel, host::Channel::kOverlay);
+    ++messages;
+    bytes += size;
+  }
+
+  ListHost list;
+  std::size_t messages = 0;
+  std::size_t bytes = 0;
+};
+
+// Maintenance on an 8-worker pool equals the one-worker pass: the same
+// views, value caches and overlay traffic after every round, through
+// departures that leave dead entries to evict and views that are not full.
+TEST(CyclonPoolTest, PooledMaintenanceEqualsInline) {
+  const CyclonConfig config{.view_size = 6, .shuffle_size = 3,
+                            .value_cache_size = 5};
+  CountingHost inline_host(first_ids(60));
+  CountingHost pooled_host(first_ids(60));
+  CyclonOverlay inline_overlay(config);
+  CyclonOverlay pooled_overlay(config);
+  rng::Rng inline_rng(21);
+  rng::Rng pooled_rng(21);
+  inline_overlay.build_initial(inline_host.live_ids(), inline_host,
+                               inline_rng);
+  pooled_overlay.build_initial(pooled_host.live_ids(), pooled_host,
+                               pooled_rng);
+  host::WorkerPool one(1);
+  host::WorkerPool eight(8);
+  rng::Rng churn(5);
+  host::NodeId next_id = 60;
+  bool saw_dead_entry = false;
+  bool saw_eviction = false;
+  bool saw_partial_view = false;
+  for (int round = 0; round < 30; ++round) {
+    for (const host::NodeId id : inline_host.list.live) {
+      for (const host::NodeId peer : inline_overlay.neighbors(id)) {
+        saw_dead_entry = saw_dead_entry || !inline_host.is_live(peer);
+      }
+    }
+    const std::size_t messages_before = inline_host.messages;
+    inline_overlay.maintain(inline_host, inline_rng, one);
+    pooled_overlay.maintain(pooled_host, pooled_rng, eight);
+    // A shuffle sends two messages; an eviction sends none.
+    saw_eviction = saw_eviction || inline_host.messages - messages_before <
+                                       2 * inline_host.list.live.size();
+    for (const host::NodeId id : inline_host.list.live) {
+      saw_partial_view = saw_partial_view ||
+                         inline_overlay.neighbors(id).size() < config.view_size;
+    }
+
+    wire::Writer inline_state;
+    wire::Writer pooled_state;
+    inline_overlay.save_state(inline_state);
+    pooled_overlay.save_state(pooled_state);
+    ASSERT_EQ(pooled_state.take(), inline_state.take()) << "round " << round;
+    ASSERT_EQ(pooled_host.messages, inline_host.messages) << "round " << round;
+    ASSERT_EQ(pooled_host.bytes, inline_host.bytes) << "round " << round;
+
+    // Four departures and four newcomers, the same on both sides.
+    for (int k = 0; k < 4; ++k) {
+      const host::NodeId victim =
+          inline_host.list.live[churn.below(inline_host.list.live.size())];
+      for (CountingHost* host : {&inline_host, &pooled_host}) {
+        std::erase(host->list.live, victim);
+      }
+      inline_overlay.remove_node(victim);
+      pooled_overlay.remove_node(victim);
+    }
+    for (int k = 0; k < 4; ++k, ++next_id) {
+      inline_host.list.live.push_back(next_id);
+      pooled_host.list.live.push_back(next_id);
+      inline_overlay.add_node(next_id, inline_host, inline_rng);
+      pooled_overlay.add_node(next_id, pooled_host, pooled_rng);
+    }
+  }
+  EXPECT_TRUE(saw_dead_entry);
+  EXPECT_TRUE(saw_eviction);
+  EXPECT_TRUE(saw_partial_view);
 }
 
 }  // namespace
