@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -205,7 +206,7 @@ std::string emit_json() {
 
   // Atomic publication (write temp, fsync, rename): a crashed bench or a
   // racing artifact collector never sees a truncated BENCH_*.json.
-  if (!obs::atomic_write_file(path, out)) return {};
+  if (!obs::atomic_write_file(path, std::as_bytes(std::span(out)))) return {};
 
   // The run manifest and metrics snapshot ride alongside every report.
   if (g_report.recorder != nullptr) {
@@ -298,6 +299,9 @@ std::vector<InstanceResult> run_equidepth_series(
   }
   const stats::EmpiricalCdf truth{values};
 
+  core::EvaluationOptions options;
+  options.peer_sample = env.peer_sample;
+  options.threads = env.threads;
   std::vector<InstanceResult> results;
   results.reserve(phases);
   for (std::size_t i = 0; i < phases; ++i) {
@@ -317,17 +321,17 @@ std::vector<InstanceResult> run_equidepth_series(
         engine.churn_rate > 0.0
             ? stats::EmpiricalCdf{sim_engine.live_attribute_values()}
             : truth;
-    const auto instant = baselines::evaluate_equidepth_phase(
-        sim_engine, phase, current_truth, env.peer_sample);
+    const auto bins = baselines::evaluate_equidepth_phase_points(
+        sim_engine, phase, current_truth, options);
     {
       PhaseTimer gossip_timer("gossip");
       sim_engine.run_rounds(1);
     }
-    const auto pop = baselines::evaluate_equidepth(sim_engine, current_truth,
-                                                   env.peer_sample);
+    const auto pop =
+        baselines::evaluate_equidepth(sim_engine, current_truth, options);
     InstanceResult r;
     r.entire = {pop.max_err, pop.avg_err};
-    r.at_points = instant.at_bins;
+    r.at_points = {bins.max_err, bins.avg_err};
     results.push_back(r);
   }
   const auto& traffic = sim_engine.total_traffic();

@@ -26,6 +26,7 @@
 #include "common.hpp"
 #include "core/evaluation.hpp"
 #include "host/snapshot.hpp"
+#include "obs/export.hpp"
 
 using namespace adam2;
 
@@ -137,7 +138,7 @@ void run_high_n_sweep(const bench::BenchEnv& env, std::size_t max_n) {
       if (hooked && snapshot.out != nullptr &&
           r == snapshot.save_round(rounds)) {
         const auto bytes = system.engine().save_snapshot();
-        if (!host::snapshot::write_snapshot_file(snapshot.out, bytes)) {
+        if (!obs::atomic_write_file(snapshot.out, bytes)) {
           throw std::runtime_error("cannot write snapshot");
         }
       }

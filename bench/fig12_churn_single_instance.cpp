@@ -79,14 +79,19 @@ void run_equidepth(const bench::BenchEnv& env,
   std::printf("\n## (b) EquiDepth under churn %.3g/round, RAM\n", kChurnRate);
   bench::print_header("round",
                       {"max_bins", "avg_bins", "max_entire", "avg_entire"});
+  core::EvaluationOptions options;
+  options.peer_sample = env.peer_sample;
+  options.born_by = started;  // Exclude nodes that joined mid-phase.
   for (std::size_t round = 1; round <= kRounds; ++round) {
     engine.run_rounds(1);
     const stats::EmpiricalCdf truth{engine.live_attribute_values()};
-    const auto errors = baselines::evaluate_equidepth_phase(
-        engine, phase, truth, env.peer_sample, started);
+    const auto bins = baselines::evaluate_equidepth_phase_points(
+        engine, phase, truth, options);
+    const auto entire =
+        baselines::evaluate_equidepth_phase_cdf(engine, phase, truth, options);
     bench::print_row(std::to_string(round),
-                     {errors.at_bins.max_err, errors.at_bins.avg_err,
-                      errors.entire.max_err, errors.entire.avg_err});
+                     {bins.max_err, bins.avg_err, entire.max_err,
+                      entire.avg_err});
   }
 }
 

@@ -3,17 +3,36 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/evaluation.hpp"
-#include "stats/summary.hpp"
-
 namespace adam2::baselines {
 namespace {
+
+/// The EquiDepth evaluators' peer-sampler salt (core::kAdam2PeerSampleSalt
+/// is Adam2's). Changing it moves every sampled row of the figures that
+/// print EquiDepth.
+constexpr std::uint64_t kPeerSampleSalt = 0xE7A10001ULL;
 
 /// The running phase `id` in `phases`, or phases.end().
 template <typename Phases>
 auto find_phase(Phases& phases, wire::InstanceId id) {
   return std::find_if(phases.begin(), phases.end(),
                       [id](const auto& phase) { return phase.id == id; });
+}
+
+const EquiDepthAgent* equidepth_agent(sim::CycleEngine& engine,
+                                      host::NodeId id) {
+  return dynamic_cast<const EquiDepthAgent*>(&engine.agent(id));
+}
+
+/// A running phase's synopsis at `peer` as a CDF; nullopt when the peer
+/// has not joined the phase.
+std::optional<stats::PiecewiseLinearCdf> phase_cdf(sim::CycleEngine& engine,
+                                                   host::NodeId peer,
+                                                   wire::InstanceId phase) {
+  const EquiDepthAgent* agent = equidepth_agent(engine, peer);
+  if (agent == nullptr) return std::nullopt;
+  const auto synopsis = agent->phase_synopsis(phase);
+  if (synopsis.empty()) return std::nullopt;
+  return stats::centroids_to_cdf(synopsis);
 }
 
 }  // namespace
@@ -29,7 +48,7 @@ bool EquiDepthAgent::eligible(const host::AgentContext& ctx,
          !finalized_.contains(msg.phase);
 }
 
-void EquiDepthAgent::on_round_start(host::AgentContext& ctx) {
+void EquiDepthAgent::on_round_start(host::AgentContext& /*ctx*/) {
   // A phase with ttl 0 finishes now; the others burn one round.
   for (auto it = active_.begin(); it != active_.end();) {
     if (it->ttl > 0) {
@@ -39,15 +58,6 @@ void EquiDepthAgent::on_round_start(host::AgentContext& ctx) {
     }
     finalize(std::move(*it));
     it = active_.erase(it);
-  }
-
-  if (config_.restart_every_r > 0.0) {
-    const double np =
-        n_estimate_ > 0.0 ? n_estimate_ : config_.initial_n_estimate;
-    if (np >= 1.0 &&
-        ctx.rng.bernoulli(1.0 / (np * config_.restart_every_r))) {
-      start_phase(ctx);
-    }
   }
 }
 
@@ -205,7 +215,7 @@ std::vector<std::byte> EquiDepthAgent::handle_bootstrap_request(
   }
   wire::BootstrapResponse response;
   response.sender = ctx.self;
-  response.n_estimate = n_estimate_;
+  response.n_estimate = 0.0;  // EquiDepth estimates no system size.
   if (estimate_ && !estimate_->cdf.empty()) {
     const auto knots = estimate_->cdf.knots();
     response.cdf_knots.assign(knots.begin(), knots.end());
@@ -223,88 +233,57 @@ bool EquiDepthAgent::handle_bootstrap_response(
   } catch (const wire::DecodeError&) {
     return false;
   }
-  if (incoming.n_estimate > 0.0) n_estimate_ = incoming.n_estimate;
   if (incoming.cdf_knots.empty()) return false;
   EquiDepthEstimate inherited;
   inherited.completed_round = ctx.round;
   inherited.cdf = stats::PiecewiseLinearCdf{std::move(incoming.cdf_knots)};
-  inherited.inherited = true;
   estimate_ = std::move(inherited);
   return true;
 }
 
-/// The EquiDepth evaluators' peer-sampler salt; Adam2's evaluators use
-/// pick_peers' default. Changing either moves every sampled row of the
-/// figures that print them.
-constexpr std::uint64_t kPeerSampleSalt = 0xE7A10001ULL;
-
-EquiDepthPopulationErrors evaluate_equidepth(sim::CycleEngine& engine,
-                                             const stats::EmpiricalCdf& truth,
-                                             std::size_t peer_sample,
-                                             bool include_inherited,
-                                             bool missing_counts_as_one) {
-  EquiDepthPopulationErrors out;
+core::PopulationErrors evaluate_equidepth(
+    sim::CycleEngine& engine, const stats::EmpiricalCdf& truth,
+    const core::EvaluationOptions& options) {
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
-  stats::RunningStat avg_stat;
-  for (host::NodeId id :
-       core::pick_peers(engine, peer_sample, kPeerSampleSalt)) {
-    const auto* agent = dynamic_cast<const EquiDepthAgent*>(&engine.agent(id));
-    const EquiDepthEstimate* est =
-        (agent != nullptr && agent->estimate()) ? &*agent->estimate() : nullptr;
-    if (est != nullptr && est->inherited && !include_inherited) est = nullptr;
-    if (est == nullptr || est->cdf.empty()) {
-      ++out.missing;
-      if (!missing_counts_as_one) continue;
-      out.max_err = 1.0;
-      avg_stat.add(1.0);
-      continue;
-    }
-    const stats::ErrorPair errors = errors_against_truth(est->cdf);
-    out.max_err = std::max(out.max_err, errors.max_err);
-    avg_stat.add(errors.avg_err);
-  }
-  out.peers = avg_stat.count();
-  out.avg_err = avg_stat.mean();
-  return out;
+  return core::aggregate_errors(
+      engine, options,
+      [&](host::NodeId id) -> std::optional<stats::ErrorPair> {
+        const EquiDepthAgent* agent = equidepth_agent(engine, id);
+        if (agent == nullptr || !agent->estimate() ||
+            agent->estimate()->cdf.empty()) {
+          return std::nullopt;
+        }
+        return errors_against_truth(agent->estimate()->cdf);
+      },
+      kPeerSampleSalt);
 }
 
-EquiDepthInstantErrors evaluate_equidepth_phase(
+core::PopulationErrors evaluate_equidepth_phase_cdf(
     sim::CycleEngine& engine, wire::InstanceId phase,
-    const stats::EmpiricalCdf& truth, std::size_t peer_sample,
-    std::optional<host::Round> born_by) {
-  EquiDepthInstantErrors out;
+    const stats::EmpiricalCdf& truth, const core::EvaluationOptions& options) {
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
-  stats::RunningStat entire_avg;
-  stats::RunningStat bins_avg;
-  for (host::NodeId id :
-       core::pick_peers(engine, peer_sample, kPeerSampleSalt)) {
-    if (born_by && engine.node(id).birth_round > *born_by) continue;
-    const auto* agent = dynamic_cast<const EquiDepthAgent*>(&engine.agent(id));
-    const auto synopsis =
-        agent != nullptr ? agent->phase_synopsis(phase)
-                         : std::vector<stats::WeightedValue>{};
-    if (synopsis.empty()) {
-      // Not reached yet: maximum error, as in the Adam2 evaluation.
-      out.entire.max_err = std::max(out.entire.max_err, 1.0);
-      entire_avg.add(1.0);
-      out.at_bins.max_err = std::max(out.at_bins.max_err, 1.0);
-      bins_avg.add(1.0);
-      continue;
-    }
-    const auto cdf = stats::centroids_to_cdf(synopsis);
-    const stats::ErrorPair entire = errors_against_truth(cdf);
-    out.entire.max_err = std::max(out.entire.max_err, entire.max_err);
-    entire_avg.add(entire.avg_err);
-    const auto knots = cdf.knots();
-    const stats::ErrorPair at_bins =
-        stats::point_errors(truth, {knots.begin(), knots.size()});
-    out.at_bins.max_err = std::max(out.at_bins.max_err, at_bins.max_err);
-    bins_avg.add(at_bins.avg_err);
-  }
-  out.peers = entire_avg.count();
-  out.entire.avg_err = entire_avg.mean();
-  out.at_bins.avg_err = bins_avg.mean();
-  return out;
+  return core::aggregate_errors(
+      engine, options,
+      [&](host::NodeId peer) -> std::optional<stats::ErrorPair> {
+        const auto cdf = phase_cdf(engine, peer, phase);
+        if (!cdf) return std::nullopt;
+        return errors_against_truth(*cdf);
+      },
+      kPeerSampleSalt);
+}
+
+core::PopulationErrors evaluate_equidepth_phase_points(
+    sim::CycleEngine& engine, wire::InstanceId phase,
+    const stats::EmpiricalCdf& truth, const core::EvaluationOptions& options) {
+  return core::aggregate_errors(
+      engine, options,
+      [&](host::NodeId peer) -> std::optional<stats::ErrorPair> {
+        const auto cdf = phase_cdf(engine, peer, phase);
+        if (!cdf) return std::nullopt;
+        const auto knots = cdf->knots();
+        return stats::point_errors(truth, {knots.begin(), knots.size()});
+      },
+      kPeerSampleSalt);
 }
 
 }  // namespace adam2::baselines

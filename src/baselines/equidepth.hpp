@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/evaluation.hpp"
 #include "core/tombstones.hpp"
 #include "host/agent.hpp"
 #include "sim/cycle_engine.hpp"
@@ -26,20 +27,19 @@
 
 namespace adam2::baselines {
 
+/// A phase starts only when a driver calls start_phase (scripted mode).
 struct EquiDepthConfig {
   std::size_t bins = 50;          ///< Synopsis capacity (the paper's lambda).
   std::uint16_t phase_ttl = 25;   ///< Rounds per phase.
-  double restart_every_r = 0.0;   ///< Probabilistic phase starts (0 = scripted).
-  double initial_n_estimate = 0.0;
 };
 
-/// A completed phase's outcome at one node.
+/// A completed phase's outcome at one node, or the CDF a joiner inherited
+/// from its bootstrap contact.
 struct EquiDepthEstimate {
   wire::InstanceId phase;
   host::Round completed_round = 0;
   stats::PiecewiseLinearCdf cdf;
   std::vector<stats::WeightedValue> synopsis;
-  bool inherited = false;
 };
 
 class EquiDepthAgent final : public host::NodeAgent {
@@ -95,7 +95,6 @@ class EquiDepthAgent final : public host::NodeAgent {
   /// walk this order, so gossip content is a function of protocol history.
   std::vector<Phase> active_;
   std::optional<EquiDepthEstimate> estimate_;
-  double n_estimate_ = 0.0;
   std::uint32_t next_seq_ = 0;
   /// Tombstones of finished phases (core/tombstones.hpp).
   core::TombstoneRing finalized_;
@@ -104,32 +103,29 @@ class EquiDepthAgent final : public host::NodeAgent {
   std::vector<std::byte> wire_scratch_;
 };
 
-/// Population errors of completed EquiDepth estimates (cf. core::evaluate_*).
-struct EquiDepthPopulationErrors {
-  double max_err = 0.0;
-  double avg_err = 0.0;
-  std::size_t peers = 0;
-  std::size_t missing = 0;
-};
+// The EquiDepth evaluators mirror core::evaluate_estimates and
+// core::evaluate_instance_cdf / _points: each is one errors_of callback over
+// core::aggregate_errors, with EquiDepth's own peer-sampler salt. A peer
+// with no estimate or synopsis to evaluate counts as missing.
 
-[[nodiscard]] EquiDepthPopulationErrors evaluate_equidepth(
+/// Errors of the peers' completed EquiDepth estimates over the entire CDF
+/// domain.
+[[nodiscard]] core::PopulationErrors evaluate_equidepth(
     sim::CycleEngine& engine, const stats::EmpiricalCdf& truth,
-    std::size_t peer_sample = 0, bool include_inherited = true,
-    bool missing_counts_as_one = true);
+    const core::EvaluationOptions& options = {});
 
-/// In-flight errors of a running phase: over the entire CDF, and at the
-/// synopsis bin positions ("selected bins", Fig. 6(b)/12(b)).
-struct EquiDepthInstantErrors {
-  stats::ErrorPair entire;
-  stats::ErrorPair at_bins;
-  std::size_t peers = 0;
-};
-
-/// `born_by`: only evaluate peers born at or before this round (excludes
-/// nodes that joined the system during the phase, as in Fig. 12).
-[[nodiscard]] EquiDepthInstantErrors evaluate_equidepth_phase(
+/// In-flight errors of a running phase over the entire CDF domain (each
+/// peer's synopsis as a CDF).
+[[nodiscard]] core::PopulationErrors evaluate_equidepth_phase_cdf(
     sim::CycleEngine& engine, wire::InstanceId phase,
-    const stats::EmpiricalCdf& truth, std::size_t peer_sample = 0,
-    std::optional<host::Round> born_by = {});
+    const stats::EmpiricalCdf& truth,
+    const core::EvaluationOptions& options = {});
+
+/// In-flight errors of a running phase at its synopsis bin positions
+/// ("selected bins", Fig. 6(b)/12(b)).
+[[nodiscard]] core::PopulationErrors evaluate_equidepth_phase_points(
+    sim::CycleEngine& engine, wire::InstanceId phase,
+    const stats::EmpiricalCdf& truth,
+    const core::EvaluationOptions& options = {});
 
 }  // namespace adam2::baselines

@@ -34,7 +34,7 @@ SamplingResult estimate_by_sampling(std::span<const stats::Value> population,
 
   SamplingResult result;
   result.errors = stats::discrete_errors(truth, sample_cdf(sample));
-  result.messages = config.sample_size * config.walk_hops;
+  result.messages = config.sample_size * kWalkHops;
   result.bytes_estimate = result.messages * 48;
   return result;
 }

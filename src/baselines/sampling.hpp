@@ -3,7 +3,7 @@
 // A node estimates the attribute CDF from `sample_size` uniformly drawn
 // attribute values. We model the sampling itself as ideal (a perfect uniform
 // sampler is an upper bound on [4]'s quality) and charge the message cost of
-// obtaining each sample by a random walk of `walk_hops` messages — the
+// obtaining each sample by a random walk of kWalkHops messages — the
 // paper's point is that 1,000-10,000 samples are needed to match Adam2,
 // which makes this approach an order of magnitude more expensive (§VII-I).
 #pragma once
@@ -16,11 +16,12 @@
 
 namespace adam2::baselines {
 
+/// Messages spent per sample (random-walk length). The paper cites
+/// "several network messages per requested sample".
+inline constexpr std::size_t kWalkHops = 10;
+
 struct SamplingConfig {
   std::size_t sample_size = 1000;
-  /// Messages spent per sample (random-walk length). The paper cites
-  /// "several network messages per requested sample".
-  std::size_t walk_hops = 10;
 };
 
 struct SamplingResult {

@@ -36,15 +36,17 @@ enum class JoinPolicy : std::uint8_t {
 };
 
 /// Self-tuning (§VI): after each instance whose self-assessment is available,
-/// the number of interpolation points is adapted towards the target accuracy.
+/// the number of interpolation points is adapted towards the target accuracy:
+/// lambda grows by kAdaptiveGrowFactor while the estimate is above target,
+/// and shrinks by kAdaptiveShrinkFactor once it is below kAdaptiveSlack of it.
 struct AdaptiveTuning {
   double target_avg_error = 0.001;  ///< Desired EstErra.
   std::size_t min_lambda = 10;
   std::size_t max_lambda = 200;
-  double grow_factor = 1.5;    ///< Applied when above target.
-  double shrink_factor = 0.8;  ///< Applied when far below target.
-  double slack = 0.25;         ///< Shrink only when est < slack * target.
 };
+inline constexpr double kAdaptiveGrowFactor = 1.5;
+inline constexpr double kAdaptiveShrinkFactor = 0.8;
+inline constexpr double kAdaptiveSlack = 0.25;
 
 struct Adam2Config {
   /// Number of interpolation points lambda (paper default: 50).

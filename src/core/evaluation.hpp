@@ -8,6 +8,11 @@
 // supported for large sweeps (the paper reports cross-peer standard
 // deviations below 1e-5, so sampling loses essentially nothing).
 //
+// Every evaluator is one `errors_of` callback over aggregate_errors, the
+// one per-peer reduction; the EquiDepth baseline's evaluators
+// (baselines/equidepth.hpp) are callbacks over it too, so both protocols
+// are compared over the same sampled peers by the same arithmetic.
+//
 // The evaluators are templates over the hosting engine: both the
 // cycle-driven sim::CycleEngine and the event-driven sim::AsyncEngine expose
 // the required surface (live_ids/node/agent/rng).
@@ -32,12 +37,9 @@ struct EvaluationOptions {
   /// Evaluate at most this many uniformly sampled live peers (0 = all).
   std::size_t peer_sample = 0;
 
-  /// Include peers whose estimate was inherited from a neighbour at join
-  /// time (Fig. 13 includes them; Fig. 12 does not).
-  bool include_inherited = true;
-
   /// Only evaluate peers born at or before this round (excludes nodes that
-  /// joined during the instance under evaluation, §VII-G).
+  /// joined during the instance under evaluation, as Fig. 12 does, §VII-G).
+  /// Estimates inherited at join time count like any other.
   std::optional<wire::Round> born_by;
 
   /// Peers without a usable estimate count with the maximum error of one
@@ -59,14 +61,19 @@ struct PopulationErrors {
   std::size_t missing = 0;   ///< Peers lacking a usable estimate.
 };
 
+/// Adam2's peer-sampler salt. The EquiDepth evaluators pass their own;
+/// changing either moves every sampled row of the figures that print them.
+inline constexpr std::uint64_t kAdam2PeerSampleSalt = 0xE7A10000ULL;
+
 /// The live peer ids an evaluator visits: all of them, or `peer_sample`
 /// (> 0) of them drawn uniformly. Sampling uses a private stream seeded from
 /// the round number and `salt`, so observing the system never perturbs the
 /// protocol's randomness (evaluating or not evaluating leaves every later
-/// round bit-identical). The EquiDepth evaluators pass their own salt.
+/// round bit-identical).
 template <typename Host>
-std::vector<wire::NodeId> pick_peers(Host& engine, std::size_t peer_sample,
-                                     std::uint64_t salt = 0xE7A10000ULL) {
+std::vector<wire::NodeId> pick_peers(
+    Host& engine, std::size_t peer_sample,
+    std::uint64_t salt = kAdam2PeerSampleSalt) {
   const auto live = engine.live_ids();
   std::vector<wire::NodeId> peers(live.begin(), live.end());
   if (peer_sample > 0 && peers.size() > peer_sample) {
@@ -82,10 +89,11 @@ std::vector<wire::NodeId> pick_peers(Host& engine, std::size_t peer_sample,
   return peers;
 }
 
-namespace detail {
-
-/// Core aggregation loop: `errors_of` returns a peer's ErrorPair or nullopt
-/// when the peer has nothing usable.
+/// The per-peer reduction every evaluator shares: `errors_of` returns a
+/// peer's ErrorPair, or nullopt when the peer has nothing usable (counted
+/// in `missing`, and as {1, 1} when options.missing_counts_as_one). The
+/// peers are pick_peers(engine, options.peer_sample, salt), filtered by
+/// options.born_by in that order.
 ///
 /// With options.threads > 1 the per-peer calls — the expensive part, each a
 /// full-domain error sweep — fan out over a WorkerPool. The peer list is
@@ -94,12 +102,14 @@ namespace detail {
 /// be const with respect to engine state (all evaluators are). The reduction
 /// deliberately stays serial and walks the slots in peer order: floating-
 /// point accumulation order is what makes serial and sharded runs
-/// bit-identical, which a parallel RunningStat merge would not be.
+/// bit-identical, which a parallel Welford merge would not be.
 template <typename Host, typename ErrorsOf>
-PopulationErrors aggregate(Host& engine, const EvaluationOptions& options,
-                           ErrorsOf&& errors_of) {
+PopulationErrors aggregate_errors(Host& engine,
+                                  const EvaluationOptions& options,
+                                  ErrorsOf&& errors_of,
+                                  std::uint64_t salt = kAdam2PeerSampleSalt) {
   std::vector<wire::NodeId> peers;
-  for (wire::NodeId id : pick_peers(engine, options.peer_sample)) {
+  for (wire::NodeId id : pick_peers(engine, options.peer_sample, salt)) {
     const auto& node = engine.node(id);
     if (options.born_by && node.birth_round > *options.born_by) continue;
     peers.push_back(id);
@@ -133,18 +143,18 @@ PopulationErrors aggregate(Host& engine, const EvaluationOptions& options,
   return out;
 }
 
+namespace detail {
+
 template <typename Host>
 const Adam2Agent* adam2_agent(Host& engine, wire::NodeId id) {
   return dynamic_cast<const Adam2Agent*>(&engine.agent(id));
 }
 
 template <typename Host>
-const Estimate* usable_estimate(Host& engine, wire::NodeId id,
-                                const EvaluationOptions& options) {
+const Estimate* usable_estimate(Host& engine, wire::NodeId id) {
   const Adam2Agent* agent = adam2_agent(engine, id);
   if (agent == nullptr || !agent->estimate()) return nullptr;
   const Estimate& est = *agent->estimate();
-  if (est.inherited && !options.include_inherited) return nullptr;
   if (est.cdf.empty()) return nullptr;
   return &est;
 }
@@ -157,9 +167,9 @@ PopulationErrors evaluate_estimates(Host& engine,
                                     const stats::EmpiricalCdf& truth,
                                     const EvaluationOptions& options = {}) {
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
-  return detail::aggregate(
+  return aggregate_errors(
       engine, options, [&](wire::NodeId id) -> std::optional<stats::ErrorPair> {
-        const Estimate* est = detail::usable_estimate(engine, id, options);
+        const Estimate* est = detail::usable_estimate(engine, id);
         if (est == nullptr) return std::nullopt;
         return errors_against_truth(est->cdf);
       });
@@ -170,9 +180,9 @@ template <typename Host>
 PopulationErrors evaluate_estimate_points(
     Host& engine, const stats::EmpiricalCdf& truth,
     const EvaluationOptions& options = {}) {
-  return detail::aggregate(
+  return aggregate_errors(
       engine, options, [&](wire::NodeId id) -> std::optional<stats::ErrorPair> {
-        const Estimate* est = detail::usable_estimate(engine, id, options);
+        const Estimate* est = detail::usable_estimate(engine, id);
         if (est == nullptr || est->points.empty()) return std::nullopt;
         return stats::point_errors(truth, est->points);
       });
@@ -185,7 +195,7 @@ PopulationErrors evaluate_instance_cdf(Host& engine, wire::InstanceId id,
                                        const stats::EmpiricalCdf& truth,
                                        const EvaluationOptions& options = {}) {
   const stats::DiscreteErrorEvaluator errors_against_truth(truth);
-  return detail::aggregate(
+  return aggregate_errors(
       engine, options,
       [&](wire::NodeId peer) -> std::optional<stats::ErrorPair> {
         const Adam2Agent* agent = detail::adam2_agent(engine, peer);
@@ -203,7 +213,7 @@ template <typename Host>
 PopulationErrors evaluate_instance_points(
     Host& engine, wire::InstanceId id, const stats::EmpiricalCdf& truth,
     const EvaluationOptions& options = {}) {
-  return detail::aggregate(
+  return aggregate_errors(
       engine, options,
       [&](wire::NodeId peer) -> std::optional<stats::ErrorPair> {
         const Adam2Agent* agent = detail::adam2_agent(engine, peer);
@@ -227,7 +237,7 @@ double confidence_estimation_error(Host& engine,
   for (wire::NodeId id : pick_peers(engine, options.peer_sample)) {
     const auto& node = engine.node(id);
     if (options.born_by && node.birth_round > *options.born_by) continue;
-    const Estimate* est = detail::usable_estimate(engine, id, options);
+    const Estimate* est = detail::usable_estimate(engine, id);
     if (est == nullptr || !est->self_assessment) continue;
     const stats::ErrorPair actual = errors_against_truth(est->cdf);
     const double true_err = use_max ? actual.max_err : actual.avg_err;

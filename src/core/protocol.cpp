@@ -309,9 +309,9 @@ void Adam2Agent::apply_adaptive_tuning(const stats::ErrorPair& assessment) {
                          : assessment.avg_err;
   double next = static_cast<double>(lambda_);
   if (est > tuning.target_avg_error) {
-    next *= tuning.grow_factor;
-  } else if (est < tuning.slack * tuning.target_avg_error) {
-    next *= tuning.shrink_factor;
+    next *= kAdaptiveGrowFactor;
+  } else if (est < kAdaptiveSlack * tuning.target_avg_error) {
+    next *= kAdaptiveShrinkFactor;
   }
   lambda_ = std::clamp(static_cast<std::size_t>(std::llround(next)),
                        tuning.min_lambda, tuning.max_lambda);

@@ -3,13 +3,12 @@
 namespace adam2::host {
 
 void bootstrap_joiner(Node& joiner, NodeTable& table, Overlay& overlay,
-                      HostView& host, Round round, TrafficStats& totals,
-                      const BootstrapPolicy& policy) {
+                      HostView& host, Round round, TrafficStats& totals) {
   AgentContext ctx = make_context(host, overlay, joiner, round);
   auto request = joiner.agent->make_bootstrap_request(ctx);
   if (request.empty()) return;
 
-  for (int attempt = 0; attempt < policy.attempts; ++attempt) {
+  for (int attempt = 0; attempt < kBootstrapAttempts; ++attempt) {
     const auto target = overlay.pick_gossip_target(joiner.id, joiner.pick_rng);
     if (!target || !table.is_live(*target)) {
       ++totals.failed_contacts;

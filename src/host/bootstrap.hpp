@@ -10,13 +10,11 @@
 
 namespace adam2::host {
 
-struct BootstrapPolicy {
-  /// A joiner keeps asking neighbours until one supplies a usable state or
-  /// this many attempts fail — a dead contact or a neighbour that churned in
-  /// moments ago and has nothing yet must not leave the newcomer permanently
-  /// uninitialised.
-  int attempts = 4;
-};
+/// A joiner keeps asking neighbours until one supplies a usable state or
+/// this many attempts fail — a dead contact or a neighbour that churned in
+/// moments ago and has nothing yet must not leave the newcomer permanently
+/// uninitialised.
+inline constexpr int kBootstrapAttempts = 4;
 
 /// Runs the bootstrap retry loop for a freshly spawned `joiner` that is
 /// already wired into `overlay`. Contact picks come from the joiner's control
@@ -24,7 +22,6 @@ struct BootstrapPolicy {
 /// count into `totals`; `host` only backs the agent contexts. No-op when the
 /// joiner's agent declines to bootstrap (empty request).
 void bootstrap_joiner(Node& joiner, NodeTable& table, Overlay& overlay,
-                      HostView& host, Round round, TrafficStats& totals,
-                      const BootstrapPolicy& policy = {});
+                      HostView& host, Round round, TrafficStats& totals);
 
 }  // namespace adam2::host

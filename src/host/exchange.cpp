@@ -54,34 +54,25 @@ Conduit::Delivery Conduit::resolve(const Leg& leg,
   return delivery;
 }
 
-void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
-                                 NodeTable& table, Round round,
-                                 Node& initiator,
-                                 const std::optional<NodeId>& target,
-                                 TrafficStats& counters,
-                                 obs::ExchangeOutcome* outcome) const {
-  // Outcome reporting is fully guarded: a null `outcome` leaves the hot path
-  // untouched (zero-alloc acceptance), a non-null one records how far the
-  // exchange got at every early return below.
-  if (outcome != nullptr) {
-    *outcome = obs::ExchangeOutcome{};
-    outcome->initiator = initiator.id;
-    if (target) {
-      outcome->target = *target;
-      outcome->has_target = true;
-    }
+obs::ExchangeOutcome Conduit::run_cycle_exchange(
+    HostView& host, Overlay& overlay, NodeTable& table, Round round,
+    Node& initiator, const std::optional<NodeId>& target,
+    TrafficStats& counters) const {
+  obs::ExchangeOutcome outcome;
+  outcome.initiator = initiator.id;
+  if (target) {
+    outcome.target = *target;
+    outcome.has_target = true;
   }
   AgentContext ictx = make_context(host, overlay, initiator, round);
   auto request = initiator.agent->make_request(ictx);
-  if (request.empty()) return;  // Outcome already kSilent.
+  if (request.empty()) return outcome;  // kSilent.
+  outcome.request_bytes = static_cast<std::uint32_t>(request.size());
 
   if (!target || !table.is_live(*target) || *target == initiator.id) {
     ++counters.failed_contacts;
-    if (outcome != nullptr) {
-      outcome->status = obs::ExchangeStatus::kFailedContact;
-      outcome->request_bytes = static_cast<std::uint32_t>(request.size());
-    }
-    return;
+    outcome.status = obs::ExchangeStatus::kFailedContact;
+    return outcome;
   }
 
   counters.record_message(Channel::kAggregation, request.size());
@@ -94,16 +85,14 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
       resolve(Leg{initiator.id, *target, round, &initiator.fault_rng,
                   /*partition_check=*/true, /*draw_delay=*/false},
               request, request_scratch, counters);
-  if (outcome != nullptr) {
-    outcome->request_bytes = static_cast<std::uint32_t>(request.size());
-    outcome->request_copies =
-        static_cast<std::uint8_t>(request_delivery.copies);
-    outcome->request_corrupted = request_delivery.corrupted;
-    outcome->status = request_delivery.drop_cause == DropCause::kPartition
-                          ? obs::ExchangeStatus::kRequestPartitioned
-                          : obs::ExchangeStatus::kRequestLost;
+  outcome.request_copies = static_cast<std::uint8_t>(request_delivery.copies);
+  outcome.request_corrupted = request_delivery.corrupted;
+  if (request_delivery.copies == 0) {
+    outcome.status = request_delivery.drop_cause == DropCause::kPartition
+                         ? obs::ExchangeStatus::kRequestPartitioned
+                         : obs::ExchangeStatus::kRequestLost;
+    return outcome;
   }
-  if (request_delivery.copies == 0) return;
 
   Node& responder = table.at(*target);
   AgentContext rctx = make_context(host, overlay, responder, round);
@@ -117,8 +106,11 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
   for (unsigned copy = 0; copy < request_delivery.copies; ++copy) {
     response = responder.agent->handle_request(rctx, request_delivery.payload);
   }
-  if (outcome != nullptr) outcome->status = obs::ExchangeStatus::kNoResponse;
-  if (response.empty()) return;
+  if (response.empty()) {
+    outcome.status = obs::ExchangeStatus::kNoResponse;
+    return outcome;
+  }
+  outcome.response_bytes = static_cast<std::uint32_t>(response.size());
 
   counters.record_message(Channel::kAggregation, response.size());
   std::vector<std::byte> response_scratch;
@@ -126,14 +118,12 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
       resolve(Leg{responder.id, initiator.id, round, &initiator.fault_rng,
                   /*partition_check=*/false, /*draw_delay=*/false},
               response, response_scratch, counters);
-  if (outcome != nullptr) {
-    outcome->response_bytes = static_cast<std::uint32_t>(response.size());
-    outcome->response_copies =
-        static_cast<std::uint8_t>(response_delivery.copies);
-    outcome->response_corrupted = response_delivery.corrupted;
-    outcome->status = response_delivery.copies == 0
-                          ? obs::ExchangeStatus::kResponseLost
-                          : obs::ExchangeStatus::kCompleted;
+  outcome.response_copies =
+      static_cast<std::uint8_t>(response_delivery.copies);
+  outcome.response_corrupted = response_delivery.corrupted;
+  if (response_delivery.copies == 0) {
+    outcome.status = obs::ExchangeStatus::kResponseLost;
+    return outcome;
   }
   // The response aliases the reply scratch: valid across both
   // handle_response calls because this thread handles no other request in
@@ -141,6 +131,8 @@ void Conduit::run_cycle_exchange(HostView& host, Overlay& overlay,
   for (unsigned copy = 0; copy < response_delivery.copies; ++copy) {
     initiator.agent->handle_response(ictx, response_delivery.payload);
   }
+  outcome.status = obs::ExchangeStatus::kCompleted;
+  return outcome;
 }
 
 }  // namespace adam2::host

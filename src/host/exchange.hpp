@@ -110,14 +110,13 @@ class Conduit {
   /// backs the agent contexts. Draws only from the two participants' agent
   /// streams and the initiator's fault stream, and touches only the two
   /// participants plus `counters` — the unit stays parallel-safe.
-  /// When `outcome` is non-null it is filled with how far the exchange got
-  /// (obs trace support); the null path is the exact pre-obs instruction
-  /// stream, so detached runs stay bit-identical and allocation-free.
-  void run_cycle_exchange(HostView& host, Overlay& overlay, NodeTable& table,
-                          Round round, Node& initiator,
-                          const std::optional<NodeId>& target,
-                          TrafficStats& counters,
-                          obs::ExchangeOutcome* outcome = nullptr) const;
+  /// Returns how far the exchange got (obs trace support); filling it
+  /// allocates nothing and draws nothing, so the caller keeps it only when
+  /// a recorder is attached.
+  [[nodiscard]] obs::ExchangeOutcome run_cycle_exchange(
+      HostView& host, Overlay& overlay, NodeTable& table, Round round,
+      Node& initiator, const std::optional<NodeId>& target,
+      TrafficStats& counters) const;
 
  private:
   FaultInjector faults_;

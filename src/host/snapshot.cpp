@@ -5,11 +5,6 @@
 #include <cstdio>
 #include <system_error>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define ADAM2_SNAPSHOT_HAVE_FSYNC 1
-#endif
-
 namespace adam2::host::snapshot {
 
 std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
@@ -121,17 +116,6 @@ FaultPlan read_fault_plan(wire::Reader& in) {
   plan.seed = in.u64();
   plan.warm_restart = read_bool(in, "fault plan");
   return plan;
-}
-
-void write_string(wire::Writer& out, std::string_view text) {
-  out.length(text.size());
-  out.bytes(std::as_bytes(std::span(text.data(), text.size())));
-}
-
-std::string read_string(wire::Reader& in) {
-  const std::size_t n = in.length(1);
-  const auto view = in.bytes(n);
-  return std::string(reinterpret_cast<const char*>(view.data()), n);
 }
 
 // Lower bound on an encoded node record: fixed header (8+8+4+1) and three
@@ -286,37 +270,6 @@ void SnapshotReader::expect_end() const {
   if (pos_ != body_.size()) {
     throw wire::DecodeError("trailing bytes after final snapshot section");
   }
-}
-
-bool write_snapshot_file(const std::filesystem::path& path,
-                         std::span<const std::byte> bytes) {
-  std::error_code ec;
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path(), ec);
-  }
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  std::FILE* out = std::fopen(tmp.string().c_str(), "wb");
-  if (out == nullptr) return false;
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
-  ok = std::fflush(out) == 0 && ok;
-#ifdef ADAM2_SNAPSHOT_HAVE_FSYNC
-  // The rename below is only crash-atomic once the temp file's bytes are
-  // durable; without the fsync a crash can rename an empty inode over a
-  // previous good checkpoint.
-  ok = ::fsync(fileno(out)) == 0 && ok;
-#endif
-  ok = std::fclose(out) == 0 && ok;
-  if (!ok) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
 }
 
 std::optional<std::vector<std::byte>> read_snapshot_file(

@@ -33,7 +33,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "host/fault.hpp"
@@ -88,9 +87,6 @@ void read_traffic(wire::Reader& in, TrafficStats& traffic);
 
 void write_fault_plan(wire::Writer& out, const FaultPlan& plan);
 [[nodiscard]] FaultPlan read_fault_plan(wire::Reader& in);
-
-void write_string(wire::Writer& out, std::string_view text);
-[[nodiscard]] std::string read_string(wire::Reader& in);
 
 /// Writes the kSectionNodes payload for `table` into an open section:
 /// every node record in id order (id, attribute, birth round, alive flag,
@@ -159,13 +155,8 @@ class SnapshotReader {
 };
 
 // -- File I/O ----------------------------------------------------------------
-
-/// Atomically lands `bytes` at `path`: temp file in the same directory,
-/// flush, fsync, rename — an interrupted save never leaves a truncated or
-/// partial snapshot behind (same discipline as the obs exporters). Returns
-/// false on any failure, leaving no partial target.
-bool write_snapshot_file(const std::filesystem::path& path,
-                         std::span<const std::byte> bytes);
+// Snapshots land on disk through obs::atomic_write_file (temp file, flush,
+// fsync, rename), so an interrupted save never leaves a partial file.
 
 /// Reads a snapshot file whole. Returns nullopt (and fills `*error` when
 /// given) if the file cannot be read or is larger than `max_bytes`.

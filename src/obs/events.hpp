@@ -18,9 +18,6 @@
 
 namespace adam2::obs {
 
-using host::NodeId;
-using host::Round;
-
 /// Typed trace events. The taxonomy covers every state transition the five
 /// substrates share; per-engine coverage is documented in DESIGN.md §11.
 enum class EventKind : std::uint8_t {
@@ -78,12 +75,11 @@ enum class ExchangeStatus : std::uint8_t {
   return "unknown";
 }
 
-/// Everything the exchange fabric can report about one initiated exchange.
-/// Filled by Conduit::run_cycle_exchange when the caller passes a slot; the
-/// fabric's hot path is untouched when no slot is passed (null pointer).
+/// Everything the exchange fabric can report about one initiated exchange,
+/// as Conduit::run_cycle_exchange returns it.
 struct ExchangeOutcome {
-  NodeId initiator = 0;
-  NodeId target = 0;  ///< Valid only when has_target.
+  host::NodeId initiator = 0;
+  host::NodeId target = 0;  ///< Valid only when has_target.
   bool has_target = false;
   ExchangeStatus status = ExchangeStatus::kSilent;
   std::uint8_t request_copies = 0;   ///< Copies delivered (2 = duplicated).
@@ -108,15 +104,15 @@ struct ExchangeOutcome {
 ///   kInstanceEnd    a = initiator, value_a = instance id
 struct TraceEvent {
   std::uint64_t seq = 0;  ///< Stamped by the ring: position in the stream.
-  Round round = 0;
+  host::Round round = 0;
   EventKind kind = EventKind::kRoundBegin;
   ExchangeStatus status = ExchangeStatus::kSilent;
   std::uint8_t request_copies = 0;
   std::uint8_t response_copies = 0;
   bool request_corrupted = false;
   bool response_corrupted = false;
-  NodeId a = 0;
-  NodeId b = 0;
+  host::NodeId a = 0;
+  host::NodeId b = 0;
   std::uint64_t value_a = 0;
   std::uint64_t value_b = 0;
 };

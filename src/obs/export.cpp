@@ -44,6 +44,10 @@ void append_field(std::string& out, const char* key, std::uint64_t value) {
   append_u64(out, value);
 }
 
+bool write_text(const std::filesystem::path& path, std::string_view text) {
+  return atomic_write_file(path, std::as_bytes(std::span(text)));
+}
+
 }  // namespace
 
 std::string json_escape(std::string_view text) {
@@ -198,37 +202,8 @@ std::string manifest_json(const RunManifest& manifest) {
   return out;
 }
 
-std::string series_csv(const Recorder& recorder) {
-  std::string out =
-      "round,live,nodes_ever,bytes_sent,dropped,duplicated,corrupted,"
-      "partitioned,failed_contacts,crash_restarts\n";
-  for (const RoundSample& s : recorder.series()) {
-    append_u64(out, s.round);
-    out += ',';
-    append_u64(out, s.live);
-    out += ',';
-    append_u64(out, s.nodes_ever);
-    out += ',';
-    append_u64(out, s.bytes_sent);
-    out += ',';
-    append_u64(out, s.dropped);
-    out += ',';
-    append_u64(out, s.duplicated);
-    out += ',';
-    append_u64(out, s.corrupted);
-    out += ',';
-    append_u64(out, s.partitioned);
-    out += ',';
-    append_u64(out, s.failed_contacts);
-    out += ',';
-    append_u64(out, s.crash_restarts);
-    out += '\n';
-  }
-  return out;
-}
-
 bool atomic_write_file(const std::filesystem::path& path,
-                       std::string_view content) {
+                       std::span<const std::byte> bytes) {
   std::error_code ec;
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path(), ec);
@@ -236,9 +211,8 @@ bool atomic_write_file(const std::filesystem::path& path,
   const std::filesystem::path tmp = path.string() + ".tmp";
   std::FILE* out = std::fopen(tmp.string().c_str(), "wb");
   if (out == nullptr) return false;
-  bool ok = content.empty() ||
-            std::fwrite(content.data(), 1, content.size(), out) ==
-                content.size();
+  bool ok = bytes.empty() ||
+            std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
   ok = std::fflush(out) == 0 && ok;
 #ifdef ADAM2_OBS_HAVE_FSYNC
   // The rename below is only crash-atomic once the temp file's bytes are
@@ -261,22 +235,17 @@ bool atomic_write_file(const std::filesystem::path& path,
 
 bool write_trace_jsonl(const std::filesystem::path& path,
                        const TraceRing& trace) {
-  return atomic_write_file(path, trace_jsonl(trace));
+  return write_text(path, trace_jsonl(trace));
 }
 
 bool write_metrics_json(const std::filesystem::path& path,
                         const MetricsRegistry& metrics) {
-  return atomic_write_file(path, metrics_json(metrics));
+  return write_text(path, metrics_json(metrics));
 }
 
 bool write_manifest_json(const std::filesystem::path& path,
                          const RunManifest& manifest) {
-  return atomic_write_file(path, manifest_json(manifest));
-}
-
-bool write_series_csv(const std::filesystem::path& path,
-                      const Recorder& recorder) {
-  return atomic_write_file(path, series_csv(recorder));
+  return write_text(path, manifest_json(manifest));
 }
 
 }  // namespace adam2::obs

@@ -91,19 +91,6 @@ void Recorder::round_end(host::Round round, std::size_t live,
   metrics_.set(live_gauge_, static_cast<double>(live));
   metrics_.set(nodes_ever_gauge_, static_cast<double>(nodes_ever));
   set_traffic(totals);
-
-  RoundSample sample;
-  sample.round = round;
-  sample.live = live;
-  sample.nodes_ever = nodes_ever;
-  sample.bytes_sent = totals.total_bytes_sent();
-  sample.dropped = totals.dropped_messages;
-  sample.duplicated = totals.duplicated_messages;
-  sample.corrupted = totals.corrupted_messages;
-  sample.partitioned = totals.partitioned_messages;
-  sample.failed_contacts = totals.failed_contacts;
-  sample.crash_restarts = totals.crash_restarts;
-  series_.push_back(sample);
 }
 
 void Recorder::exchange(host::Round round, const ExchangeOutcome& outcome) {

@@ -6,12 +6,11 @@
 //                           TrafficStats totals, fault-fate counts and
 //                           exchange-size distributions;
 //   * a TraceRing         — the deterministic structured event trace;
-//   * a RunManifest       — seed, engine kind, config echo, build flags;
-// plus a per-round sample series feeding the CSV exporter.
+//   * a RunManifest       — seed, engine kind, config echo, build flags.
 //
 // Overhead contract: engines hold a `Recorder*` that defaults to nullptr and
 // guard every call site with a null check, so a run without a recorder
-// executes the exact pre-obs instruction stream (micro_core's zero-alloc
+// makes no allocation and no record for it (micro_core's zero-alloc
 // acceptance pins this). With a recorder attached, the typed record methods
 // below cost a ring write plus a handful of id-indexed metric updates.
 //
@@ -26,7 +25,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "host/traffic.hpp"
 #include "host/types.hpp"
@@ -43,20 +41,6 @@ struct RecorderConfig {
   bool trace_exchanges = true;
 };
 
-/// One per-round sample for the CSV series exporter.
-struct RoundSample {
-  host::Round round = 0;
-  std::uint64_t live = 0;
-  std::uint64_t nodes_ever = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t partitioned = 0;
-  std::uint64_t failed_contacts = 0;
-  std::uint64_t crash_restarts = 0;
-};
-
 class Recorder {
  public:
   explicit Recorder(RecorderConfig config = {});
@@ -70,9 +54,6 @@ class Recorder {
   [[nodiscard]] const TraceRing& trace() const { return trace_; }
   [[nodiscard]] RunManifest& manifest() { return manifest_; }
   [[nodiscard]] const RunManifest& manifest() const { return manifest_; }
-  [[nodiscard]] const std::vector<RoundSample>& series() const {
-    return series_;
-  }
 
   // -- Typed record methods (engine hook points) ---------------------------
 
@@ -84,8 +65,8 @@ class Recorder {
 
   void round_begin(host::Round round, std::size_t live);
 
-  /// End of a round/cycle: traces the event, refreshes the round gauges,
-  /// absorbs `totals` into the traffic counters and appends a series sample.
+  /// End of a round/cycle: traces the event, refreshes the round gauges and
+  /// absorbs `totals` into the traffic counters.
   void round_end(host::Round round, std::size_t live, std::size_t nodes_ever,
                  const host::TrafficStats& totals);
 
@@ -112,7 +93,6 @@ class Recorder {
   MetricsRegistry metrics_;
   TraceRing trace_;
   RunManifest manifest_;
-  std::vector<RoundSample> series_;
 
   // Cached metric ids (registered in the constructor, so every recorder
   // exports the same schema in the same order).

@@ -48,8 +48,6 @@ class Cluster {
     return directory_.traffic();
   }
 
-  [[nodiscard]] const Network& network() const { return network_; }
-
   /// Attaches the observability recorder (nullptr detaches; not owned). The
   /// Recorder is single-threaded by contract, so a wall-clock runtime only
   /// touches it from the driver thread: start() records the engine-start

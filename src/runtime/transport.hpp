@@ -70,26 +70,18 @@ class Mailbox {
   void push(Envelope envelope);
 
   /// Pops the oldest envelope, waiting at most until `deadline`.
-  /// Returns nullopt on timeout or when the mailbox is closed and empty.
+  /// Returns nullopt on timeout.
   [[nodiscard]] std::optional<Envelope> wait_pop(Clock::time_point deadline);
 
-  /// Non-blocking pop.
-  [[nodiscard]] std::optional<Envelope> try_pop();
-
-  /// Wakes all waiters; subsequent waits return immediately when empty.
-  void close();
-
-  [[nodiscard]] std::size_t size() const;
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable ready_;
   std::deque<Envelope> queue_;
-  bool closed_ = false;
 };
 
 /// Thread-safe router between mailboxes. Delivery is immediate (in-process);
-/// traffic is counted per direction for the cost accounting.
+/// the peers count their own traffic. The mutex guards `attach` against
+/// `send`.
 class Network {
  public:
   /// Registers `mailbox` as the endpoint for `id`. The mailbox must outlive
@@ -101,17 +93,10 @@ class Network {
   /// is not attached.
   bool send(host::NodeId to, Envelope envelope);
 
-  [[nodiscard]] std::uint64_t messages_routed() const;
-  [[nodiscard]] std::uint64_t bytes_routed() const;
-  [[nodiscard]] std::uint64_t drops() const;
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   /// Indexed by node id; null where no mailbox is attached.
   std::vector<Mailbox*> endpoints_;
-  std::uint64_t messages_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
 };
 
 /// Node `id`'s endpoint on a Network: its own mailbox, attached on

@@ -26,25 +26,16 @@ CycleEngine::CycleEngine(EngineConfig config,
   populate(initial_attributes);
 }
 
-void CycleEngine::merge_worker_totals() {
-  for (host::TrafficStats& slot : worker_totals_) {
-    total_traffic_ += slot;
-    slot = host::TrafficStats{};
-  }
-}
-
 void CycleEngine::run_round() {
   if (recorder_ != nullptr) recorder_->round_begin(round_, table_.live_count());
 
   // 1. Round start for every live agent (sharded).
   const auto live = table_.live_ids();
-  pool_.run_indexed(live.size(), [&](std::size_t i, std::size_t worker) {
-    const WorkerBinding binding(worker_totals_[worker]);
+  pool_.run_indexed(live.size(), [&](std::size_t i, std::size_t) {
     host::Node& n = table_.at(live[i]);
     host::AgentContext ctx = host::make_context(*this, *overlay_, n, round_);
     n.agent->on_round_start(ctx);
   });
-  merge_worker_totals();
 
   // 2. Overlay maintenance: the shuffles' in-order decisions and their
   //    applies (host::Overlay::maintain on the pool).
@@ -52,10 +43,11 @@ void CycleEngine::run_round() {
 
   // 3. One exchange per live node, in an order shuffled from the global
   //    stream. The walk picks each target from the initiator's control
-  //    stream and claims both participants; the apply is the exchange. With
-  //    a recorder attached every exchange fills its plan position's outcome
-  //    slot; draining them in order afterwards gives the same record stream
-  //    at any thread count.
+  //    stream and claims both participants; the apply is the exchange,
+  //    counted into its worker's slot. With a recorder attached every
+  //    exchange stores its outcome in its plan position's slot; draining
+  //    them in order afterwards gives the same record stream at any thread
+  //    count.
   const auto initiators = table_.live_ids();
   order_.assign(initiators.begin(), initiators.end());
   rng_.shuffle(order_);
@@ -76,18 +68,28 @@ void CycleEngine::run_round() {
         target = overlay_->pick_gossip_target(initiator,
                                               table_.at(initiator).pick_rng);
         claims.claim(static_cast<std::uint32_t>(initiator));
-        // The target too when the exchange can reach it (liveness is
-        // frozen during this phase, so the check is exact).
-        if (target && *target != initiator && table_.is_live(*target)) {
+        // The target too, by the id bound alone: the walk reads no node
+        // record for it. Liveness is frozen during this phase, so a claim
+        // on a dead node only orders the units that picked that node, and
+        // the apply counts the failed contact; an id beyond the table
+        // (a restored static link may name one) stays a failed contact.
+        if (target && *target != initiator && *target < table_.size()) {
           claims.claim(static_cast<std::uint32_t>(*target));
         }
         return true;
       },
       [&](std::size_t p, std::size_t worker) {
-        const WorkerBinding binding(worker_totals_[worker]);
-        exchange(p, table_.at(order_[p]), targets_[p % targets_.size()]);
+        const obs::ExchangeOutcome outcome = conduit_.run_cycle_exchange(
+            *this, *overlay_, table_, round_, table_.at(order_[p]),
+            targets_[p % targets_.size()], worker_totals_[worker]);
+        if (recorder_ != nullptr) outcomes_[p] = outcome;
       });
-  merge_worker_totals();
+  // Commutative integer sums: the ledger does not depend on which worker
+  // counted what.
+  for (host::TrafficStats& slot : worker_totals_) {
+    total_traffic_ += slot;
+    slot = host::TrafficStats{};
+  }
   if (recorder_ != nullptr) {
     for (const obs::ExchangeOutcome& outcome : outcomes_) {
       recorder_->exchange(round_, outcome);
@@ -98,16 +100,6 @@ void CycleEngine::run_round() {
   //    recorder's sample of the settled state.
   finish_round(config_.churn_rate);
   ++round_;
-}
-
-void CycleEngine::exchange(std::size_t position, host::Node& initiator,
-                           const std::optional<host::NodeId>& target) {
-  // The fabric owns the whole pipeline (partitions, fates, the
-  // duplicate-delivery policy); the engine contributes only the traffic
-  // accumulator, which sharded phases route per worker.
-  conduit_.run_cycle_exchange(
-      *this, *overlay_, table_, round_, initiator, target, totals(),
-      recorder_ != nullptr ? &outcomes_[position] : nullptr);
 }
 
 std::vector<std::byte> CycleEngine::save_snapshot() const {

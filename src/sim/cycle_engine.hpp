@@ -110,12 +110,6 @@ class CycleEngine final : public Population {
   /// Count of all nodes ever created (live + departed).
   [[nodiscard]] std::size_t nodes_ever() const { return table_.size(); }
 
-  /// Immediately replaces `count` random live nodes (manual churn trigger,
-  /// also used by failure-injection tests), and removes one specific node
-  /// (targeted failure injection).
-  using Population::churn_nodes;
-  using Population::kill_node;
-
   // -- Checkpoint / resume (host::snapshot, DESIGN.md §12) -----------------
 
   /// Serialises the engine's complete deterministic state (config echo,
@@ -134,24 +128,13 @@ class CycleEngine final : public Population {
   void restore_snapshot(std::span<const std::byte> bytes);
 
  private:
-  /// The exchange at plan position `position`: `initiator` towards the
-  /// target the walk picked (request -> response, fault fates and
-  /// failed-contact accounting). Every draw comes from the initiator's
-  /// streams, so the unit touches only the two participants' state plus
-  /// `totals()` (and its outcome slot when a recorder is attached).
-  void exchange(std::size_t position, host::Node& initiator,
-                const std::optional<host::NodeId>& target);
-
-  /// Ends a sharded phase: folds the worker slots into the global totals
-  /// (commutative integer sums, so the result does not depend on which
-  /// worker counted what).
-  void merge_worker_totals();
-
   EngineConfig config_;
   host::Round round_ = 0;
 
   host::WorkerPool pool_;
-  std::vector<host::TrafficStats> worker_totals_;  // One slot per worker.
+  // One traffic slot per worker: each exchange counts into its worker's
+  // slot, and the phase's end folds them into the ledger.
+  std::vector<host::TrafficStats> worker_totals_;
 
   // Per-round exchange plan: the initiators in the order shuffled from the
   // global stream, and a ring of the targets the walk picked for the

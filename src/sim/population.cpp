@@ -9,21 +9,8 @@
 #include "host/snapshot.hpp"
 
 namespace adam2::sim {
-namespace {
 
 namespace snap = host::snapshot;
-
-/// The calling thread's traffic accumulator while it runs a bound
-/// sharded-phase task; null otherwise (see Population::totals).
-thread_local host::TrafficStats* tls_totals = nullptr;
-
-}  // namespace
-
-Population::WorkerBinding::WorkerBinding(host::TrafficStats& slot) {
-  tls_totals = &slot;
-}
-
-Population::WorkerBinding::~WorkerBinding() { tls_totals = nullptr; }
 
 Population::Population(const host::FaultPlan& faults, std::uint64_t seed,
                        std::unique_ptr<host::Overlay> overlay,
@@ -41,10 +28,6 @@ Population::Population(const host::FaultPlan& faults, std::uint64_t seed,
   if (churns && !attribute_source_) {
     throw std::invalid_argument("churn requires an attribute source");
   }
-}
-
-host::TrafficStats& Population::totals() {
-  return tls_totals != nullptr ? *tls_totals : total_traffic_;
 }
 
 void Population::populate(std::span<const stats::Value> initial_attributes) {

@@ -58,9 +58,11 @@ class Population : public host::HostView {
   [[nodiscard]] std::span<const host::NodeId> live_ids() const final {
     return table_.live_ids();
   }
-  /// Counts into the calling thread's accumulator (see totals()).
+  /// Counts straight into the run's ledger. Its only callers, Cyclon's walk
+  /// decision and the event-driven engine, run serially; the cycle engine's
+  /// exchanges count into per-worker slots instead.
   void record_traffic(host::Channel channel, std::size_t bytes) final {
-    totals().record_message(channel, bytes);
+    total_traffic_.record_message(channel, bytes);
   }
 
   // -- Introspection / experiment control --------------------------------
@@ -79,6 +81,17 @@ class Population : public host::HostView {
   [[nodiscard]] host::NodeId random_live_node() {
     return table_.random_live(rng_);
   }
+
+  /// Removes one node from the overlay and the table (targeted failure
+  /// injection; no-op when it is already dead; std::out_of_range for
+  /// unknown ids).
+  void kill_node(host::NodeId id);
+
+  /// Replaces `count` random live nodes (at most the live count): every
+  /// victim is removed first, then every newcomer spawned. Without an
+  /// attribute source it only removes. Experiments and failure-injection
+  /// tests call it as a manual churn trigger.
+  void churn_nodes(std::size_t count);
 
   /// Attribute values of all live nodes (the ground truth population).
   [[nodiscard]] std::vector<stats::Value> live_attribute_values() const {
@@ -117,15 +130,6 @@ class Population : public host::HostView {
   /// them.
   void populate(std::span<const stats::Value> initial_attributes);
 
-  /// Removes one node from the overlay and the table (no-op when it is
-  /// already dead; std::out_of_range for unknown ids).
-  void kill_node(host::NodeId id);
-
-  /// Replaces `count` random live nodes (at most the live count): every
-  /// victim is removed first, then every newcomer spawned. Without an
-  /// attribute source it only removes.
-  void churn_nodes(std::size_t count);
-
   /// The serial end of a round (cycle engine) or maintenance cycle
   /// (event-driven engine): fault-plan crash restarts, then churn of
   /// `churn_rate` of the live nodes in expectation, then the recorder's
@@ -161,23 +165,6 @@ class Population : public host::HostView {
                const rng::Rng& global, const host::TrafficStats& totals,
                std::span<const std::byte> bytes,
                const std::function<void()>& commit);
-
-  // -- Traffic accumulators --------------------------------------------------
-
-  /// Points the calling thread's accumulator at a worker slot for one
-  /// sharded-phase task and unbinds it on exit, exceptions included, so no
-  /// thread keeps a pointer into an engine between phases.
-  class WorkerBinding {
-   public:
-    explicit WorkerBinding(host::TrafficStats& slot);
-    ~WorkerBinding();
-    WorkerBinding(const WorkerBinding&) = delete;
-    WorkerBinding& operator=(const WorkerBinding&) = delete;
-  };
-
-  /// The traffic accumulator of the calling thread: its worker's slot while
-  /// it runs a bound sharded-phase task, the global totals otherwise.
-  [[nodiscard]] host::TrafficStats& totals();
 
   /// The shared exchange fabric: owns partitions and the whole fault-fate
   /// pipeline (host/exchange.hpp). The engines only schedule.

@@ -1,11 +1,10 @@
-// Streaming summary statistics used by the metric probes: Welford running
-// mean/variance plus min/max, and simple percentile helpers over vectors.
+// Streaming summary statistics used by the evaluators: Welford running
+// mean/variance plus min/max.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
-#include <span>
-#include <vector>
 
 namespace adam2::stats {
 
@@ -26,15 +25,9 @@ class RunningStat {
   [[nodiscard]] double variance() const noexcept {
     return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
   }
-  [[nodiscard]] double stddev() const noexcept;
+  [[nodiscard]] double stddev() const noexcept { return std::sqrt(variance()); }
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept {
-    return mean_ * static_cast<double>(count_);
-  }
-
-  /// Merges another accumulator (parallel Welford combine).
-  void merge(const RunningStat& other) noexcept;
 
  private:
   std::size_t count_ = 0;
@@ -43,9 +36,5 @@ class RunningStat {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// q-th percentile (q in [0,1]) of `xs` by nearest-rank; copies and sorts.
-/// Precondition: xs non-empty.
-[[nodiscard]] double percentile(std::span<const double> xs, double q);
 
 }  // namespace adam2::stats

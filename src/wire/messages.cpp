@@ -209,11 +209,6 @@ Adam2Message Adam2MessageView::materialize() const {
   return m;
 }
 
-MessageType peek_type(std::span<const std::byte> buffer) {
-  if (buffer.empty()) throw DecodeError("empty buffer");
-  return static_cast<MessageType>(buffer[0]);
-}
-
 std::vector<std::byte> Adam2Message::encode() const {
   Writer w;
   w.reserve(encoded_size());

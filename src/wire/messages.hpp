@@ -39,9 +39,6 @@ enum class MessageType : std::uint8_t {
   kShuffleResponse = 8,
 };
 
-/// Reads the type tag without consuming the buffer.
-[[nodiscard]] MessageType peek_type(std::span<const std::byte> buffer);
-
 /// Globally unique aggregation-instance identity: the initiator's node id
 /// plus the initiator-local sequence number.
 struct InstanceId {
@@ -84,7 +81,7 @@ struct InstancePayload {
 
 /// Non-owning view of one instance's live state for encoding: the fixed
 /// header by value, the H and V series as spans over the sender's storage
-/// (arena slots in core::InstanceStore, or any contiguous CdfPoint run).
+/// (a core::InstanceSlot's two vectors, or any contiguous CdfPoint run).
 /// This is how agents hand their per-instance state to Adam2MessageBuilder
 /// without materialising an InstancePayload copy. Valid only while the
 /// referenced storage is alive and unmodified.

@@ -168,8 +168,9 @@ TEST(EquiDepthTest, ResilientToChurn) {
       });
   run_phase(engine, config);
   const stats::EmpiricalCdf truth{engine.live_attribute_values()};
-  const auto errors =
-      evaluate_equidepth(engine, truth, 0, true, /*missing=*/false);
+  core::EvaluationOptions options;
+  options.missing_counts_as_one = false;
+  const auto errors = evaluate_equidepth(engine, truth, options);
   EXPECT_LT(errors.avg_err, 0.1);
 }
 
@@ -247,9 +248,8 @@ TEST(SamplingTest, CostModelCountsWalkMessages) {
   rng::Rng rng(14);
   SamplingConfig config;
   config.sample_size = 1000;
-  config.walk_hops = 10;
   const auto result = estimate_by_sampling(values, config, rng);
-  EXPECT_EQ(result.messages, 10000u);
+  EXPECT_EQ(result.messages, 10000u);  // kWalkHops = 10 per sample.
   EXPECT_EQ(result.bytes_estimate, 10000u * 48u);
 }
 

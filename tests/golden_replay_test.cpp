@@ -266,7 +266,6 @@ struct TracedRun {
   std::uint64_t ring_digest = 0;
   std::string trace;
   std::string metrics;
-  std::string series;
 };
 
 template <typename EngineT>
@@ -278,7 +277,6 @@ TracedRun traced(EngineT& engine, obs::Recorder& recorder) {
   run.ring_digest = obs::trace_digest(recorder.trace());
   run.trace = obs::trace_jsonl(recorder.trace());
   run.metrics = obs::metrics_json(recorder.metrics());
-  run.series = obs::series_csv(recorder);
   return run;
 }
 
@@ -375,8 +373,8 @@ TEST(GoldenResumeTest, AsyncResumeUnderFaultPlanMatchesUninterruptedDigest) {
 }
 
 // -- Observability determinism (DESIGN.md §11) -------------------------------
-// The cycle engine must export byte-identical traces, metrics and series for
-// the same seed at any thread count: exchange outcomes are buffered in
+// The cycle engine must export byte-identical traces and metrics for the
+// same seed at any thread count: exchange outcomes are buffered in
 // plan-position slots and drained serially after the phase, so the recorded
 // stream is the plan order on every schedule. The non-trivial fault plan
 // makes this bite — it exercises drops, duplicates, corruption, partitions
@@ -397,8 +395,6 @@ TEST(GoldenReplayTest, TraceExportsAreIdenticalAcrossSchedules) {
     EXPECT_EQ(serial.trace, eight.trace) << "faults=" << faults;
     EXPECT_EQ(serial.metrics, one.metrics) << "faults=" << faults;
     EXPECT_EQ(serial.metrics, eight.metrics) << "faults=" << faults;
-    EXPECT_EQ(serial.series, one.series) << "faults=" << faults;
-    EXPECT_EQ(serial.series, eight.series) << "faults=" << faults;
   }
 }
 

@@ -507,7 +507,7 @@ TEST(BootstrapTest, EmptyHandedContactsAreRetriedWithoutFailedContact) {
   // one request per attempt, never a response.
   EXPECT_EQ(totals.failed_contacts, 0u);
   EXPECT_EQ(totals.on(Channel::kBootstrap).messages_sent,
-            static_cast<std::uint64_t>(BootstrapPolicy{}.attempts));
+            static_cast<std::uint64_t>(kBootstrapAttempts));
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,10 @@ std::string read_file(const std::filesystem::path& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+std::span<const std::byte> bytes_of(std::string_view text) {
+  return std::as_bytes(std::span(text));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,21 +292,6 @@ TEST(Export, TraceJsonlGolden) {
       "\"instance\":9}\n");
 }
 
-TEST(Export, SeriesCsvGolden) {
-  Recorder recorder;
-  host::TrafficStats totals;
-  totals.on(host::Channel::kAggregation).add_send(800);
-  totals.dropped_messages = 3;
-  totals.failed_contacts = 1;
-  recorder.round_begin(1, 64);
-  recorder.round_end(1, 64, 64, totals);
-
-  EXPECT_EQ(series_csv(recorder),
-            "round,live,nodes_ever,bytes_sent,dropped,duplicated,corrupted,"
-            "partitioned,failed_contacts,crash_restarts\n"
-            "1,64,64,800,3,0,0,0,1,0\n");
-}
-
 // ---------------------------------------------------------------------------
 // Recorder
 // ---------------------------------------------------------------------------
@@ -350,10 +341,12 @@ TEST(Recorder, RoundEndAbsorbsTrafficAndAppendsSample) {
             2U);
   EXPECT_EQ(recorder.metrics().counter_value("traffic.crash_restarts"), 1U);
 
-  ASSERT_EQ(recorder.series().size(), 1U);
-  EXPECT_EQ(recorder.series()[0].round, 5U);
-  EXPECT_EQ(recorder.series()[0].bytes_sent, 800U);
-  EXPECT_EQ(recorder.series()[0].duplicated, 2U);
+  // The round's sample lands in the trace as one kRoundEnd event.
+  ASSERT_EQ(recorder.trace().size(), 1U);
+  EXPECT_EQ(recorder.trace().at(0).kind, EventKind::kRoundEnd);
+  EXPECT_EQ(recorder.trace().at(0).round, 5U);
+  EXPECT_EQ(recorder.trace().at(0).value_a, 60U);
+  EXPECT_EQ(recorder.trace().at(0).value_b, 64U);
 
   // set_traffic is set-not-add: absorbing the same snapshot again must not
   // double the totals.
@@ -409,12 +402,12 @@ TEST(AtomicWrite, WritesContentAndLeavesNoTempFile) {
       std::filesystem::path(::testing::TempDir()) / "adam2_obs_atomic.json";
   std::filesystem::remove(path);
 
-  ASSERT_TRUE(atomic_write_file(path, "{\"ok\":true}\n"));
+  ASSERT_TRUE(atomic_write_file(path, bytes_of("{\"ok\":true}\n")));
   EXPECT_EQ(read_file(path), "{\"ok\":true}\n");
   EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
 
   // Overwrite replaces the previous artifact whole.
-  ASSERT_TRUE(atomic_write_file(path, "v2"));
+  ASSERT_TRUE(atomic_write_file(path, bytes_of("v2")));
   EXPECT_EQ(read_file(path), "v2");
   std::filesystem::remove(path);
 }
@@ -425,7 +418,7 @@ TEST(AtomicWrite, CreatesParentDirectories) {
   std::filesystem::remove_all(dir);
   const std::filesystem::path path = dir / "deep" / "metrics.json";
 
-  ASSERT_TRUE(atomic_write_file(path, "x"));
+  ASSERT_TRUE(atomic_write_file(path, bytes_of("x")));
   EXPECT_EQ(read_file(path), "x");
   std::filesystem::remove_all(dir);
 }
@@ -444,14 +437,12 @@ TEST(AtomicWrite, WriteHelpersRoundTripExports) {
   ASSERT_TRUE(write_trace_jsonl(dir / "trace.jsonl", recorder.trace()));
   ASSERT_TRUE(write_metrics_json(dir / "metrics.json", recorder.metrics()));
   ASSERT_TRUE(write_manifest_json(dir / "manifest.json", recorder.manifest()));
-  ASSERT_TRUE(write_series_csv(dir / "series.csv", recorder));
 
   EXPECT_EQ(read_file(dir / "trace.jsonl"), trace_jsonl(recorder.trace()));
   EXPECT_EQ(read_file(dir / "metrics.json"),
             metrics_json(recorder.metrics()));
   EXPECT_EQ(read_file(dir / "manifest.json"),
             manifest_json(recorder.manifest()));
-  EXPECT_EQ(read_file(dir / "series.csv"), series_csv(recorder));
   std::filesystem::remove_all(dir);
 }
 

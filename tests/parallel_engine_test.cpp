@@ -273,12 +273,14 @@ TEST(ParallelEngineTest, RecorderSeesEveryRound) {
                      averaging_factory(), churn_values(), 2);
   engine.set_recorder(&recorder);
   engine.run_rounds(5);
-  const std::vector<obs::RoundSample>& series = recorder.series();
-  ASSERT_EQ(series.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(series[i].round, i);
-    EXPECT_EQ(series[i].live, 50u);
+  std::vector<host::Round> ended;
+  for (std::size_t i = 0; i < recorder.trace().size(); ++i) {
+    const obs::TraceEvent& event = recorder.trace().at(i);
+    if (event.kind != obs::EventKind::kRoundEnd) continue;
+    ended.push_back(event.round);
+    EXPECT_EQ(event.value_a, 50u);  // Live count.
   }
+  EXPECT_EQ(ended, (std::vector<host::Round>{0, 1, 2, 3, 4}));
 }
 
 // Fault replay: the same FaultPlan seed must produce the same fault

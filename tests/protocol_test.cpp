@@ -320,24 +320,6 @@ TEST(ProtocolTest, ChurnedInNodesInheritEstimates) {
   EXPECT_GT(inherited, 10u);
 }
 
-TEST(ProtocolTest, EvaluationCanExcludeInheritedEstimates) {
-  SystemConfig config = small_system(16);
-  Adam2System system(config, iota_values(150), [](rng::Rng& rng) {
-    return static_cast<stats::Value>(rng.below(150) + 1);
-  });
-  const stats::EmpiricalCdf truth{iota_values(150)};
-  system.run_instance();
-  system.engine().churn_nodes(15);
-
-  EvaluationOptions include;
-  EvaluationOptions exclude;
-  exclude.include_inherited = false;
-  exclude.missing_counts_as_one = false;
-  const auto with = evaluate_estimates(system.engine(), truth, include);
-  const auto without = evaluate_estimates(system.engine(), truth, exclude);
-  EXPECT_GT(with.peers, without.peers);
-}
-
 // ----------------------------------------------------------- refinement
 
 TEST(ProtocolTest, SecondInstanceRefinesThresholds) {

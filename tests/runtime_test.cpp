@@ -68,13 +68,15 @@ TEST(MailboxTest, PushPopFifo) {
   Mailbox mailbox;
   mailbox.push({EnvelopeKind::kGossipRequest, 1, 0, {}});
   mailbox.push({EnvelopeKind::kGossipResponse, 2, 0, {}});
-  auto first = mailbox.try_pop();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  auto first = mailbox.wait_pop(deadline);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->from, 1u);
-  auto second = mailbox.try_pop();
+  auto second = mailbox.wait_pop(deadline);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->from, 2u);
-  EXPECT_FALSE(mailbox.try_pop().has_value());
+  // Empty: a deadline already passed returns at once.
+  EXPECT_FALSE(mailbox.wait_pop(std::chrono::steady_clock::now()).has_value());
 }
 
 TEST(MailboxTest, WaitPopTimesOut) {
@@ -99,25 +101,6 @@ TEST(MailboxTest, WaitPopWakesOnPush) {
   EXPECT_EQ(result->from, 7u);
 }
 
-TEST(MailboxTest, CloseWakesWaiters) {
-  Mailbox mailbox;
-  std::thread closer([&] {
-    std::this_thread::sleep_for(5ms);
-    mailbox.close();
-  });
-  const auto result =
-      mailbox.wait_pop(std::chrono::steady_clock::now() + 5s);
-  closer.join();
-  EXPECT_FALSE(result.has_value());
-}
-
-TEST(MailboxTest, PushAfterCloseIsDropped) {
-  Mailbox mailbox;
-  mailbox.close();
-  mailbox.push({EnvelopeKind::kWakeup, 1, 0, {}});
-  EXPECT_EQ(mailbox.size(), 0u);
-}
-
 // ----------------------------------------------------------------- Network
 
 TEST(NetworkTest, RoutesToAttachedMailboxes) {
@@ -128,16 +111,19 @@ TEST(NetworkTest, RoutesToAttachedMailboxes) {
   network.attach(2, &b);
   EXPECT_TRUE(network.send(2, {EnvelopeKind::kGossipRequest, 1, 0,
                                std::vector<std::byte>(10)}));
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_EQ(a.size(), 0u);
-  EXPECT_EQ(network.messages_routed(), 1u);
-  EXPECT_EQ(network.bytes_routed(), 10u);
+  const auto delivered = b.wait_pop(std::chrono::steady_clock::now() + 5s);
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_EQ(delivered->from, 1u);
+  EXPECT_EQ(delivered->payload.size(), 10u);
+  EXPECT_FALSE(a.wait_pop(std::chrono::steady_clock::now()).has_value());
 }
 
 TEST(NetworkTest, DropsToUnknownDestination) {
   Network network;
+  Mailbox a;
+  network.attach(1, &a);
   EXPECT_FALSE(network.send(9, {EnvelopeKind::kGossipRequest, 1, 0, {}}));
-  EXPECT_EQ(network.drops(), 1u);
+  EXPECT_FALSE(a.wait_pop(std::chrono::steady_clock::now()).has_value());
 }
 
 // ----------------------------------------------------------------- Cluster
@@ -271,14 +257,28 @@ TEST(ClusterTest, TrafficIsAccounted) {
   protocol.instance_ttl = 20;
   Cluster cluster(fast_config(6), iota_values(16), adam2_factory(protocol));
   cluster.start();
-  cluster.run_on_node(0, [](host::NodeAgent& agent, host::AgentContext& ctx) {
-    dynamic_cast<core::Adam2Agent&>(agent).start_instance(ctx);
+  wire::InstanceId id;
+  cluster.run_on_node(0, [&](host::NodeAgent& agent, host::AgentContext& ctx) {
+    id = dynamic_cast<core::Adam2Agent&>(agent).start_instance(ctx);
   });
   std::this_thread::sleep_for(100ms);
   cluster.stop();
   const auto traffic = cluster.total_traffic();
   EXPECT_GT(traffic.on(host::Channel::kAggregation).messages_sent, 10u);
-  EXPECT_GT(cluster.network().messages_routed(), 10u);
+  // Proof of delivery: a node other than the initiator holds the instance,
+  // running or finished (the cluster has no join-time bootstrap, so only a
+  // delivered message can have brought it).
+  std::size_t holders = 0;
+  for (host::NodeId node = 1; node < cluster.size(); ++node) {
+    cluster.run_on_node(node, [&](host::NodeAgent& agent, host::AgentContext&) {
+      const auto& a2 = dynamic_cast<const core::Adam2Agent&>(agent);
+      if (a2.instance(id) != nullptr ||
+          (a2.estimate() && a2.estimate()->instance == id)) {
+        ++holders;
+      }
+    });
+  }
+  EXPECT_GT(holders, 0u);
 }
 
 void start_instance_on(Cluster& cluster, host::NodeId id) {

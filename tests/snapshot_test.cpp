@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "host/snapshot.hpp"
+#include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "rng/rng.hpp"
 #include "sim/async_engine.hpp"
@@ -896,7 +897,7 @@ TEST_F(SnapshotFileTest, WriteThenReadRoundTrips) {
   const std::vector<std::byte> bytes = engine.save_snapshot();
 
   const auto path = dir_ / "state.snap";
-  ASSERT_TRUE(snap::write_snapshot_file(path, bytes));
+  ASSERT_TRUE(obs::atomic_write_file(path, bytes));
   const auto loaded = snap::read_snapshot_file(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, bytes);
@@ -925,7 +926,7 @@ TEST_F(SnapshotFileTest, OversizedFileIsRefused) {
   CycleEngine engine = make_cycle_engine();
   const std::vector<std::byte> bytes = engine.save_snapshot();
   const auto path = dir_ / "state.snap";
-  ASSERT_TRUE(snap::write_snapshot_file(path, bytes));
+  ASSERT_TRUE(obs::atomic_write_file(path, bytes));
   std::string error;
   EXPECT_FALSE(snap::read_snapshot_file(path, &error, bytes.size() - 1)
                    .has_value());
@@ -937,11 +938,11 @@ TEST_F(SnapshotFileTest, CreatesParentDirectoriesButFailsCleanlyOtherwise) {
   const std::vector<std::byte> bytes = engine.save_snapshot();
   // Missing parent directories are created (checkpoint paths come from
   // flags; requiring a pre-made directory would make --snapshot-out flaky).
-  EXPECT_TRUE(snap::write_snapshot_file(dir_ / "sub" / "state.snap", bytes));
+  EXPECT_TRUE(obs::atomic_write_file(dir_ / "sub" / "state.snap", bytes));
   // A non-directory in the path cannot be papered over: clean false.
-  ASSERT_TRUE(snap::write_snapshot_file(dir_ / "blocker", bytes));
+  ASSERT_TRUE(obs::atomic_write_file(dir_ / "blocker", bytes));
   EXPECT_FALSE(
-      snap::write_snapshot_file(dir_ / "blocker" / "state.snap", bytes));
+      obs::atomic_write_file(dir_ / "blocker" / "state.snap", bytes));
 }
 
 }  // namespace

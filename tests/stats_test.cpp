@@ -306,7 +306,6 @@ TEST(RunningStatTest, MeanVarianceMinMax) {
   EXPECT_NEAR(stat.variance(), 32.0 / 7.0, 1e-12);  // Sample variance.
   EXPECT_DOUBLE_EQ(stat.min(), 2.0);
   EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-  EXPECT_DOUBLE_EQ(stat.sum(), 40.0);
 }
 
 TEST(RunningStatTest, EmptyIsZero) {
@@ -314,31 +313,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_EQ(stat.count(), 0u);
   EXPECT_DOUBLE_EQ(stat.mean(), 0.0);
   EXPECT_DOUBLE_EQ(stat.variance(), 0.0);
-}
-
-TEST(RunningStatTest, MergeMatchesSequential) {
-  rng::Rng rng(5);
-  RunningStat all;
-  RunningStat left;
-  RunningStat right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(PercentileTest, NearestRank) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 5.0);
 }
 
 }  // namespace

@@ -187,13 +187,6 @@ TEST(Adam2MessageTest, EmptySetFlagSurvivesRoundTrip) {
   EXPECT_EQ(decoded.instances[0].flags, kFlagEmptySet);
 }
 
-TEST(PeekTypeTest, ReadsFirstByte) {
-  Adam2Message m;
-  const auto bytes = m.encode();
-  EXPECT_EQ(peek_type(bytes), MessageType::kAdam2Request);
-  EXPECT_THROW((void)peek_type({}), DecodeError);
-}
-
 TEST(BootstrapMessagesTest, RequestRoundTrip) {
   const BootstrapRequest req{77};
   EXPECT_EQ(BootstrapRequest::decode(req.encode()), req);

@@ -139,7 +139,7 @@ std::vector<std::byte> load_snapshot(const std::string& path) {
 
 void store_snapshot(const std::string& path,
                     std::span<const std::byte> bytes) {
-  if (!host::snapshot::write_snapshot_file(path, bytes)) {
+  if (!obs::atomic_write_file(path, bytes)) {
     throw std::runtime_error("cannot write snapshot to " + path);
   }
 }

@@ -666,8 +666,8 @@ class Analyzer {
                 "million-node scale. Use a vector or a fixed ring that "
                 "allocates on first use"
               : "node-based maps cost one cache miss per entry per "
-                "traversal at scale. Keep per-instance state in the "
-                "arena-backed core::InstanceStore (DESIGN.md §7.5) and "
+                "traversal at scale. Keep per-instance state in "
+                "core::InstanceStore's slot vector (DESIGN.md §7.5) and "
                 "per-node state in vectors indexed by NodeId";
       emit(t.line, "hot-path-container",
            "std::" + t.text + " in the gossip hot path (src/core/), the "

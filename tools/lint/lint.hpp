@@ -50,8 +50,8 @@
 //                         the heap — one cache miss per entry per traversal
 //                         at million-node rounds — and an idle deque member
 //                         still costs ~600 B per object under libstdc++.
-//                         Per-instance state belongs in the arena-backed
-//                         core::InstanceStore (DESIGN.md §7.5), per-node
+//                         Per-instance state belongs in the slot vector
+//                         of core::InstanceStore (DESIGN.md §7.5), per-node
 //                         state in vectors indexed by id, bounded FIFOs in
 //                         rings that allocate on first use; genuinely cold
 //                         paths (observer tooling) annotate with
