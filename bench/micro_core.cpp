@@ -590,6 +590,36 @@ void BM_SteadyExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyExchange)->Arg(1)->Arg(5);
 
+/// One warmed Cyclon maintenance pass over range(0) nodes on one worker:
+/// the overlay layer's cost per shuffle, in cache (2,000 nodes) and out of
+/// it (100,000 nodes: ~150 MB of views and value caches).
+void BM_CyclonMaintain(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  PopulationHostView host(nodes);
+  sim::CyclonOverlay overlay(sim::CyclonConfig{});
+  host::WorkerPool pool(1);
+  rng::Rng rng(3);
+  overlay.build_initial(host.live_ids(), host, rng);
+  // Warm up: the value caches fill (128 values, ~17 per shuffle).
+  for (int i = 0; i < 10; ++i) overlay.maintain(host, rng, pool);
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    overlay.maintain(host, rng, pool);
+    const std::chrono::duration<double> pass =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(pass.count());
+    seconds += pass.count();
+  }
+  state.counters["ns_per_shuffle"] =
+      seconds * 1e9 / static_cast<double>(state.iterations() * nodes);
+}
+BENCHMARK(BM_CyclonMaintain)
+    ->Arg(2000)
+    ->Arg(100000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SelectHCut(benchmark::State& state) {
   const auto prev = synthetic_prev(52);
   for (auto _ : state) {

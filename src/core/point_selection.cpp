@@ -215,7 +215,8 @@ std::vector<double> lcut(const PiecewiseLinearCdf& prev, std::size_t lambda) {
   for (std::size_t i = 1; i < knots.size() && ts.size() < lambda; ++i) {
     const double dt = (knots[i].t - knots[i - 1].t) / scale;
     const double df = knots[i].f - knots[i - 1].f;
-    const double seg = std::hypot(dt, df);
+    // Basic operations only (no libm); dt <= 1 and |df| <= 1 cannot overflow.
+    const double seg = std::sqrt(dt * dt + df * df);
     while (seg > 0.0 && walked + seg >= next_target && ts.size() < lambda) {
       const double w = (next_target - walked) / seg;
       ts.push_back(knots[i - 1].t + w * (knots[i].t - knots[i - 1].t));

@@ -7,6 +7,7 @@
 
 #include "core/combine.hpp"
 #include "core/point_selection.hpp"
+#include "host/hints.hpp"
 #include "stats/error_metrics.hpp"
 
 namespace adam2::core {
@@ -155,6 +156,23 @@ std::span<const std::byte> Adam2Agent::make_request(host::AgentContext& ctx) {
   // protocol history, not of any hash-bucket layout.
   for (const InstanceSlot& slot : store_) builder.add(slot.ref());
   return builder.finish();
+}
+
+bool Adam2Agent::prefetch(std::size_t level) const {
+  if (level == 0) {
+    host::touch_bytes(this, sizeof *this);
+    return true;
+  }
+  for (const InstanceSlot& slot : store_) {
+    if (level == 1) {
+      host::touch_bytes(&slot, sizeof slot);
+    } else if (level == 2) {
+      host::touch_bytes(slot.points().data(), slot.points().size_bytes());
+      host::touch_bytes(slot.verification().data(),
+                        slot.verification().size_bytes());
+    }
+  }
+  return !store_.empty();
 }
 
 std::span<const std::byte> Adam2Agent::handle_request(

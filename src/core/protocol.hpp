@@ -36,6 +36,9 @@ class Adam2Agent : public host::NodeAgent {
       host::AgentContext& ctx, std::span<const std::byte> request) override;
   void handle_response(host::AgentContext& ctx,
                        std::span<const std::byte> response) override;
+  /// Level 0: the agent object; 1: its live instance slots; 2: their H
+  /// and V series.
+  bool prefetch(std::size_t level) const override;
   [[nodiscard]] std::vector<std::byte> make_bootstrap_request(
       host::AgentContext& ctx) override;
   [[nodiscard]] std::vector<std::byte> handle_bootstrap_request(

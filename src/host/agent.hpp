@@ -75,6 +75,16 @@ class NodeAgent {
   virtual void handle_response(AgentContext& /*ctx*/,
                                std::span<const std::byte> /*response*/) {}
 
+  /// A hint with no effect on behaviour: loads the state this agent's next
+  /// exchange touches, one level per call. Level 0 is the agent object
+  /// itself, level 1 the state it points to, and so on; each level's
+  /// addresses are read from the level before, so a caller asks for level
+  /// d + 1 only once level d has had time to arrive. It reads the agent and
+  /// writes nothing. Returns whether the agent holds exchange state (one
+  /// that holds none stays silent); true at level 0, where that is not yet
+  /// known. The default loads nothing and returns false.
+  virtual bool prefetch(std::size_t /*level*/) const { return false; }
+
   /// Join-time state transfer: a node entering the system sends one
   /// bootstrap request to a random neighbour and receives its response
   /// (§IV: joining nodes are bootstrapped by their initial neighbours).

@@ -1,4 +1,6 @@
 // The per-node record every substrate keeps, plus the context builder.
+// Whether a node is live is not in its record: host::NodeTable keeps one
+// dense liveness table beside the records (host/registry.hpp).
 #pragma once
 
 #include <memory>
@@ -33,7 +35,6 @@ struct Node {
   NodeId id = 0;
   stats::Value attribute = 0;
   Round birth_round = 0;
-  bool alive = false;
   rng::Rng rng{0};        ///< Agent stream.
   rng::Rng pick_rng{0};   ///< Engine control stream.
   rng::Rng fault_rng{0};  ///< Fault-injection stream (host::FaultInjector).

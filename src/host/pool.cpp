@@ -151,10 +151,12 @@ void WorkerPool::apply_unit(Claims::Call& call, std::size_t u,
 }
 
 void WorkerPool::run_ordered(std::size_t units, std::size_t slot_count,
-                             Decide decide, Task apply) {
+                             Decide decide, Task apply, Ahead ahead) {
   if (threads_.empty()) {
     Claims claims(nullptr, nullptr, slot_count);
+    for (std::size_t u = 0; u < std::min(kLookAhead, units); ++u) ahead(u);
     for (std::size_t u = 0; u < units; ++u) {
+      if (u + kLookAhead < units) ahead(u + kLookAhead);
       if (decide(u, claims)) apply(u, 0);
     }
     return;

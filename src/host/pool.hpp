@@ -17,7 +17,13 @@
 //    walk applies units itself meanwhile), so every participant sees its
 //    units decided and applied in plan order, whatever the interleaving.
 //    Nothing per unit takes a mutex or a condition variable: waits spin
-//    briefly, then yield.
+//    briefly, then yield. A caller may pass a read-only look-ahead step,
+//    `ahead(u)`, that only loads ahead of time what unit u will touch
+//    (prefetch hints, discarded reads): the one-worker pool calls it
+//    kLookAhead units before decide(u), when every earlier decided unit
+//    has been applied and nothing runs concurrently; a pool with threads
+//    never calls it, since there it would read state that an apply on
+//    another worker may be writing.
 //
 // A task that throws fails the whole call the same way at any worker count:
 // the exception reaches the caller, and tasks not yet started may be
@@ -98,10 +104,17 @@ class WorkerPool {
 
   /// `decide(unit, claims)` returns whether the unit has an apply step.
   using Decide = CallRef<bool(std::size_t, Claims&)>;
+  /// `ahead(unit)` reads state and writes none of it: it only loads what
+  /// the units about to be decided will touch.
+  using Ahead = CallRef<void(std::size_t)>;
 
   /// Units decided but not yet applied at any one time in run_ordered, at
   /// most: the walk waits before it runs further ahead.
   static constexpr std::size_t kMaxPending = 4096;
+
+  /// How many units before decide(u) the one-worker run_ordered calls
+  /// ahead(u).
+  static constexpr std::size_t kLookAhead = 16;
 
   /// Spawns `workers` threads; 0 and 1 both mean one inline worker.
   explicit WorkerPool(std::size_t workers);
@@ -130,8 +143,19 @@ class WorkerPool {
   /// At most pending_limit() units are decided and not yet applied, so a
   /// caller can pass decisions to the apply step in a ring of that many
   /// entries, unit u in entry u % pending_limit().
+  ///
+  /// With one worker, `ahead(u)` runs once per unit, in unit order, just
+  /// before decide(u - kLookAhead) (the first kLookAhead units: before
+  /// decide(0)). Every unit before u - kLookAhead has then been decided and
+  /// applied, and nothing runs concurrently, so ahead may read any state;
+  /// it must write none. With threads it is never called: the thread-count
+  /// branch stays here, not in the caller.
   void run_ordered(std::size_t units, std::size_t slot_count, Decide decide,
-                   Task apply);
+                   Task apply, Ahead ahead);
+  void run_ordered(std::size_t units, std::size_t slot_count, Decide decide,
+                   Task apply) {
+    run_ordered(units, slot_count, decide, apply, [](std::size_t) {});
+  }
 
   [[nodiscard]] std::size_t size() const {
     return threads_.empty() ? 1 : threads_.size();

@@ -1,7 +1,8 @@
 #include "host/registry.hpp"
 
-#include <limits>
 #include <stdexcept>
+
+#include "host/hints.hpp"
 
 namespace adam2::host {
 
@@ -13,31 +14,33 @@ constexpr std::uint64_t kPickStreamSalt = 0x9e3779b97f4a7c15ULL;
 
 Node& NodeTable::spawn(stats::Value attribute, Round birth_round,
                        rng::Rng& seed_rng) {
+  if (live_ids_.size() >= kUnplaced) {
+    throw std::length_error("node table: too many live nodes");
+  }
   const NodeId id = nodes_.size();
   Node node;
   node.id = id;
   node.attribute = attribute;
   node.birth_round = birth_round;
-  node.alive = true;
   node.rng = seed_rng.split(id);
   node.pick_rng = seed_rng.split(id ^ kPickStreamSalt);
   nodes_.push_back(std::move(node));
-  live_pos_.push_back(live_ids_.size());
+  live_pos_.push_back(static_cast<std::uint32_t>(live_ids_.size()));
   live_ids_.push_back(id);
   return nodes_.back();
 }
 
 void NodeTable::kill(NodeId id) {
   Node& n = at(id);
-  if (!n.alive) return;
-  n.alive = false;
+  if (!is_live(id)) return;
   n.agent.reset();
 
-  const std::size_t pos = live_pos_[id];
+  const std::uint32_t pos = live_pos_[id];
+  live_pos_[id] = kDead;
   const NodeId moved = live_ids_.back();
   live_ids_[pos] = moved;
   live_ids_.pop_back();
-  live_pos_[moved] = pos;
+  if (moved != id) live_pos_[moved] = pos;
 }
 
 Node& NodeTable::at(NodeId id) {
@@ -64,6 +67,8 @@ std::vector<stats::Value> NodeTable::live_attribute_values() const {
 
 void NodeTable::reserve(std::size_t count) {
   nodes_.reserve(count);
+  // The walks reach node records at random.
+  advise_huge_pages(nodes_.data(), nodes_.capacity() * sizeof(Node));
   live_ids_.reserve(count);
   live_pos_.reserve(count);
 }
@@ -74,20 +79,21 @@ Node& NodeTable::restore_node(stats::Value attribute, Round birth_round,
   node.id = nodes_.size();
   node.attribute = attribute;
   node.birth_round = birth_round;
-  node.alive = alive;
   nodes_.push_back(std::move(node));
+  live_pos_.push_back(alive ? kUnplaced : kDead);
   return nodes_.back();
 }
 
 void NodeTable::finish_restore(std::span<const NodeId> live_order) {
   std::size_t alive_count = 0;
-  for (const Node& node : nodes_) alive_count += node.alive ? 1 : 0;
+  for (std::uint32_t pos : live_pos_) alive_count += pos != kDead ? 1 : 0;
   if (live_order.size() != alive_count) {
     throw std::invalid_argument("finish_restore: live order size mismatch");
   }
-  constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
+  // Positions below alive_count < kUnplaced, so a placed id never reads as
+  // unplaced.
+  for (std::uint32_t& pos : live_pos_) pos = pos != kDead ? kUnplaced : kDead;
   live_ids_.clear();
-  live_pos_.assign(nodes_.size(), kUnplaced);
   for (NodeId id : live_order) {
     if (!is_live(id)) {
       throw std::invalid_argument("finish_restore: dead or unknown live id");
@@ -95,7 +101,7 @@ void NodeTable::finish_restore(std::span<const NodeId> live_order) {
     if (live_pos_[id] != kUnplaced) {
       throw std::invalid_argument("finish_restore: duplicate live id");
     }
-    live_pos_[id] = live_ids_.size();
+    live_pos_[id] = static_cast<std::uint32_t>(live_ids_.size());
     live_ids_.push_back(id);
   }
 }

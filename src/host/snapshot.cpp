@@ -130,14 +130,15 @@ void write_node_table(wire::Writer& out, const NodeTable& table) {
   wire::Writer agent_blob;
   for (NodeId id = 0; id < table.size(); ++id) {
     const Node& node = table.at(id);
+    const bool alive = table.is_live(id);
     out.u64(node.id);
     out.i64(node.attribute);
     out.u32(node.birth_round);
-    out.u8(node.alive ? 1 : 0);
+    out.u8(alive ? 1 : 0);
     write_rng(out, node.rng);
     write_rng(out, node.pick_rng);
     write_rng(out, node.fault_rng);
-    if (!node.alive) continue;
+    if (!alive) continue;
     if (node.agent == nullptr) {
       throw SnapshotError("live node has no agent to snapshot");
     }

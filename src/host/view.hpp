@@ -24,6 +24,10 @@ class HostView {
   /// Records one message of `bytes` bytes on `channel`, counted as both
   /// sent and received.
   virtual void record_traffic(Channel channel, std::size_t bytes) = 0;
+
+  /// A hint with no effect on behaviour: starts loading what
+  /// attribute_of(id) reads. The default does nothing.
+  virtual void prefetch_node(NodeId /*id*/) const {}
 };
 
 }  // namespace adam2::host

@@ -5,23 +5,6 @@
 
 namespace adam2::rng {
 
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  assert(bound > 0);
-  // Lemire's multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::normal() noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

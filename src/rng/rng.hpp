@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -100,8 +101,23 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses Lemire's
-  /// multiply-shift rejection method (unbiased).
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
+  /// multiply-shift rejection method (unbiased). Inline: the overlay's
+  /// shuffle draws it in its innermost loop.
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept {
+    assert(bound > 0);
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {  // Rare: reject the biased low products.
+      const std::uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
@@ -71,22 +72,28 @@ bool UdpEndpoint::send(host::NodeId to, Envelope envelope) {
 }
 
 std::optional<Envelope> UdpEndpoint::receive(Clock::time_point deadline) {
-  // A zero timeval means "block forever" to SO_RCVTIMEO. A deadline less
-  // than a microsecond away truncates to exactly that, which would wedge the
-  // peer's receive loop until a stray datagram arrives.
-  const auto timeout = std::max(
-      std::chrono::duration_cast<std::chrono::microseconds>(deadline -
-                                                            Clock::now()),
-      std::chrono::microseconds{1});
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1'000'000);
-  tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1'000'000);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0) {
-    return std::nullopt;
-  }
   std::byte buffer[kMaxDatagram];
-  const auto received = ::recv(fd_, buffer, sizeof buffer, 0);
-  if (received < 0) return std::nullopt;  // Timeout.
+  ssize_t received = -1;
+  for (;;) {
+    // A zero timeval means "block forever" to SO_RCVTIMEO. A deadline less
+    // than a microsecond away truncates to exactly that, which would wedge
+    // the peer's receive loop until a stray datagram arrives.
+    const auto timeout = std::max(
+        std::chrono::duration_cast<std::chrono::microseconds>(deadline -
+                                                              Clock::now()),
+        std::chrono::microseconds{1});
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1'000'000);
+    tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1'000'000);
+    if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0) {
+      return std::nullopt;
+    }
+    received = ::recv(fd_, buffer, sizeof buffer, 0);
+    if (received >= 0) break;
+    // A signal cut the wait short: wait out the rest of the deadline.
+    if (errno == EINTR && Clock::now() < deadline) continue;
+    return std::nullopt;  // Timeout.
+  }
   if (received < static_cast<ssize_t>(kHeaderBytes)) {
     // A datagram arrived but is too short to even frame an envelope: that is
     // wire truncation, not silence, and must show in the ledger.

@@ -3,13 +3,35 @@
 #include <algorithm>
 #include <utility>
 
+#include "host/hints.hpp"
 #include "host/snapshot.hpp"
 
 namespace adam2::sim {
 
 namespace snap = host::snapshot;
 
-constexpr std::size_t kPrefetchAhead = 8;  // Exchange-walk units.
+namespace {
+
+/// The exchange walk draws unit p + kPickAhead's target while it decides
+/// unit p and starts loading both node records, so they have arrived by the
+/// time the unit runs; it starts loading the record of the initiator it
+/// will pick kRecordAhead picks later, whose control stream the pick reads.
+constexpr std::size_t kPickAhead = 16;
+constexpr std::size_t kRecordAhead = 8;
+/// Look-ahead stages of one exchange, kSpacing units apart: the initiator's
+/// agent line, its levels 0-2 (NodeAgent::prefetch), then, if it holds
+/// state, the target's record, agent line and levels 0-2.
+constexpr std::size_t kStages = 7;
+constexpr std::size_t kSpacing = 2;
+/// The look-ahead runs in rounds after one with at least one aggregation
+/// message per kPayloadShare initiators.
+constexpr std::size_t kPayloadShare = 4;
+static_assert((kStages - 1) * kSpacing < host::WorkerPool::kLookAhead &&
+                  host::WorkerPool::kLookAhead <= kPickAhead,
+              "every stage runs after the unit's pick and before its "
+              "decision");
+
+}  // namespace
 
 CycleEngine::CycleEngine(EngineConfig config,
                          std::vector<stats::Value> initial_attributes,
@@ -43,30 +65,41 @@ void CycleEngine::run_round() {
 
   // 3. One exchange per live node, in an order shuffled from the global
   //    stream. The walk picks each target from the initiator's control
-  //    stream and claims both participants; the apply is the exchange,
-  //    counted into its worker's slot. With a recorder attached every
-  //    exchange stores its outcome in its plan position's slot; draining
-  //    them in order afterwards gives the same record stream at any thread
-  //    count.
+  //    stream kPickAhead units before it decides the unit, and claims both
+  //    participants; the apply is the exchange, counted into its worker's
+  //    slot. The pick draws what it always drew: only the walk touches a
+  //    control stream, once per live node, and the overlay is frozen after
+  //    maintenance. With a recorder attached every exchange stores its
+  //    outcome in its plan position's slot; draining them in order
+  //    afterwards gives the same record stream at any thread count.
   const auto initiators = table_.live_ids();
   order_.assign(initiators.begin(), initiators.end());
   rng_.shuffle(order_);
-  targets_.resize(std::min(order_.size(), pool_.pending_limit()));
+  // The ring holds the pending units' targets and the ones drawn ahead.
+  targets_.resize(
+      std::min(order_.size(), pool_.pending_limit() + kPickAhead));
+  picked_ = 0;
   if (recorder_ != nullptr) outcomes_.assign(order_.size(), {});
   // A node's id is its slot.
   pool_.run_ordered(
       order_.size(), table_.size(),
       [&](std::size_t p, host::WorkerPool::Claims& claims) {
-        // Start loading a control stream a few units ahead: the walk is
-        // serial, and node records lie scattered.
-        if (p + kPrefetchAhead < order_.size()) {
-          __builtin_prefetch(&table_.at(order_[p + kPrefetchAhead]).pick_rng,
-                             1);
+        for (; picked_ < order_.size() && picked_ <= p + kPickAhead;
+             ++picked_) {
+          // Node records lie scattered, and the walk is serial.
+          if (picked_ + kRecordAhead < order_.size()) {
+            host::prefetch_object(&table_.at(order_[picked_ + kRecordAhead]));
+          }
+          const host::NodeId initiator = order_[picked_];
+          const std::optional<host::NodeId>& target =
+              target_of(picked_) = overlay_->pick_gossip_target(
+                  initiator, table_.at(initiator).pick_rng);
+          if (target && *target < table_.size()) {
+            host::prefetch_object(&table_.at(*target));
+          }
         }
         const host::NodeId initiator = order_[p];
-        std::optional<host::NodeId>& target = targets_[p % targets_.size()];
-        target = overlay_->pick_gossip_target(initiator,
-                                              table_.at(initiator).pick_rng);
+        const std::optional<host::NodeId>& target = target_of(p);
         claims.claim(static_cast<std::uint32_t>(initiator));
         // The target too, by the id bound alone: the walk reads no node
         // record for it. Liveness is frozen during this phase, so a claim
@@ -81,15 +114,25 @@ void CycleEngine::run_round() {
       [&](std::size_t p, std::size_t worker) {
         const obs::ExchangeOutcome outcome = conduit_.run_cycle_exchange(
             *this, *overlay_, table_, round_, table_.at(order_[p]),
-            targets_[p % targets_.size()], worker_totals_[worker]);
+            target_of(p), worker_totals_[worker]);
         if (recorder_ != nullptr) outcomes_[p] = outcome;
-      });
+      },
+      [&](std::size_t u) { look_ahead(u); });
   // Commutative integer sums: the ledger does not depend on which worker
   // counted what.
+  const std::uint64_t sent_before =
+      total_traffic_.on(host::Channel::kAggregation).messages_sent;
   for (host::TrafficStats& slot : worker_totals_) {
     total_traffic_ += slot;
     slot = host::TrafficStats{};
   }
+  // The next round's look-ahead loads agent state only if this round's
+  // exchanges carried payloads: in a round where initiators hold nothing
+  // the loads cost more than the exchanges they would serve.
+  payload_round_ =
+      (total_traffic_.on(host::Channel::kAggregation).messages_sent -
+       sent_before) * kPayloadShare >=
+      order_.size();
   if (recorder_ != nullptr) {
     for (const obs::ExchangeOutcome& outcome : outcomes_) {
       recorder_->exchange(round_, outcome);
@@ -100,6 +143,46 @@ void CycleEngine::run_round() {
   //    recorder's sample of the settled state.
   finish_round(config_.churn_rate);
   ++round_;
+}
+
+std::optional<host::NodeId>& CycleEngine::target_of(std::size_t p) {
+  return targets_[p % targets_.size()];
+}
+
+void CycleEngine::look_ahead(std::size_t u) {
+  if (!payload_round_) return;
+  const auto agent_of = [&](host::NodeId id) {
+    return table_.at(id).agent.get();
+  };
+  for (std::size_t stage = 0; stage < kStages && stage * kSpacing <= u;
+       ++stage) {
+    const std::size_t p = u - stage * kSpacing;
+    if (p >= picked_) continue;
+    const host::NodeAgent* initiator = agent_of(order_[p]);
+    if (initiator == nullptr) continue;
+    bool& sends = sends_[p % sends_.size()];
+    if (stage == 0) {
+      host::touch_bytes(initiator, 1);  // The line the hint's call reads.
+    } else if (stage <= 3) {
+      const bool holds = initiator->prefetch(stage - 1);
+      if (stage == 2) sends = holds;
+    }
+    // A silent initiator never reaches its target.
+    const std::optional<host::NodeId>& target = target_of(p);
+    if (stage < 2 || !sends || !target || *target == order_[p] ||
+        *target >= table_.size()) {
+      continue;
+    }
+    if (stage == 2) {
+      host::touch_bytes(&table_.at(*target), sizeof(host::Node));
+    } else if (const host::NodeAgent* agent = agent_of(*target)) {
+      if (stage == 3) {
+        host::touch_bytes(agent, 1);
+      } else {
+        (void)agent->prefetch(stage - 4);
+      }
+    }
+  }
 }
 
 std::vector<std::byte> CycleEngine::save_snapshot() const {

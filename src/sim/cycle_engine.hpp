@@ -41,8 +41,19 @@
 // happens in the one-worker order. With one worker, each unit is decided
 // and applied back to back. A seed therefore gives bit-identical results
 // at any thread count (golden replay tests).
+//
+// The serial walks wait on memory more than they compute at large N, so
+// they load ahead without moving a draw or a write. The exchange walk draws
+// each target kPickAhead units before it decides the unit (only the walk
+// touches a control stream, and the overlay is frozen after maintenance)
+// and prefetches both node records then. On one worker, both walks also
+// pass a look-ahead step (WorkerPool::run_ordered's `ahead`): Cyclon's
+// prefetches the views and value caches its shuffles are about to touch;
+// the exchange walk's loads both agents' state, one level per stage, in
+// rounds after one whose exchanges carried payloads.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -138,10 +149,23 @@ class CycleEngine final : public Population {
 
   // Per-round exchange plan: the initiators in the order shuffled from the
   // global stream, and a ring of the targets the walk picked for the
-  // exchanges not yet run (position p in entry p % size;
-  // WorkerPool::pending_limit).
+  // exchanges not yet run, kPickAhead of them not yet decided (position p
+  // in entry p % size; WorkerPool::pending_limit() + kPickAhead entries).
+  // `picked_` counts the positions whose target is drawn.
   std::vector<host::NodeId> order_;
   std::vector<std::optional<host::NodeId>> targets_;
+  std::size_t picked_ = 0;
+  // The look-ahead's note, per unit in flight, of whether its initiator
+  // holds exchange state (NodeAgent::prefetch).
+  std::array<bool, host::WorkerPool::kLookAhead> sends_{};
+  // Whether the last exchange phase carried payloads (look_ahead's gate).
+  bool payload_round_ = false;
+
+  [[nodiscard]] std::optional<host::NodeId>& target_of(std::size_t p);
+  /// The exchange walk's look-ahead (WorkerPool::run_ordered's `ahead`,
+  /// one worker only): loads, stage by stage, what the exchanges of the
+  /// units just before unit `u` will read. Writes nothing but sends_.
+  void look_ahead(std::size_t u);
 
   // Exchange-outcome slots, one per plan position, used only with a
   // recorder attached: each unit fills its own slot and the main thread

@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "host/hints.hpp"
 #include "host/registry.hpp"
 
 namespace adam2::sim {
@@ -12,6 +13,38 @@ namespace {
 using wire::NodeDescriptor;
 
 constexpr std::size_t kPrefetchAhead = 8;  // Walk units.
+/// Look-ahead stages (one worker), kGuessAt and kRingAt units apart: unit
+/// u loads its view, unit u - kGuessAt guesses its target and loads it,
+/// unit u - kRingAt loads the target's value-cache write line.
+constexpr std::size_t kGuessAt = 6;
+constexpr std::size_t kRingAt = 12;
+static_assert(kRingAt < host::WorkerPool::kLookAhead,
+              "every stage precedes the unit's decision");
+
+/// Ages every entry and returns the slot of the oldest, the first one on a
+/// tie (std::max_element's rule), in one pass without a data-dependent
+/// branch. `entries` must not be empty.
+std::size_t age_and_find_oldest(std::span<NodeDescriptor> entries) {
+  std::size_t oldest = 0;
+  std::uint32_t oldest_age = 0;
+  for (std::size_t slot = 0; slot < entries.size(); ++slot) {
+    const std::uint32_t age = ++entries[slot].age;
+    const bool older = slot == 0 || age > oldest_age;
+    oldest = older ? slot : oldest;
+    oldest_age = older ? age : oldest_age;
+  }
+  return oldest;
+}
+
+/// The slot of the oldest entry, without aging (the same slot aging would
+/// give, since aging adds one to every entry). `entries` must not be empty.
+std::size_t find_oldest(std::span<const NodeDescriptor> entries) {
+  std::size_t oldest = 0;
+  for (std::size_t slot = 1; slot < entries.size(); ++slot) {
+    oldest = entries[slot].age > entries[oldest].age ? slot : oldest;
+  }
+  return oldest;
+}
 
 /// Picks `want` distinct random slots out of [0, size) in addition to the
 /// bits already set in `mask`. Rejection sampling on a 64-bit slot mask —
@@ -41,9 +74,23 @@ CyclonOverlay::CyclonOverlay(CyclonConfig config) : config_(config) {
 
 // -- Block pool ---------------------------------------------------------------
 
+void CyclonOverlay::Pool::reserve(std::size_t views,
+                                  const CyclonConfig& config) {
+  block_of.reserve(views);
+  blocks.reserve(views);
+  slots.reserve(views * config.view_size);
+  ring.reserve(views * config.value_cache_size);
+  // The walks reach views and value caches at random.
+  host::advise_huge_pages(slots.data(), slots.capacity() * sizeof(slots[0]));
+  host::advise_huge_pages(ring.data(), ring.capacity() * sizeof(ring[0]));
+}
+
 bool CyclonOverlay::View::contains(host::NodeId id) const {
-  return std::ranges::any_of(
-      entries(), [id](const NodeDescriptor& d) { return d.id == id; });
+  // No early exit: a view is at most 64 entries, and a scan without a
+  // data-dependent branch does not mispredict.
+  bool found = false;
+  for (const NodeDescriptor& d : entries()) found |= d.id == id;
+  return found;
 }
 
 void CyclonOverlay::View::erase(std::size_t slot) const {
@@ -113,10 +160,7 @@ std::array<std::span<const stats::Value>, 2> CyclonOverlay::cached(
 void CyclonOverlay::build_initial(std::span<const host::NodeId> ids,
                                   const host::HostView& host, rng::Rng& rng) {
   pool_ = Pool{};
-  pool_.block_of.reserve(ids.size());
-  pool_.blocks.reserve(ids.size());
-  pool_.slots.reserve(ids.size() * config_.view_size);
-  pool_.ring.reserve(ids.size() * config_.value_cache_size);
+  pool_.reserve(ids.size(), config_);
   for (host::NodeId id : ids) {
     const View view = allocate(id);  // Within the reserve: nothing moves.
     if (ids.size() < 2) continue;
@@ -223,7 +267,61 @@ void CyclonOverlay::maintain(host::HostView& host, rng::Rng& rng,
       [&](std::size_t unit, std::size_t worker) {
         apply_shuffle(order_[unit], shuffles_[unit % shuffles_.size()], host,
                       messages_[worker]);
-      });
+      },
+      [&](std::size_t unit) { look_ahead(unit, host); });
+}
+
+void CyclonOverlay::prefetch_view(std::uint32_t block) const {
+  if (block == kNoBlock) return;
+  __builtin_prefetch(&pool_.blocks[block], 1);
+  host::prefetch_bytes<true>(pool_.slots.data() + block * config_.view_size,
+                             config_.view_size * sizeof(NodeDescriptor));
+}
+
+std::optional<host::NodeId> CyclonOverlay::guess_target(
+    std::size_t unit) const {
+  const std::uint32_t block = block_of(order_[unit]);
+  if (block == kNoBlock || pool_.blocks[block].size == 0) return std::nullopt;
+  const auto own = entries(block);
+  return own[find_oldest(own)].id;
+}
+
+void CyclonOverlay::prefetch_ring_write(std::uint32_t block) const {
+  const std::size_t capacity = config_.value_cache_size;
+  if (capacity == 0) return;
+  const Block& b = pool_.blocks[block];
+  std::size_t at = b.cache_head + b.cache_size;  // Where remember writes.
+  if (at >= capacity) at -= capacity;
+  const std::size_t count = std::min(capacity, 1 + config_.shuffle_size);
+  const std::size_t first = std::min(count, capacity - at);
+  const stats::Value* ring = pool_.ring.data() + block * capacity;
+  host::prefetch_bytes<true>(ring + at, first * sizeof(stats::Value));
+  host::prefetch_bytes<true>(ring, (count - first) * sizeof(stats::Value));
+}
+
+void CyclonOverlay::look_ahead(std::size_t unit,
+                               const host::HostView& host) const {
+  // Stage 0: the initiator's view, and the record the apply reads for its
+  // own descriptor.
+  prefetch_view(block_of(order_[unit]));
+  host.prefetch_node(order_[unit]);
+  // That view has arrived: guess the target, the oldest entry, and load
+  // the target's block and descriptors and the initiator's write line.
+  if (unit >= kGuessAt) {
+    const std::size_t guessed = unit - kGuessAt;
+    if (const auto target = guess_target(guessed)) {
+      prefetch_ring_write(block_of(order_[guessed]));
+      prefetch_view(block_of(*target));
+    }
+  }
+  // The target's block has arrived: load its write line.
+  if (unit >= kRingAt) {
+    if (const auto target = guess_target(unit - kRingAt)) {
+      if (const std::uint32_t block = block_of(*target); block != kNoBlock) {
+        prefetch_ring_write(block);
+      }
+    }
+  }
 }
 
 CyclonOverlay::View CyclonOverlay::live_view(host::NodeId id) {
@@ -240,16 +338,7 @@ bool CyclonOverlay::decide_shuffle(std::size_t unit, host::HostView& host,
   // Start loading the view a few units ahead: the walk is the pass's
   // critical path, and views lie scattered across the pool.
   if (unit + kPrefetchAhead < order_.size()) {
-    const std::uint32_t ahead = block_of(order_[unit + kPrefetchAhead]);
-    if (ahead != kNoBlock) {
-      __builtin_prefetch(&pool_.blocks[ahead], 1);
-      const auto* bytes = reinterpret_cast<const char*>(
-          pool_.slots.data() + ahead * config_.view_size);
-      for (std::size_t line = 0;
-           line < config_.view_size * sizeof(NodeDescriptor); line += 64) {
-        __builtin_prefetch(bytes + line, 1);
-      }
-    }
+    prefetch_view(block_of(order_[unit + kPrefetchAhead]));
   }
   Shuffle& shuffle = shuffles_[unit % shuffles_.size()];
   const host::NodeId id = order_[unit];
@@ -257,14 +346,11 @@ bool CyclonOverlay::decide_shuffle(std::size_t unit, host::HostView& host,
   const View view = live_view(id);
   if (view.block.size == 0) return false;
 
-  for (NodeDescriptor& d : view.entries()) ++d.age;
-
-  // Contact the oldest entry (Cyclon's tail-swap rule).
+  // Age the view and contact its oldest entry (Cyclon's tail-swap rule),
+  // the first one on a tie.
   const auto entries = view.entries();
-  const auto oldest = std::ranges::max_element(
-      entries, {}, [](const NodeDescriptor& d) { return d.age; });
-  const host::NodeId target = oldest->id;
-  const auto oldest_slot = static_cast<std::size_t>(oldest - entries.begin());
+  const std::size_t oldest_slot = age_and_find_oldest(entries);
+  const host::NodeId target = entries[oldest_slot].id;
   if (!host.is_live(target)) {
     view.erase(oldest_slot);  // Evict the dead entry; retry next round.
     return false;
@@ -303,15 +389,17 @@ void CyclonOverlay::apply_shuffle(host::NodeId id, const Shuffle& shuffle,
   std::vector<NodeDescriptor>& request = messages.request;
   request.clear();
   request.push_back({id, 0, host.attribute_of(id)});
+  // The set bits in ascending order; the decision drew each mask inside
+  // its view's entries.
   const auto entries = view.entries();
-  for (std::size_t slot = 0; slot < entries.size(); ++slot) {
-    if ((shuffle.sent_mask >> slot) & 1) request.push_back(entries[slot]);
+  for (std::uint64_t mask = shuffle.sent_mask; mask != 0; mask &= mask - 1) {
+    request.push_back(entries[std::countr_zero(mask)]);
   }
   std::vector<NodeDescriptor>& response = messages.response;
   response.clear();
   const auto peer_entries = peer_view.entries();
-  for (std::size_t slot = 0; slot < peer_entries.size(); ++slot) {
-    if ((shuffle.peer_mask >> slot) & 1) response.push_back(peer_entries[slot]);
+  for (std::uint64_t mask = shuffle.peer_mask; mask != 0; mask &= mask - 1) {
+    response.push_back(peer_entries[std::countr_zero(mask)]);
   }
 
   for (const NodeDescriptor& d : request) peer_view.remember(d.attribute);
@@ -378,9 +466,7 @@ void CyclonOverlay::restore_state(wire::Reader& in,
   CyclonOverlay restored(config_);
   Pool& pool = restored.pool_;
   pool.block_of.assign(table.size(), kNoBlock);
-  pool.blocks.reserve(count);
-  pool.slots.reserve(count * config_.view_size);
-  pool.ring.reserve(count * config_.value_cache_size);
+  pool.reserve(count, config_);
   for (std::size_t i = 0, next = 0; i < count; ++i) {
     const host::NodeId id = in.u64();
     if (id < next) {

@@ -17,7 +17,9 @@
 // use, in stored order) and a ring of `value_cache_size` values. A departed
 // node's block goes on a freelist that newcomers reuse, so the pool scales
 // with the live nodes, not with the ids ever issued; a vector indexed by id
-// maps each node to its block. `maintain` walks the live ids in
+// maps each node to its block. The slots and rings sit on huge pages where
+// the kernel offers them (host::advise_huge_pages): the walks reach them at
+// random. `maintain` walks the live ids in
 // host::NodeTable order, which a snapshot restores exactly, and a warmed
 // `maintain` allocates nothing.
 //
@@ -28,10 +30,19 @@
 // copies the masked descriptors and installs them in both views. Every draw
 // and every write happens in the one-worker order, so the views, the value
 // caches and the traffic counts are the same at any worker count.
+//
+// The serial walk waits on memory more than it computes at large N, so it
+// prefetches: each decision starts loading the view of the initiator a few
+// units on, and the one-worker pool's read-only look-ahead step guesses
+// the shuffle's target (the oldest entry of that view) and loads the
+// target's view and both value-cache write lines before the decision needs
+// them. The kernels (aging with the oldest-entry search, the membership
+// scan, the masked copies) run without data-dependent branches.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 #include "host/pool.hpp"
 #include "sim/overlay.hpp"
@@ -103,6 +114,10 @@ class CyclonOverlay final : public host::Overlay {
     std::vector<wire::NodeDescriptor> slots;
     std::vector<stats::Value> ring;
     std::vector<std::uint32_t> free;
+
+    /// Room for `views` blocks, the slots and ring on huge pages where the
+    /// kernel offers them.
+    void reserve(std::size_t views, const CyclonConfig& config);
   };
 
   /// A handle on one block, valid until the pool grows. Its const members
@@ -167,6 +182,22 @@ class CyclonOverlay final : public host::Overlay {
   /// their values.
   void apply_shuffle(host::NodeId id, const Shuffle& shuffle,
                      const host::HostView& host, Messages& messages);
+
+  /// The one-worker look-ahead (WorkerPool::run_ordered's `ahead`): reads
+  /// the views and only prefetches: `unit`'s node record (its attribute
+  /// goes into the shuffle's self-descriptor) and, for the units a few
+  /// places before `unit`, the target a decision is likely to pick and both
+  /// value-cache write lines. A wrong guess wastes a prefetch and changes
+  /// nothing.
+  void look_ahead(std::size_t unit, const host::HostView& host) const;
+  /// The oldest entry of `order_[unit]`'s view as it stands, if any.
+  [[nodiscard]] std::optional<host::NodeId> guess_target(
+      std::size_t unit) const;
+  /// Prefetches `block`'s bookkeeping and descriptors (none for kNoBlock).
+  void prefetch_view(std::uint32_t block) const;
+  /// Prefetches the lines the next shuffle's remember loop writes in
+  /// `block`'s value cache.
+  void prefetch_ring_write(std::uint32_t block) const;
 
   /// Installs `received` into `view`, replacing sent-away slots (bits set in
   /// `sent_mask`) first, then filling free capacity, never duplicating ids

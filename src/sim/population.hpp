@@ -55,6 +55,9 @@ class Population : public host::HostView {
   [[nodiscard]] stats::Value attribute_of(host::NodeId id) const final {
     return table_.attribute_of(id);
   }
+  void prefetch_node(host::NodeId id) const final {
+    if (id < table_.size()) __builtin_prefetch(&table_.at(id).attribute);
+  }
   [[nodiscard]] std::span<const host::NodeId> live_ids() const final {
     return table_.live_ids();
   }

@@ -110,7 +110,7 @@ double PiecewiseLinearCdf::arc_length(double t_scale) const {
   for (std::size_t i = 1; i < knots_.size(); ++i) {
     const double dt = (knots_[i].t - knots_[i - 1].t) / t_scale;
     const double df = knots_[i].f - knots_[i - 1].f;
-    total += std::hypot(dt, df);
+    total += std::sqrt(dt * dt + df * df);  // Basic operations, no libm.
   }
   return total;
 }

@@ -99,6 +99,66 @@ TEST(NodeTableTest, UnknownIdsThrowOrAreSkipped) {
   EXPECT_FALSE(table.is_live(3));
 }
 
+TEST(NodeTableTest, IsLiveReadsTheLivenessTable) {
+  NodeTable table;
+  rng::Rng seed_rng(7);
+  for (int i = 0; i < 4; ++i) table.spawn(i, 0, seed_rng);
+  table.kill(3);  // The last live id: its slot is the one removed.
+  table.kill(1);
+  EXPECT_FALSE(table.is_live(1));
+  EXPECT_FALSE(table.is_live(3));
+  EXPECT_TRUE(table.is_live(0));
+  EXPECT_TRUE(table.is_live(2));
+  EXPECT_FALSE(table.is_live(4));  // Unknown.
+  EXPECT_FALSE(table.is_live(~NodeId{0}));
+
+  // A restore: a dead record stays dead, alive ones are live once placed.
+  NodeTable restored;
+  restored.restore_node(0, 0, true);
+  restored.restore_node(1, 0, false);
+  restored.restore_node(2, 0, true);
+  const std::vector<NodeId> order = {2, 0};
+  restored.finish_restore(order);
+  EXPECT_TRUE(restored.is_live(0));
+  EXPECT_FALSE(restored.is_live(1));
+  EXPECT_TRUE(restored.is_live(2));
+  EXPECT_FALSE(restored.is_live(3));
+  EXPECT_EQ(std::vector<NodeId>(restored.live_ids().begin(),
+                                restored.live_ids().end()),
+            order);
+  // Killing after a restore keeps the positions consistent.
+  restored.kill(2);
+  EXPECT_FALSE(restored.is_live(2));
+  EXPECT_EQ(std::vector<NodeId>(restored.live_ids().begin(),
+                                restored.live_ids().end()),
+            std::vector<NodeId>{0});
+}
+
+TEST(NodeTableTest, FinishRestoreRefusesInconsistentLiveOrders) {
+  const auto restored = [] {
+    NodeTable table;
+    table.restore_node(0, 0, true);
+    table.restore_node(1, 0, false);
+    table.restore_node(2, 0, true);
+    return table;
+  };
+  const auto refusal = [&](std::vector<NodeId> order) {
+    NodeTable table = restored();
+    try {
+      table.finish_restore(order);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(refusal({0}), "finish_restore: live order size mismatch");
+  EXPECT_EQ(refusal({0, 2, 1}), "finish_restore: live order size mismatch");
+  EXPECT_EQ(refusal({0, 1}), "finish_restore: dead or unknown live id");
+  EXPECT_EQ(refusal({0, 7}), "finish_restore: dead or unknown live id");
+  EXPECT_EQ(refusal({2, 2}), "finish_restore: duplicate live id");
+  EXPECT_EQ(refusal({2, 0}), "accepted");
+}
+
 // -------------------------------------------------------------------- churn
 
 TEST(ChurnTest, StochasticCountIntegerPartIsExact) {
@@ -260,6 +320,98 @@ std::vector<std::uint32_t> chained_slots(std::size_t units) {
     unit_slots[2 * u + 1] = (u + 1) % 8;
   }
   return unit_slots;
+}
+
+// The one-worker look-ahead: ahead(u) runs once per unit, in unit order,
+// right before decide(u - kLookAhead) (the first kLookAhead units before
+// decide(0)), once every earlier unit has been decided and applied. The
+// results equal those of the same call without it.
+TEST(WorkerPoolTest, AheadRunsOncePerUnitBeforeItsDecisionOnOneWorker) {
+  constexpr std::size_t kAhead = WorkerPool::kLookAhead;
+  for (const std::size_t units : {std::size_t{0}, std::size_t{3}, kAhead,
+                                  kAhead + 1, 5 * kAhead + 3}) {
+    WorkerPool pool(1);
+    std::vector<std::string> events;
+    std::size_t decided = 0;  // Units decided so far.
+    std::size_t done = 0;     // Units decided and, if they have one, applied.
+    int misplaced = 0;        // An ahead that did not see exactly that.
+    std::uint64_t hash = 0;
+    pool.run_ordered(
+        units, 1,
+        [&](std::size_t u, WorkerPool::Claims&) {
+          events.push_back("d" + std::to_string(u));
+          hash = hash * 31 + u;
+          decided = u + 1;
+          const bool has_apply = u % 5 != 2;  // Some units have none.
+          if (!has_apply) done = u + 1;
+          return has_apply;
+        },
+        [&](std::size_t u, std::size_t) {
+          hash = hash * 37 + u;
+          done = u + 1;
+        },
+        [&](std::size_t u) {
+          events.push_back("a" + std::to_string(u));
+          const std::size_t next = u < kAhead ? 0 : u - kAhead;
+          if (decided != next || done != next) ++misplaced;
+        });
+    std::vector<std::string> expected;
+    for (std::size_t u = 0; u < std::min(units, kAhead); ++u) {
+      expected.push_back("a" + std::to_string(u));
+    }
+    for (std::size_t u = 0; u < units; ++u) {
+      if (u + kAhead < units) expected.push_back("a" + std::to_string(u + kAhead));
+      expected.push_back("d" + std::to_string(u));
+    }
+    EXPECT_EQ(events, expected) << units << " units";
+    EXPECT_EQ(misplaced, 0) << units << " units";
+
+    std::uint64_t plain = 0;
+    pool.run_ordered(
+        units, 1,
+        [&](std::size_t u, WorkerPool::Claims&) {
+          plain = plain * 31 + u;
+          return u % 5 != 2;
+        },
+        [&](std::size_t u, std::size_t) { plain = plain * 37 + u; });
+    EXPECT_EQ(hash, plain) << units << " units";
+  }
+}
+
+// With threads, ahead would read state that an apply on another worker may
+// be writing, so the pool never calls it; the units still run as in order.
+TEST(WorkerPoolTest, ThreadedPoolNeverCallsAhead) {
+  constexpr std::size_t kUnits = 400;
+  constexpr std::size_t kSlots = 8;
+  const std::vector<std::uint32_t> unit_slots = chained_slots(kUnits);
+  for (std::size_t workers : {2u, 8u}) {
+    WorkerPool pool(workers);
+    std::size_t ahead_calls = 0;  // Would race if ahead ran on a worker.
+    std::vector<std::uint64_t> slot_hash(kSlots, 0);
+    pool.run_ordered(
+        kUnits, kSlots,
+        [&](std::size_t u, WorkerPool::Claims& claims) {
+          claim_both(unit_slots, u, claims);
+          return true;
+        },
+        [&](std::size_t u, std::size_t) {
+          for (std::size_t k = 0; k < 2; ++k) {
+            std::uint64_t& h = slot_hash[unit_slots[2 * u + k]];
+            h = h * 31 + u;
+          }
+        },
+        [&](std::size_t) { ++ahead_calls; });
+    EXPECT_EQ(ahead_calls, 0u) << workers << " workers";
+
+    std::vector<std::uint64_t> in_order(kSlots, 0);
+    for (std::size_t u = 0; u < kUnits; ++u) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        std::uint64_t& h = in_order[unit_slots[2 * u + k]];
+        h = h * 31 + u;
+      }
+    }
+    EXPECT_EQ(slot_hash, in_order) << workers << " workers";
+  }
 }
 
 TEST(WorkerPoolTest, TaskExceptionReachesCaller) {

@@ -212,6 +212,23 @@ TEST(ParallelEngineTest, AnyThreadCountMatchesSerialEngine) {
   }
 }
 
+// The exchange walk draws targets 16 units ahead into a ring of
+// pending_limit() + 16 entries. Above kMaxPending + 16 initiators the
+// threaded ring wraps within a round, so a walk that overwrote the target of
+// a unit not yet applied would show here; the snapshots compare every byte.
+TEST(ParallelEngineTest, TargetRingWrapsIdenticallyAtEightThreads) {
+  const std::size_t nodes = host::WorkerPool::kMaxPending + 500;
+  CycleEngine serial(stress_config(), iota_values(nodes), cyclon(),
+                     averaging_factory(), churn_values());
+  CycleEngine parallel(stress_config(), iota_values(nodes), cyclon(),
+                       averaging_factory(), churn_values(), 8);
+  for (int round = 0; round < 4; ++round) {
+    serial.run_round();
+    parallel.run_round();
+  }
+  expect_identical(serial, parallel);
+}
+
 TEST(ParallelEngineTest, StaticOverlayWithoutChurnMatches) {
   EngineConfig config;
   config.seed = 77;

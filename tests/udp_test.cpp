@@ -2,11 +2,13 @@
 // Directory every runtime deployment shares (membership and traffic ledger).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <thread>
 
 #include "core/protocol.hpp"
@@ -62,6 +64,37 @@ TEST(UdpEndpointTest, ReceiveTimesOut) {
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(receiver.receive(start + 20ms).has_value());
   EXPECT_GE(std::chrono::steady_clock::now() - start, 15ms);
+}
+
+volatile std::sig_atomic_t g_interrupted = 0;
+
+// A signal whose handler lacks SA_RESTART ends a blocked recv with EINTR.
+// The endpoint must wait out the rest of its deadline instead of reporting
+// the interruption as a timeout (Endpoint::receive waits until `deadline`).
+TEST(UdpEndpointTest, ReceiveWaitsOutItsDeadlineAfterASignal) {
+  struct sigaction action {};
+  action.sa_handler = [](int) { g_interrupted = 1; };
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // No SA_RESTART.
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  g_interrupted = 0;
+
+  UdpEndpoint receiver;
+  const pthread_t self = ::pthread_self();
+  std::thread interrupter([self] {
+    std::this_thread::sleep_for(10ms);
+    ::pthread_kill(self, SIGUSR1);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto received = receiver.receive(start + 50ms);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  interrupter.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+
+  EXPECT_EQ(g_interrupted, 1);
+  EXPECT_FALSE(received.has_value());
+  EXPECT_GE(waited, 45ms);
 }
 
 // Regression: SO_RCVTIMEO treats a zero timeval as "block forever", so a
